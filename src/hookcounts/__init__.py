@@ -33,10 +33,10 @@ from .hookgf import (
     set_cardinality_series,
 )
 from .injections import (
+    FAMILIES,
+    MAPS,
     SubsetLabel,
     VerificationReport,
-    classify_o,
-    classify_r,
     o5_weight_bound,
     verify_injection,
 )

@@ -123,6 +123,8 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
         raise ValueError(f"sign checks exist for D, E, F, not {name!r}")
     if order < 30:
         raise ValueError("order must be at least 30")
+    if not t_values:
+        raise ValueError("need at least one t to scan")
     min_n = SIGN_MIN_N[name]
     witnesses = []
     below = []
@@ -190,6 +192,8 @@ def run_oracle_crosscheck(
     t_max: int, n_max: int, ks: tuple[int, ...] = (1, 2, 3)
 ) -> TheoremCheck:
     """Enumeration and generating-function hook counts must agree on the grid."""
+    if t_max < 2 or n_max < 0 or not ks:
+        raise ValueError("need t_max >= 2, n_max >= 0 and at least one k")
     witnesses = []
     for t in range(2, t_max + 1):
         table = btk_enum_table(t, n_max, ks)

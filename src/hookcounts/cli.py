@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
     p_inj = vsub.add_parser("injection", help="certify an injection exhaustively")
-    p_inj.add_argument("--map", choices=injections.MAP_IDS, required=True)
+    p_inj.add_argument("--map", choices=tuple(injections.MAPS), required=True)
     p_inj.add_argument("--t", type=int, required=True)
     p_inj.add_argument("--n-max", type=int, required=True)
     p_inj.add_argument("--format", choices=("json", "csv", "human"), default="human")

@@ -230,6 +230,10 @@ def decomposition_series(name: str, t: int, order: int) -> NamedSeries:
     A counts t-regular partitions with an odd number of 1s; C counts
     partitions avoiding multiples of t other than 2t that contain the part
     2t+1.  B has no set interpretation and is exposed as a series only.
+    D and E are differences of the family counting series of
+    :func:`set_cardinality_series`, whose A, B, C name families, not the
+    pieces here: D = S - A and E = B - C, so their sign statements are
+    those of the injections A -> S and C -> B.
     -A + B + C equals the 2-hook minus 1-hook difference for every t, and
     D + E + F the 2-hook minus 3-hook difference for t >= 3; at t = 2 the
     latter matches the generic four-term 3-hook form instead of true
@@ -245,11 +249,9 @@ def decomposition_series(name: str, t: int, order: int) -> NamedSeries:
     elif name == "C":
         s = T.shift(2 * t + 1).times_geometric(2 * t)
     elif name == "D":
-        first = (U.shift(2) + U.shift(4)).times_geometric(6)
-        second = (U - U.shift(3)).shift(2 * t - 2).times_geometric(2 * t)
-        s = first - second
+        s = set_cardinality_series("S", t, order) - set_cardinality_series("A", t, order)
     elif name == "E":
-        s = (U.shift(2) - U.shift(3) + U.shift(5)).times_geometric(6)
+        s = set_cardinality_series("B", t, order) - set_cardinality_series("C", t, order)
     elif name == "F":
         v = U - U.shift(2)
         w = v + v.shift(3)

@@ -1,4 +1,4 @@
-"""Partition-family predicates, the weight-preserving injections, and drivers.
+"""Partition families, the weight-preserving injections, and their driver.
 
 Every map here transforms a partition of n into another partition of n.  The
 forward maps are defined on frequency-congruence families of t-regular
@@ -6,24 +6,22 @@ partitions; inverse maps are defined on the image characterization only, so
 the verification driver calls an inverse exclusively on values the forward
 map just produced.
 
-:func:`verify_injection` certifies, for one (map, t, n) cell, that the map is
-well defined into its codomain, weight preserving, collision free, inverted
-by its declared inverse, and that the relevant subset classifications
-partition / stay disjoint.  Failures become report entries, never exceptions.
+Each family is described once, as a :class:`Family` record in
+:data:`FAMILIES`; each injection once, as a :class:`MapSpec` entry in
+:data:`MAPS`.  :func:`verify_injection` runs an entry and certifies, for one
+(map, t, n) cell, that the map is well defined into its codomain, weight
+preserving, collision free, inverted by its declared inverse, and that the
+relevant subset classifications partition / stay disjoint.  Failures become
+report entries, never exceptions.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
-from .partitions import Partition, partitions_of, t_regular_partitions
-
-MAP_IDS = ("phi1", "phi2", "phi3", "phi4", "phi", "gamma", "epsilon", "tau")
-
-# smallest n at which each map is defined / verified; absent means 0
-MAP_MIN_N = {"epsilon": 7, "tau": 4}
+from .partitions import Partition, partitions_of
 
 
 class ResidualClassError(ValueError):
@@ -37,19 +35,11 @@ class SubsetLabel:
     ``index`` is the subset number where the family is subdivided (O: 1..5,
     R: 1..4, A and S: 1..3); ``None`` marks a family member outside the
     indexed subsets (possible for R and S, whose listed subsets do not cover
-    the family).
+    the family) or a member of an undivided family.
     """
 
     family: str
     index: int | None
-
-
-@dataclass(frozen=True)
-class InjectionCase:
-    """Which case of a multi-case map applies to a given input."""
-
-    map_id: str
-    case_tag: int | None
 
 
 @dataclass(frozen=True)
@@ -85,62 +75,55 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# family membership predicates
+# partition families
 # ---------------------------------------------------------------------------
 
 
-def in_o(p: Partition, t: int) -> bool:
-    """t-regular with an odd number of 1s."""
-    return p.is_t_regular(t) and p.frequency(1) % 2 == 1
-
-
-def in_r(p: Partition, t: int) -> bool:
-    """No part is a multiple of t other than 2t, and the part 2t+1 appears."""
+def _check_t(t: int) -> None:
     if t < 2:
         raise ValueError("t must be at least 2")
-    return (
-        all(v % t != 0 or v == 2 * t for v, _ in p.items())
-        and p.frequency(2 * t + 1) >= 1
-    )
 
 
-def in_a(p: Partition, t: int) -> bool:
-    """t-regular, no part 3, and the number of 1s is -2 mod 2t."""
-    return (
-        p.is_t_regular(t)
-        and p.frequency(3) == 0
-        and p.frequency(1) % (2 * t) == 2 * t - 2
-    )
+@dataclass(frozen=True)
+class Family:
+    """A family of partitions: a part rule, a 1-count rule and an extra condition.
 
+    ``parts(t)`` returns the rule every part obeys; :meth:`members` hands it
+    to :func:`partitions_of`, so partitions breaking it are never walked.
+    ``ones(f1, t)`` is the rule on the number of 1s (``None``: any number) and
+    ``extra(p, t)`` any further condition.  ``subsets(p, t)``, called on
+    members only, lists the indices of the named subsets whose defining
+    condition p satisfies.
+    """
 
-def in_s(p: Partition, t: int) -> bool:
-    """t-regular with the number of 1s congruent to 2 or 4 mod 6."""
-    return p.is_t_regular(t) and p.frequency(1) % 6 in (2, 4)
+    name: str
+    parts: Callable[[int], Callable[[int], bool]]
+    ones: Callable[[int, int], bool] | None = None
+    extra: Callable[[Partition, int], bool] | None = None
+    subsets: Callable[[Partition, int], list[int]] | None = None
 
+    def _rest(self, p: Partition, t: int) -> bool:
+        return (self.ones is None or self.ones(p.frequency(1), t)) and (
+            self.extra is None or self.extra(p, t)
+        )
 
-def in_b(p: Partition, t: int) -> bool:
-    """t-regular with the number of 1s congruent to 2 or 5 mod 6."""
-    return p.is_t_regular(t) and p.frequency(1) % 6 in (2, 5)
+    def contains(self, p: Partition, t: int) -> bool:
+        _check_t(t)
+        part_ok = self.parts(t)
+        return all(part_ok(v) for v, _ in p.items()) and self._rest(p, t)
 
+    def members(self, n: int, t: int) -> Iterator[Partition]:
+        """The members of weight n, in the order of :func:`partitions_of`."""
+        _check_t(t)
+        rest = self._rest
+        return (p for p in partitions_of(n, self.parts(t)) if rest(p, t))
 
-def in_c(p: Partition, t: int) -> bool:
-    """t-regular with the number of 1s congruent to 3 mod 6."""
-    return p.is_t_regular(t) and p.frequency(1) % 6 == 3
-
-
-def in_d1(p: Partition) -> bool:
-    """2-regular with the number of 1s congruent to 4 mod 12."""
-    return p.is_t_regular(2) and p.frequency(1) % 12 == 4
-
-
-def in_d2(p: Partition) -> bool:
-    """2-regular with the number of 1s congruent to 6 mod 12."""
-    return p.is_t_regular(2) and p.frequency(1) % 12 == 6
-
-
-# ---------------------------------------------------------------------------
-# subset classifications
-# ---------------------------------------------------------------------------
+    def label(self, p: Partition, t: int) -> SubsetLabel | None:
+        """The first subset p falls in; None outside the family."""
+        if not self.contains(p, t):
+            return None
+        ms = self.subsets(p, t) if self.subsets is not None else []
+        return SubsetLabel(self.name, ms[0] if ms else None)
 
 
 def _one_mod_ks(p: Partition, t: int) -> list[int]:
@@ -149,10 +132,7 @@ def _one_mod_ks(p: Partition, t: int) -> list[int]:
     return sorted((v - 1) // step for v, _ in p.items() if v > 1 and v % step == 1)
 
 
-def o_subset_memberships(p: Partition, t: int) -> list[int]:
-    """Indices of the five O-subsets whose defining condition p satisfies."""
-    if not in_o(p, t):
-        return []
+def _o_subsets(p: Partition, t: int) -> list[int]:
     ks = _one_mod_ks(p, t)
     out = []
     if ks:
@@ -172,23 +152,10 @@ def o_subset_memberships(p: Partition, t: int) -> list[int]:
     return out
 
 
-def classify_o(p: Partition, t: int) -> SubsetLabel | None:
-    """Place p into exactly one of the five O-subsets, or None outside the family."""
-    ms = o_subset_memberships(p, t)
-    if not ms:
-        return None
-    return SubsetLabel("O", ms[0])
-
-
-def r_subset_memberships(p: Partition, t: int) -> list[int]:
-    """Indices of the four listed R-subsets that p belongs to (possibly none)."""
-    if not in_r(p, t):
-        return []
-    f1 = p.frequency(1)
+def _r_subsets(p: Partition, t: int) -> list[int]:
+    if p.frequency(1) % 2 == 1:
+        return [1]
     out = []
-    if f1 % 2 == 1:
-        out.append(1)
-        return out
     ks = set(_one_mod_ks(p, t))
     f = p.frequency
     if f(4 * t + 1) + f(2 * t + 1) >= 2 and ks <= {1, 2}:
@@ -200,28 +167,11 @@ def r_subset_memberships(p: Partition, t: int) -> list[int]:
     return out
 
 
-def classify_r(p: Partition, t: int) -> SubsetLabel | None:
-    """Label within the R family; index None for members outside the four subsets."""
-    if not in_r(p, t):
-        return None
-    ms = r_subset_memberships(p, t)
-    return SubsetLabel("R", ms[0] if ms else None)
+def _a_subsets(p: Partition, t: int) -> list[int]:
+    return [{2: 1, 4: 2, 0: 3}[p.frequency(1) % 6]]
 
 
-def a_subset_index(p: Partition, t: int) -> int | None:
-    if not in_a(p, t):
-        return None
-    return {2: 1, 4: 2, 0: 3}[p.frequency(1) % 6]
-
-
-def classify_a(p: Partition, t: int) -> SubsetLabel | None:
-    idx = a_subset_index(p, t)
-    return SubsetLabel("A", idx) if idx is not None else None
-
-
-def s_subset_memberships(p: Partition, t: int) -> list[int]:
-    if not in_s(p, t):
-        return []
+def _s_subsets(p: Partition, t: int) -> list[int]:
     f1 = p.frequency(1)
     out = []
     if f1 % 6 == 2:
@@ -233,51 +183,44 @@ def s_subset_memberships(p: Partition, t: int) -> list[int]:
     return out
 
 
-def classify_s(p: Partition, t: int) -> SubsetLabel | None:
-    if not in_s(p, t):
-        return None
-    ms = s_subset_memberships(p, t)
-    return SubsetLabel("S", ms[0] if ms else None)
+def _t_regular(t: int) -> Callable[[int], bool]:
+    return lambda v: v % t != 0
 
 
-# ---------------------------------------------------------------------------
-# family enumerators
-# ---------------------------------------------------------------------------
+def _two_regular(t: int) -> Callable[[int], bool]:
+    return lambda v: v % 2 != 0
 
 
-def o_members(n: int, t: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, t) if p.frequency(1) % 2 == 1)
-
-
-def r_members(n: int, t: int) -> Iterator[Partition]:
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    base = partitions_of(n, lambda v: v % t != 0 or v == 2 * t)
-    return (p for p in base if p.frequency(2 * t + 1) >= 1)
-
-
-def a_members(n: int, t: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, t) if in_a(p, t))
-
-
-def s_members(n: int, t: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, t) if p.frequency(1) % 6 in (2, 4))
-
-
-def b_members(n: int, t: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, t) if p.frequency(1) % 6 in (2, 5))
-
-
-def c_members(n: int, t: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, t) if p.frequency(1) % 6 == 3)
-
-
-def d1_members(n: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, 2) if p.frequency(1) % 12 == 4)
-
-
-def d2_members(n: int) -> Iterator[Partition]:
-    return (p for p in t_regular_partitions(n, 2) if p.frequency(1) % 12 == 6)
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        # t-regular with an odd number of 1s
+        Family("O", _t_regular, lambda f1, t: f1 % 2 == 1, subsets=_o_subsets),
+        # no part is a multiple of t other than 2t, and the part 2t+1 appears
+        Family(
+            "R",
+            lambda t: lambda v: v % t != 0 or v == 2 * t,
+            extra=lambda p, t: p.frequency(2 * t + 1) >= 1,
+            subsets=_r_subsets,
+        ),
+        # t-regular, no part 3, and the number of 1s is -2 mod 2t
+        Family(
+            "A",
+            lambda t: lambda v: v % t != 0 and v != 3,
+            lambda f1, t: f1 % (2 * t) == 2 * t - 2,
+            subsets=_a_subsets,
+        ),
+        # t-regular with the number of 1s congruent to 2 or 4 mod 6
+        Family("S", _t_regular, lambda f1, t: f1 % 6 in (2, 4), subsets=_s_subsets),
+        # t-regular with the number of 1s congruent to 2 or 5 mod 6
+        Family("B", _t_regular, lambda f1, t: f1 % 6 in (2, 5)),
+        # t-regular with the number of 1s congruent to 3 mod 6
+        Family("C", _t_regular, lambda f1, t: f1 % 6 == 3),
+        # 2-regular whatever t, with the number of 1s 4 resp. 6 mod 12
+        Family("D1", _two_regular, lambda f1, t: f1 % 12 == 4),
+        Family("D2", _two_regular, lambda f1, t: f1 % 12 == 6),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +233,15 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_class(p: Partition, t: int, family: str, index: int, role: str) -> None:
+    label = FAMILIES[family].label(p, t)
+    _require(label is not None and label.index == index, f"{p} is not a class-{index} {role}")
+
+
 def phi1(p: Partition, t: int, validate: bool = True) -> Partition:
     """Trade the smallest part of shape 2kt+1 for one 2t+1 and (k-1) parts 2t."""
     if validate:
-        label = classify_o(p, t)
-        _require(label is not None and label.index == 1, f"{p} is not a class-1 input")
+        _require_class(p, t, "O", 1, "input")
     ks = _one_mod_ks(p, t)
     _require(bool(ks), f"{p} has no part of shape 2kt+1")
     k = ks[0]
@@ -305,8 +252,7 @@ def phi1(p: Partition, t: int, validate: bool = True) -> Partition:
 def phi1_inv(p: Partition, t: int, validate: bool = True) -> Partition:
     """Inverse of phi1 on its image: k is recovered as 1 + (number of 2t parts)."""
     if validate:
-        label = classify_r(p, t)
-        _require(label is not None and label.index == 1, f"{p} is not a class-1 image")
+        _require_class(p, t, "R", 1, "image")
     m = p.frequency(2 * t)
     k = 1 + m
     removed = Partition.from_parts([2 * t + 1] + [2 * t] * m)
@@ -329,8 +275,7 @@ def _phi2_xy(lam1: int, t: int) -> tuple[int, int]:
 def phi2(p: Partition, t: int, validate: bool = True) -> Partition:
     """Break the largest part into parts 4t+1 and 2t+1 (plus a fixed tail)."""
     if validate:
-        label = classify_o(p, t)
-        _require(label is not None and label.index == 2, f"{p} is not a class-2 input")
+        _require_class(p, t, "O", 2, "input")
     lam1 = p.largest()
     x, y = _phi2_xy(lam1, t)
     if x:
@@ -349,8 +294,7 @@ def psi2(p: Partition, t: int, validate: bool = True) -> Partition:
     """Inverse of phi2 on its image: reassemble the removed largest part."""
     f = p.frequency
     if validate:
-        label = classify_r(p, t)
-        _require(label is not None and label.index == 2, f"{p} is not a class-2 image")
+        _require_class(p, t, "R", 2, "image")
         _require(f(2 * t) <= 1, f"{p} carries more than one part 2t")
         _require(f(1) >= 1, f"{p} has no part 1")
     lam1 = 1 + 2 * t * f(2 * t) + (2 * t + 1) * f(2 * t + 1) + (4 * t + 1) * f(4 * t + 1)
@@ -363,8 +307,7 @@ def psi2(p: Partition, t: int, validate: bool = True) -> Partition:
 def phi3(p: Partition, t: int, validate: bool = True) -> Partition:
     """Dissolve the smallest heavily repeated part value into a fixed pattern."""
     if validate:
-        label = classify_o(p, t)
-        _require(label is not None and label.index == 3, f"{p} is not a class-3 input")
+        _require_class(p, t, "O", 3, "input")
     heavy = [v for v, m in p.items() if v >= 2 and m >= 6 * t + 1]
     _require(bool(heavy), f"{p} has no part repeated at least {6 * t + 1} times")
     l = min(heavy)
@@ -379,8 +322,7 @@ def psi3(p: Partition, t: int, validate: bool = True) -> Partition:
     """Inverse of phi3 on its image: the repeated value is 1 + (count of 6t+1 parts)."""
     f = p.frequency
     if validate:
-        label = classify_r(p, t)
-        _require(label is not None and label.index == 3, f"{p} is not a class-3 image")
+        _require_class(p, t, "R", 3, "image")
         _require(f(2 * t + 1) == 2, f"{p} must carry the part 2t+1 exactly twice")
         _require(f(1) >= 2 * t - 1, f"{p} needs at least {2 * t - 1} parts 1")
     m = f(6 * t + 1)
@@ -393,8 +335,7 @@ def psi3(p: Partition, t: int, validate: bool = True) -> Partition:
 def phi4(p: Partition, t: int, validate: bool = True) -> Partition:
     """Convert 12t+3 ones into the parts 8t+1, 2t+1, 2t+1."""
     if validate:
-        label = classify_o(p, t)
-        _require(label is not None and label.index == 4, f"{p} is not a class-4 input")
+        _require_class(p, t, "O", 4, "input")
     removed = Partition.from_parts([1] * (12 * t + 3))
     added = Partition.from_parts([8 * t + 1] + [2 * t + 1] * 2)
     return p.diff(removed).union(added)
@@ -403,8 +344,7 @@ def phi4(p: Partition, t: int, validate: bool = True) -> Partition:
 def psi4(p: Partition, t: int, validate: bool = True) -> Partition:
     """Inverse of phi4 on its image."""
     if validate:
-        label = classify_r(p, t)
-        _require(label is not None and label.index == 4, f"{p} is not a class-4 image")
+        _require_class(p, t, "R", 4, "image")
         _require(p.frequency(2 * t + 1) == 2, f"{p} must carry the part 2t+1 exactly twice")
         _require(p.frequency(8 * t + 1) == 1, f"{p} must carry the part 8t+1 exactly once")
     removed = Partition.from_parts([8 * t + 1] + [2 * t + 1] * 2)
@@ -417,7 +357,7 @@ _PHI_INVERSE: dict[int, Callable[..., Partition]] = {1: phi1_inv, 2: psi2, 3: ps
 
 def phi_total(p: Partition, t: int) -> Partition:
     """Dispatch to phi1..phi4 by O-subset; the fifth class is not covered."""
-    label = classify_o(p, t)
+    label = FAMILIES["O"].label(p, t)
     if label is None:
         raise ValueError(f"{p} is not t-regular with an odd number of 1s")
     if label.index == 5:
@@ -433,8 +373,7 @@ def o5_weight_cap(t: int) -> int:
     Parts are at most 8t^2, avoid multiples of t and values 1 mod 2t, carry
     multiplicity at most 6t, and at most 12t+1 ones (odd and <= 12t+2).
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    _check_t(t)
     m = 8 * t * t
     sum_all = m * (m + 1) // 2 - 1
     sum_mult_t = t * (8 * t) * (8 * t + 1) // 2
@@ -449,8 +388,7 @@ def o5_weight_bound(t: int) -> int:
     dominates the exact cap from :func:`o5_weight_cap`, so emptiness beyond
     the polynomial is safe.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    _check_t(t)
     bound = 192 * t**5 - 192 * t**4 - 24 * t**3 + 24 * t**2 + 6 * t + 1
     cap = o5_weight_cap(t)
     if bound < cap:
@@ -458,10 +396,29 @@ def o5_weight_bound(t: int) -> int:
     return bound
 
 
-def _gamma_apply(p: Partition, idx: int) -> Partition:
-    if idx in (1, 2):
-        return p
+def _warn_gamma(t: int) -> None:
+    warnings.warn(f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning)
+
+
+def _keep(p: Partition, t: int, validate: bool = True) -> Partition:
+    return p
+
+
+def _two_ones_to_two(p: Partition, t: int, validate: bool = True) -> Partition:
     return p.diff(Partition.of(1, 1)).union(Partition.of(2))
+
+
+def delta3(p: Partition, t: int, validate: bool = True) -> Partition:
+    """Inverse of the third gamma case: trade a 2 back for two 1s."""
+    if validate:
+        _require_class(p, t, "S", 3, "image")
+        _require(p.frequency(2) >= 1, f"{p} has no part 2")
+        _require(p.frequency(3) == 0, f"{p} must avoid the part 3")
+    return p.diff(Partition.of(2)).union(Partition.of(1, 1))
+
+
+_GAMMA_FORWARD: dict[int, Callable[..., Partition]] = {1: _keep, 2: _keep, 3: _two_ones_to_two}
+_GAMMA_INVERSE: dict[int, Callable[..., Partition]] = {1: _keep, 2: _keep, 3: delta3}
 
 
 def gamma(p: Partition, t: int, validate: bool = True) -> Partition:
@@ -471,23 +428,11 @@ def gamma(p: Partition, t: int, validate: bool = True) -> Partition:
     warning so the failure mode can be observed directly.
     """
     if t < 4:
-        warnings.warn(
-            f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning
-        )
-    label = classify_a(p, t)
+        _warn_gamma(t)
+    label = FAMILIES["A"].label(p, t)
     if validate:
         _require(label is not None, f"{p} is not in the map's domain")
-    return _gamma_apply(p, label.index if label else 3)
-
-
-def delta3(p: Partition, t: int, validate: bool = True) -> Partition:
-    """Inverse of the third gamma case: trade a 2 back for two 1s."""
-    if validate:
-        label = classify_s(p, t)
-        _require(label is not None and label.index == 3, f"{p} is not a class-3 image")
-        _require(p.frequency(2) >= 1, f"{p} has no part 2")
-        _require(p.frequency(3) == 0, f"{p} must avoid the part 3")
-    return p.diff(Partition.of(2)).union(Partition.of(1, 1))
+    return _GAMMA_FORWARD[label.index if label else 3](p, t)
 
 
 def epsilon(p: Partition, validate: bool = True) -> Partition:
@@ -498,7 +443,7 @@ def epsilon(p: Partition, validate: bool = True) -> Partition:
     equal top parts.
     """
     if validate:
-        _require(in_d2(p), f"{p} is not 2-regular with 1-count 6 mod 12")
+        _require(FAMILIES["D2"].contains(p, 2), f"{p} is not 2-regular with 1-count 6 mod 12")
         _require(p.weight >= 7, "the map is built for n >= 7")
     lam1 = p.largest()
     if lam1 >= 3:
@@ -536,7 +481,7 @@ def tau(p: Partition, t: int, validate: bool = True) -> Partition:
     if t < 3:
         raise ValueError("the map needs t >= 3 to keep images t-regular")
     if validate:
-        _require(in_c(p, t), f"{p} is not t-regular with 1-count 3 mod 6")
+        _require(FAMILIES["C"].contains(p, t), f"{p} is not t-regular with 1-count 3 mod 6")
     case = tau_case(p, t)
     lam1 = p.largest()
     if case == 1:
@@ -564,7 +509,7 @@ def eta(p: Partition, t: int, validate: bool = True) -> Partition:
         raise ValueError("the map needs t >= 3")
     f1 = p.frequency(1) % 6
     if validate:
-        _require(in_b(p, t), f"{p} is not t-regular with 1-count 2 or 5 mod 6")
+        _require(FAMILIES["B"].contains(p, t), f"{p} is not t-regular with 1-count 2 or 5 mod 6")
     if f1 == 5:
         return p.diff(Partition.of(1, 1)).union(Partition.of(2))
     _require(f1 == 2, f"{p} is outside the image residues")
@@ -580,147 +525,123 @@ def eta(p: Partition, t: int, validate: bool = True) -> Partition:
     return p.diff(Partition.of(v, 2)).union(Partition.of(v + 1, 1))
 
 
-def case_of(map_id: str, p: Partition, t: int = 2) -> InjectionCase:
-    """Case tag of a multi-case map at input p (the map's own dispatch)."""
-    if map_id == "phi2":
-        return InjectionCase(map_id, phi2_case(p, t))
-    if map_id == "epsilon":
-        return InjectionCase(map_id, epsilon_case(p))
-    if map_id == "tau":
-        return InjectionCase(map_id, tau_case(p, t))
-    if map_id == "phi":
-        label = classify_o(p, t)
-        return InjectionCase(map_id, label.index if label else None)
-    if map_id == "gamma":
-        return InjectionCase(map_id, a_subset_index(p, t))
-    raise ValueError(f"{map_id} has no case structure")
+# ---------------------------------------------------------------------------
+# the maps as data, and the verification driver
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# verification driver
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class MapSpec:
+    """One injection: domain and codomain families, and its maps per class.
+
+    ``classes`` are the domain subsets the map covers (``(None,)`` for an
+    undivided domain).  ``forward`` and ``inverse`` map a class to a function
+    called as ``f(p, t, validate=False)``; a class absent from ``inverse``
+    has no declared inverse.  The map is verified for ``n >= min_n`` and the
+    t for which ``t_ok(t)`` holds; ``t_error`` says which those are.
+    """
+
+    domain: str
+    codomain: str
+    forward: Mapping[int | None, Callable[..., Partition]]
+    inverse: Mapping[int | None, Callable[..., Partition]]
+    classes: tuple[int | None, ...] = (None,)
+    min_n: int = 0
+    t_ok: Callable[[int], bool] = lambda t: t >= 2
+    t_error: str = "t must be at least 2"
+
+
+def _epsilon_map(p: Partition, t: int, validate: bool = True) -> Partition:
+    return epsilon(p, validate)
+
+
+# phi1..phi4 and phi hold the _PHI_* tables themselves, not copies
+MAPS: dict[str, MapSpec] = {
+    **{
+        f"phi{k}": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE, classes=(k,))
+        for k in (1, 2, 3, 4)
+    },
+    "phi": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE, classes=(1, 2, 3, 4)),
+    "gamma": MapSpec("A", "S", _GAMMA_FORWARD, _GAMMA_INVERSE, classes=(1, 2, 3)),
+    "epsilon": MapSpec(
+        "D2", "D1", {None: _epsilon_map}, {}, min_n=7,
+        t_ok=lambda t: t == 2, t_error="epsilon is a t=2 map",
+    ),
+    "tau": MapSpec(
+        "C", "B", {None: tau}, {None: eta}, min_n=4,
+        t_ok=lambda t: t >= 3, t_error="tau needs t >= 3",
+    ),
+}
+
+# smallest verified n per map
+MAP_MIN_N = {map_id: spec.min_n for map_id, spec in MAPS.items()}
+
+
+def _spec(map_id: str, t: int) -> MapSpec:
+    spec = MAPS.get(map_id)
+    if spec is None:
+        raise ValueError(f"unknown map {map_id!r}")
+    if not spec.t_ok(t):
+        raise ValueError(spec.t_error)
+    return spec
 
 
 def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     """Certify one (map, t, n) cell exhaustively; see the module docstring.
 
+    A map with several classes also reports domain members in no class or
+    in several (gap, overlap) and codomain members in several subsets.
     Single-threaded; violations are sorted by canonical input text, so
     reports are deterministic.
     """
-    if map_id not in MAP_IDS:
-        raise ValueError(f"unknown map {map_id!r}")
-    if n < MAP_MIN_N.get(map_id, 0):
-        raise ValueError(f"{map_id} is verified for n >= {MAP_MIN_N[map_id]}")
+    spec = _spec(map_id, t)
+    if n < spec.min_n:
+        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
+    if map_id == "gamma" and t < 4:
+        _warn_gamma(t)
+    domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
+    several = len(spec.classes) > 1
     violations: list[Violation] = []
 
     def violate(p: Partition, kind: str, detail: str) -> None:
         violations.append(Violation(str(p), kind, detail))
 
-    def scan(domain, forward, codomain_ok, inverse_for):
-        images: dict[Partition, Partition] = {}
-        size = 0
-        for lam in domain:
-            size += 1
-            mu = forward(lam)
-            if mu.weight != n:
-                violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
-            elif not codomain_ok(lam, mu):
-                violate(lam, "NotInCodomain", f"image {mu} outside target subset")
-            if mu in images:
-                violate(lam, "Collision", f"image {mu} already produced by {images[mu]}")
-            else:
-                images[mu] = lam
-            inverse = inverse_for(lam)
-            if inverse is not None:
-                back = inverse(mu)
-                if back != lam:
-                    violate(lam, "InverseMismatch", f"inverse returned {back}")
-        return size, len(images)
-
-    if map_id in ("phi1", "phi2", "phi3", "phi4", "phi"):
-        wanted = {"phi1": (1,), "phi2": (2,), "phi3": (3,), "phi4": (4,)}.get(
-            map_id, (1, 2, 3, 4)
-        )
-        classified: list[tuple[Partition, int]] = []
-        for lam in o_members(n, t):
-            ms = o_subset_memberships(lam, t)
-            if map_id == "phi":
-                if not ms:
-                    violate(lam, "ClassificationGap", "no O-subset condition holds")
-                    continue
-                if len(ms) > 1:
-                    violate(lam, "ClassificationOverlap", f"O-subsets {ms} all hold")
-                    continue
-            if ms and ms[0] in wanted:
-                classified.append((lam, ms[0]))
-        by_input = dict(classified)
-        domain_size, image_size = scan(
-            [lam for lam, _ in classified],
-            lambda lam: _PHI_FORWARD[by_input[lam]](lam, t, validate=False),
-            lambda lam, mu: (
-                (label := classify_r(mu, t)) is not None
-                and label.index == by_input[lam]
-            ),
-            lambda lam: (
-                lambda mu: _PHI_INVERSE[by_input[lam]](mu, t, validate=False)
-            ),
-        )
-        if map_id == "phi":
-            for mu in r_members(n, t):
-                ms = r_subset_memberships(mu, t)
-                if len(ms) > 1:
-                    violate(mu, "ClassificationOverlap", f"R-subsets {ms} all hold")
-
-    elif map_id == "gamma":
-        if t < 4:
-            warnings.warn(
-                f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning
-            )
-        classified = []
-        for lam in a_members(n, t):
-            idx = a_subset_index(lam, t)
-            if idx is None:
-                violate(lam, "ClassificationGap", "no A-subset condition holds")
+    images: dict[Partition, Partition] = {}
+    domain_size = 0
+    for lam in domain.members(n, t):
+        cls = None
+        if domain.subsets is not None:
+            ms = domain.subsets(lam, t)
+            if several and not ms:
+                violate(lam, "ClassificationGap", f"no {domain.name}-subset condition holds")
                 continue
-            classified.append((lam, idx))
-        by_input = dict(classified)
-        domain_size, image_size = scan(
-            [lam for lam, _ in classified],
-            lambda lam: _gamma_apply(lam, by_input[lam]),
-            lambda lam, mu: (
-                (label := classify_s(mu, t)) is not None
-                and label.index == by_input[lam]
-            ),
-            lambda lam: (
-                (lambda mu: delta3(mu, t, validate=False))
-                if by_input[lam] == 3
-                else (lambda mu: mu)
-            ),
-        )
-        for mu in s_members(n, t):
-            ms = s_subset_memberships(mu, t)
+            if several and len(ms) > 1:
+                violate(lam, "ClassificationOverlap", f"{domain.name}-subsets {ms} all hold")
+                continue
+            if not ms or ms[0] not in spec.classes:
+                continue
+            cls = ms[0]
+        domain_size += 1
+        mu = spec.forward[cls](lam, t, validate=False)
+        if mu.weight != n:
+            violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
+        elif (label := codomain.label(mu, t)) is None or label.index != cls:
+            violate(lam, "NotInCodomain", f"image {mu} outside target subset")
+        if mu in images:
+            violate(lam, "Collision", f"image {mu} already produced by {images[mu]}")
+        else:
+            images[mu] = lam
+        inverse = spec.inverse.get(cls)
+        if inverse is not None:
+            back = inverse(mu, t, validate=False)
+            if back != lam:
+                violate(lam, "InverseMismatch", f"inverse returned {back}")
+
+    if several and codomain.subsets is not None:
+        for mu in codomain.members(n, t):
+            ms = codomain.subsets(mu, t)
             if len(ms) > 1:
-                violate(mu, "ClassificationOverlap", f"S-subsets {ms} all hold")
-
-    elif map_id == "epsilon":
-        if t != 2:
-            raise ValueError("epsilon is a t=2 map")
-        domain_size, image_size = scan(
-            d2_members(n),
-            lambda lam: epsilon(lam, validate=False),
-            lambda lam, mu: in_d1(mu),
-            lambda lam: None,
-        )
-
-    else:  # tau
-        if t < 3:
-            raise ValueError("tau needs t >= 3")
-        domain_size, image_size = scan(
-            c_members(n, t),
-            lambda lam: tau(lam, t, validate=False),
-            lambda lam, mu: in_b(mu, t),
-            lambda lam: (lambda mu: eta(mu, t, validate=False)),
-        )
+                violate(mu, "ClassificationOverlap", f"{codomain.name}-subsets {ms} all hold")
 
     violations.sort(key=lambda v: (v.input, v.kind, v.detail))
     return VerificationReport(
@@ -728,13 +649,15 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
         t=t,
         n=n,
         domain_size=domain_size,
-        image_size=image_size,
+        image_size=len(images),
         violations=violations,
-        passed=not violations and image_size == domain_size,
+        passed=not violations and len(images) == domain_size,
     )
 
 
 def verify_injection_range(map_id: str, t: int, n_max: int) -> list[VerificationReport]:
     """Reports for every n from the map's smallest verified n up to n_max."""
-    start = MAP_MIN_N.get(map_id, 0)
+    start = _spec(map_id, t).min_n
+    if n_max < start:
+        raise ValueError(f"{map_id} is verified for n >= {start}; n_max={n_max} scans nothing")
     return [verify_injection(map_id, t, n) for n in range(start, n_max + 1)]

@@ -77,6 +77,8 @@ class TestSignChecks:
             run_sign_check("A", (2,), 200)
         with pytest.raises(ValueError):
             run_sign_check("D", (2,), 20)
+        with pytest.raises(ValueError):
+            run_sign_check("D", (), 200)
 
 
 class TestIdentityAndOracle:
@@ -91,6 +93,11 @@ class TestIdentityAndOracle:
 
     def test_oracle_crosscheck(self):
         assert run_oracle_crosscheck(3, 15).passed
+
+    def test_oracle_rejects_empty_grids(self):
+        for args in ((1, 15), (3, -1), (3, 15, ())):
+            with pytest.raises(ValueError):
+                run_oracle_crosscheck(*args)
 
     def test_rejects_unknown_identity(self):
         with pytest.raises(ValueError):
@@ -185,6 +192,19 @@ class TestCli:
             cli.main(["count", "--bogus-flag", "1"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "verify injection --map tau --t 3 --n-max 3",
+        "verify injection --map phi --t 2 --n-max -1",
+        "verify theorem --which d --t-max 1",
+        "verify theorem --which oracle --t-max 1 --n-max -1",
+        "verify theorem --which oracle --k-max 0",
+    ])
+    def test_empty_scan_exits_2(self, capsys, argv):
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "min()" not in captured.err
 
     def test_domain_error_exits_2(self, capsys):
         assert cli.main(["series", "--name", "bt1", "--t", "1", "--order", "5"]) == 2

@@ -20,7 +20,7 @@ from hookcounts.hookgf import (
     set_cardinality_series,
     t2_remainder_series,
 )
-from hookcounts.injections import in_a, in_b, in_c, in_s, o_members, r_members
+from hookcounts.injections import FAMILIES
 from hookcounts.partitions import t_regular_partitions
 from hookcounts.series import t_regular_gf
 
@@ -156,13 +156,13 @@ class TestDecomposition:
     def test_a_counts_odd_ones_family(self, t):
         s = decomposition_series("A", t, 40).series
         for n in range(41):
-            assert s[n] == sum(1 for _ in o_members(n, t))
+            assert s[n] == sum(1 for _ in FAMILIES["O"].members(n, t))
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_c_counts_r_family(self, t):
         s = decomposition_series("C", t, 40).series
         for n in range(41):
-            assert s[n] == sum(1 for _ in r_members(n, t))
+            assert s[n] == sum(1 for _ in FAMILIES["R"].members(n, t))
 
     def test_c_vanishes_below_prefix(self):
         s = decomposition_series("C", 2, 10).series
@@ -201,19 +201,18 @@ class TestDSeries:
         assert split.coeffs == decomposition_series("D", 2, 200).series.coeffs
 
 
+SET_CASES = [(2, "S"), (4, "S"), (4, "A"), (5, "A"), (4, "B"), (5, "C")]
+
+
 class TestSetSeries:
-    @pytest.mark.parametrize("t,set_id,predicate", [
-        (2, "S", in_s),
-        (4, "S", in_s),
-        (4, "A", in_a),
-        (5, "A", in_a),
-        (4, "B", in_b),
-        (5, "C", in_c),
-    ])
-    def test_counting_series_match_predicates(self, t, set_id, predicate):
+    @pytest.mark.parametrize(
+        "t,set_id", SET_CASES, ids=[f"{t}-{k}-in_{k.lower()}" for t, k in SET_CASES]
+    )
+    def test_counting_series_match_predicates(self, t, set_id):
         s = set_cardinality_series(set_id, t, 40)
+        contains = FAMILIES[set_id].contains
         for n in range(41):
-            count = sum(1 for p in t_regular_partitions(n, t) if predicate(p, t))
+            count = sum(1 for p in t_regular_partitions(n, t) if contains(p, t))
             assert count == s[n]
 
     def test_t2_residue_families(self):

@@ -4,26 +4,17 @@ import warnings
 import pytest
 
 from hookcounts.injections import (
-    MAP_IDS,
+    FAMILIES,
+    MAPS,
     ResidualClassError,
-    case_of,
-    classify_a,
-    classify_o,
-    classify_r,
-    classify_s,
-    d1_members,
-    d2_members,
+    SubsetLabel,
     delta3,
     epsilon,
     epsilon_case,
     eta,
     gamma,
-    in_b,
-    in_d1,
     o5_weight_bound,
     o5_weight_cap,
-    o_members,
-    o_subset_memberships,
     phi1,
     phi1_inv,
     phi2,
@@ -34,79 +25,102 @@ from hookcounts.injections import (
     psi2,
     psi3,
     psi4,
-    r_members,
-    r_subset_memberships,
     tau,
     tau_case,
     verify_injection,
     verify_injection_range,
 )
-from hookcounts.partitions import Partition
+from hookcounts.partitions import Partition, partitions_of
 
 P = Partition.parse
+O, R, A, S, B, C, D1, D2 = (FAMILIES[k] for k in ("O", "R", "A", "S", "B", "C", "D1", "D2"))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_members_match_filtered_walk(name):
+    # the part rule prunes the walk; the 1-count rule and extra condition
+    # filter what it yields, so together they must keep the filter's order
+    family = FAMILIES[name]
+    for t in range(2, 6):
+        for n in range(23):
+            expected = [p for p in partitions_of(n) if family.contains(p, t)]
+            assert list(family.members(n, t)) == expected
+
+
+class TestFamilies:
+    def test_labels_name_the_family(self):
+        assert O.label(P("1^5"), 2) == SubsetLabel("O", 5)
+        assert B.label(P("1^5"), 3) == SubsetLabel("B", None)
+        assert C.label(P("1^5"), 3) is None
+
+    def test_rejects_bad_t(self):
+        with pytest.raises(ValueError):
+            O.contains(P("1"), 1)
+        with pytest.raises(ValueError):
+            R.members(5, 1)
 
 
 class TestClassifyO:
     def test_small_part_of_residue_shape_wins(self):
         # 17 = 2*2*4 + 1, so this input sits in the first subset
-        assert classify_o(P("17,15,13,10,7,5,3,2,1^3"), 4).index == 1
+        assert O.label(P("17,15,13,10,7,5,3,2,1^3"), 4).index == 1
 
     def test_large_parts_of_residue_shape_still_win(self):
         # 137 and 33 are both 1 mod 8: the first-subset condition applies
         # even though the top part clears the large-part threshold.
-        assert classify_o(P("137,33,29,11,5,3,1^3"), 4).index == 1
-        assert classify_o(P("17,13,11,9,3^25,1^3"), 4).index == 1
+        assert O.label(P("137,33,29,11,5,3,1^3"), 4).index == 1
+        assert O.label(P("17,13,11,9,3^25,1^3"), 4).index == 1
 
     def test_genuine_class_two(self):
-        assert classify_o(P("157,34,29,11,5,3,1^3"), 4).index == 2
+        assert O.label(P("157,34,29,11,5,3,1^3"), 4).index == 2
 
     def test_heavy_multiplicity_class(self):
-        assert classify_o(P("3^25,1^3"), 4).index == 3
+        assert O.label(P("3^25,1^3"), 4).index == 3
 
     def test_many_ones_class(self):
-        assert classify_o(P("13,7,6,2^2,1^55"), 4).index == 4
+        assert O.label(P("13,7,6,2^2,1^55"), 4).index == 4
 
     def test_residual_class(self):
-        assert classify_o(P("1^5"), 2).index == 5
+        assert O.label(P("1^5"), 2).index == 5
 
     def test_non_members(self):
-        assert classify_o(P("4,1"), 2) is None  # not 2-regular
-        assert classify_o(P("3,1^2"), 2) is None  # even number of ones
+        assert O.label(P("4,1"), 2) is None  # not 2-regular
+        assert O.label(P("3,1^2"), 2) is None  # even number of ones
 
     def test_memberships_partition_the_family(self):
         for t in (2, 3):
             for n in range(26):
-                for lam in o_members(n, t):
-                    assert len(o_subset_memberships(lam, t)) == 1
+                for lam in O.members(n, t):
+                    assert len(O.subsets(lam, t)) == 1
 
 
 class TestClassifyR:
     def test_odd_ones_subset(self):
-        assert classify_r(P("15,13,10,9,8,5,3,2,1^3"), 4).index == 1
+        assert R.label(P("15,13,10,9,8,5,3,2,1^3"), 4).index == 1
 
     def test_fourth_subset(self):
-        assert classify_r(P("33,13,9^2,7,6,2^2,1^4"), 4).index == 4
+        assert R.label(P("33,13,9^2,7,6,2^2,1^4"), 4).index == 4
 
     def test_third_subset(self):
-        assert classify_r(P("25^2,9^2,1^10"), 4).index == 3
+        assert R.label(P("25^2,9^2,1^10"), 4).index == 3
 
     def test_member_outside_listed_subsets(self):
         # 17 = 2*2*4+1 disqualifies every even-ones subset at t=4
-        label = classify_r(P("25^2,17,13,11,9^3,1^10"), 4)
+        label = R.label(P("25^2,17,13,11,9^3,1^10"), 4)
         assert label is not None and label.index is None
 
     def test_non_members(self):
-        assert classify_r(P("8,5,1"), 4) is None  # no part 9
-        assert classify_r(P("12,9,1"), 4) is None  # 12 = 3t
+        assert R.label(P("8,5,1"), 4) is None  # no part 9
+        assert R.label(P("12,9,1"), 4) is None  # 12 = 3t
 
     def test_base_allows_double_t_part(self):
-        assert classify_r(P("9,8^2,1"), 4) is not None
+        assert R.label(P("9,8^2,1"), 4) is not None
 
     def test_subsets_pairwise_disjoint(self):
         for t in (2, 3):
             for n in range(26):
-                for mu in r_members(n, t):
-                    assert len(r_subset_memberships(mu, t)) <= 1
+                for mu in R.members(n, t):
+                    assert len(R.subsets(mu, t)) <= 1
 
 
 class TestPhi1:
@@ -128,8 +142,8 @@ class TestPhi1:
     def test_round_trip_exhaustive(self):
         for t in (2, 3):
             for n in range(31):
-                for lam in o_members(n, t):
-                    if classify_o(lam, t).index != 1:
+                for lam in O.members(n, t):
+                    if O.label(lam, t).index != 1:
                         continue
                     mu = phi1(lam, t)
                     assert mu.weight == n
@@ -139,7 +153,7 @@ class TestPhi1:
         # (5,5,4,1) sits in the target family but outside the image: the
         # claimed inverse sends it to (9,5,1), which the map fixes instead.
         stray = P("5^2,4,1")
-        assert classify_r(stray, 2).index == 1
+        assert R.label(stray, 2).index == 1
         back = phi1_inv(stray, 2)
         assert back == P("9,5,1")
         assert phi1(back, 2) != stray
@@ -169,12 +183,12 @@ class TestPhi2:
     def test_round_trip_exhaustive_t2(self):
         found = 0
         for n in range(36, 53):
-            for lam in o_members(n, 2):
-                if classify_o(lam, 2).index != 2:
+            for lam in O.members(n, 2):
+                if O.label(lam, 2).index != 2:
                     continue
                 found += 1
                 mu = phi2(lam, 2)
-                assert mu.weight == n and classify_r(mu, 2).index == 2
+                assert mu.weight == n and R.label(mu, 2).index == 2
                 assert psi2(mu, 2) == lam
         assert found > 0
 
@@ -195,16 +209,16 @@ class TestPhi3:
 
     def test_genuine_member_round_trip(self):
         lam = P("3^25,1^3")
-        assert classify_o(lam, 4).index == 3
+        assert O.label(lam, 4).index == 3
         mu = phi3(lam, 4)
-        assert classify_r(mu, 4).index == 3
+        assert R.label(mu, 4).index == 3
         assert psi3(mu, 4) == lam
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
         for n in range(39, 50):
-            for lam in o_members(n, 2):
-                if classify_o(lam, 2).index != 3:
+            for lam in O.members(n, 2):
+                if O.label(lam, 2).index != 3:
                     continue
                 found += 1
                 mu = phi3(lam, 2)
@@ -225,8 +239,8 @@ class TestPhi4:
     def test_round_trip_exhaustive_t2(self):
         found = 0
         for n in range(27, 45):
-            for lam in o_members(n, 2):
-                if classify_o(lam, 2).index != 4:
+            for lam in O.members(n, 2):
+                if O.label(lam, 2).index != 4:
                     continue
                 found += 1
                 mu = phi4(lam, 2)
@@ -265,8 +279,8 @@ class TestWeightBound:
 
     def test_residual_members_respect_cap(self):
         for n in range(61):
-            for lam in o_members(n, 2):
-                if classify_o(lam, 2).index == 5:
+            for lam in O.members(n, 2):
+                if O.label(lam, 2).index == 5:
                     assert lam.weight <= o5_weight_cap(2) <= o5_weight_bound(2)
 
     def test_rejects_bad_t(self):
@@ -276,11 +290,12 @@ class TestWeightBound:
 
 class TestGamma:
     def test_third_case_trades_ones_for_a_two(self):
+        assert A.label(P("1^6"), 4).index == 3
         assert gamma(P("1^6"), 4) == P("2,1^4")
 
     def test_first_two_cases_are_identity(self):
         lam = P("1^14")  # ones count 14: 2 mod 6 and -2 mod 8, first subset
-        assert classify_a(lam, 4).index == 1
+        assert A.label(lam, 4).index == 1
         assert gamma(lam, 4) is lam
 
     def test_warns_below_t4(self):
@@ -290,7 +305,7 @@ class TestGamma:
     def test_delta3_round_trip(self):
         lam = P("1^6")
         mu = gamma(lam, 4)
-        assert classify_s(mu, 4).index == 3
+        assert S.label(mu, 4).index == 3
         assert delta3(mu, 4) == lam
 
     def test_delta3_validation(self):
@@ -300,6 +315,7 @@ class TestGamma:
 
 class TestEpsilon:
     def test_growth_case(self):
+        assert epsilon_case(P("3,1^6")) == 1
         assert epsilon(P("3,1^6")) == P("5,1^4")
 
     def test_all_ones_case(self):
@@ -315,9 +331,9 @@ class TestEpsilon:
 
     def test_case_images_are_separated_by_top_parts(self):
         for n in range(7, 41):
-            for lam in d2_members(n):
+            for lam in D2.members(n, 2):
                 mu = epsilon(lam, validate=False)
-                assert in_d1(mu)
+                assert D1.contains(mu, 2)
                 tops = mu.parts()[:2] + [0, 0]
                 if epsilon_case(lam) == 1:
                     assert tops[0] > tops[1]
@@ -327,7 +343,7 @@ class TestEpsilon:
     def test_injective_by_scan(self):
         for n in range(7, 61):
             seen = {}
-            for lam in d2_members(n):
+            for lam in D2.members(n, 2):
                 mu = epsilon(lam, validate=False)
                 assert mu not in seen
                 seen[mu] = lam
@@ -335,6 +351,7 @@ class TestEpsilon:
 
 class TestTauEta:
     def test_case1(self):
+        assert tau_case(P("2,1^3"), 3) == 1
         assert tau(P("2,1^3"), 3) == P("1^5")
 
     def test_case3(self):
@@ -366,35 +383,21 @@ class TestTauEta:
             tau(P("1^3"), 3)
 
     def test_round_trip_exhaustive(self):
-        from hookcounts.injections import c_members
-
         for t in (3, 4, 5):
             for n in range(4, 31):
-                for lam in c_members(n, t):
+                for lam in C.members(n, t):
                     mu = tau(lam, t)
-                    assert mu.weight == n and in_b(mu, t)
+                    assert mu.weight == n and B.contains(mu, t)
                     assert eta(mu, t) == lam
 
     def test_case_images_pairwise_disjoint(self):
-        from hookcounts.injections import c_members
-
         for t in (3, 4, 5):
             for n in range(4, 31):
                 by_image = {}
-                for lam in c_members(n, t):
+                for lam in C.members(n, t):
                     mu = tau(lam, t)
                     case = tau_case(lam, t)
                     assert by_image.setdefault(mu, case) == case
-
-
-class TestCaseOf:
-    def test_tags(self):
-        assert case_of("epsilon", P("3,1^6")).case_tag == 1
-        assert case_of("tau", P("2,1^3"), 3).case_tag == 1
-        assert case_of("phi", P("1^5"), 2).case_tag == 5
-        assert case_of("gamma", P("1^6"), 4).case_tag == 3
-        with pytest.raises(ValueError):
-            case_of("phi1", P("5,1"), 2)
 
 
 class TestDriver:
@@ -406,7 +409,7 @@ class TestDriver:
         lam = P("17,15,13,10,5,3,2,1^3")  # weight 68
         report = verify_injection("phi1", 4, 68)
         assert report.passed
-        assert any(str(lam) == str(m) for m in o_members(68, 4) if classify_o(m, 4).index == 1)
+        assert any(str(lam) == str(m) for m in O.members(68, 4) if O.label(m, 4).index == 1)
 
     def test_tau_cell(self):
         report = verify_injection("tau", 3, 9)
@@ -442,11 +445,19 @@ class TestDriver:
             verify_injection("epsilon", 2, 5)
         with pytest.raises(ValueError):
             verify_injection("tau", 2, 10)
+        with pytest.raises(ValueError):
+            verify_injection("phi", 2, -1)
+
+    def test_range_that_scans_nothing_is_an_error(self):
+        with pytest.raises(ValueError):
+            verify_injection_range("tau", 3, 3)
+        with pytest.raises(ValueError):
+            verify_injection_range("phi", 2, -1)
 
     def test_all_map_ids_run(self):
         import warnings as w
 
-        for map_id in MAP_IDS:
+        for map_id in MAPS:
             t = {"tau": 3, "gamma": 4}.get(map_id, 2)
             n = {"epsilon": 12, "tau": 9}.get(map_id, 10)
             with w.catch_warnings():
