@@ -21,7 +21,7 @@ def main() -> int:
     for name in ("D", "E", "F"):
         cells = []
         for t in range(2, args.t_max + 1):
-            series = decomposition_series(name, t, args.order).series
+            series = decomposition_series(name, t, args.order)
             cells.extend(
                 (t, n, c) for n, c in enumerate(series.coeffs) if c < 0
             )

@@ -12,17 +12,8 @@ from .partitions import (
     partitions_of,
     t_regular_partitions,
 )
-from .series import (
-    Series,
-    divide_unit,
-    geometric,
-    partition_gf,
-    pochhammer_inf,
-    t_regular_gf,
-)
+from .series import Series, divide_unit, pochhammer_inf, t_regular_gf
 from .hookgf import (
-    HookCount,
-    NamedSeries,
     bt1_series,
     bt2_series,
     bt3_series,

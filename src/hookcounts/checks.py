@@ -89,11 +89,11 @@ def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
     mismatches = []
     enum_to = min(enum_limit, n_max)
     for t in range(2, t_max + 1):
-        diff = diff_bt2_bt3(t, n_max)
+        b2 = bt2_series(t, n_max)
+        b3 = bt3_series(t, n_max)
+        diff = b2 - b3
         failures.extend((t, n, diff[n]) for n in range(n_max + 1) if diff[n] < 0)
         table = btk_enum_table(t, enum_to, (2, 3))
-        b2 = bt2_series(t, n_max).series
-        b3 = bt3_series(t, n_max).series
         for n in range(enum_to + 1):
             if table[(2, n)] != b2[n]:
                 mismatches.append((t, 2, n, table[(2, n)], b2[n]))
@@ -129,7 +129,7 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
     witnesses = []
     below = []
     for t in t_values:
-        s = decomposition_series(name, t, order).series
+        s = decomposition_series(name, t, order)
         for n, c in enumerate(s.coeffs):
             if c < 0:
                 if n >= min_n:
@@ -161,20 +161,22 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     """
     if which not in ("abc", "def"):
         raise ValueError(f"identity checks are 'abc' or 'def', not {which!r}")
+    if not t_values:
+        raise ValueError("need at least one t to scan")
     witnesses = []
     for t in t_values:
         if which == "abc":
             lhs = (
-                -decomposition_series("A", t, order).series
-                + decomposition_series("B", t, order).series
-                + decomposition_series("C", t, order).series
+                -decomposition_series("A", t, order)
+                + decomposition_series("B", t, order)
+                + decomposition_series("C", t, order)
             )
             rhs = diff_bt2_bt1(t, order)
         else:
             lhs = (
-                decomposition_series("D", t, order).series
-                + decomposition_series("E", t, order).series
-                + decomposition_series("F", t, order).series
+                decomposition_series("D", t, order)
+                + decomposition_series("E", t, order)
+                + decomposition_series("F", t, order)
             )
             rhs = diff_bt2_bt3(t, order)
         witnesses.extend(
@@ -198,7 +200,7 @@ def run_oracle_crosscheck(
     for t in range(2, t_max + 1):
         table = btk_enum_table(t, n_max, ks)
         for k in ks:
-            s = btk_series(t, k, n_max).series
+            s = btk_series(t, k, n_max)
             for n in range(n_max + 1):
                 if table[(k, n)] != s[n]:
                     witnesses.append((t, k, n, table[(k, n)], s[n]))

@@ -73,18 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     if args.method == "enum":
-        hc = hookgf.btk_enum(args.t, args.k, args.n)
+        print(hookgf.btk_enum(args.t, args.k, args.n))
     else:
-        hc = hookgf.btk_gf(args.t, args.k, args.n)
-    print(hc.value)
+        print(hookgf.btk_gf(args.t, args.k, args.n))
     return 0
 
 
 def _cmd_series(args) -> int:
     if args.name in ("bt1", "bt2", "bt3"):
-        s = hookgf.btk_series(args.t, int(args.name[-1]), args.order).series
+        s = hookgf.btk_series(args.t, int(args.name[-1]), args.order)
     else:
-        s = hookgf.decomposition_series(args.name, args.t, args.order).series
+        s = hookgf.decomposition_series(args.name, args.t, args.order)
     for line in csv_lines(s):
         print(line)
     return 0
@@ -102,6 +101,11 @@ def _cmd_verify_injection(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _given(value: int | None, default: int) -> int:
+    """The flag's value when it was given (zero included), else the default."""
+    return default if value is None else value
+
+
 def _cmd_verify_theorem(args) -> int:
     which = args.which
     if which == "thm12":
@@ -113,13 +117,13 @@ def _cmd_verify_theorem(args) -> int:
             order = 3100 if args.t == 2 else 2000
         check = checks.run_thm12(args.t, order)
     elif which == "thm13":
-        check = checks.run_thm13(args.t_max or 10, args.n_max or 60)
+        check = checks.run_thm13(_given(args.t_max, 10), _given(args.n_max, 60))
     elif which in ("d", "e", "f"):
-        ts = tuple(range(2, (args.t_max or 4) + 1))
-        check = checks.run_sign_check(which.upper(), ts, args.order or 200)
+        ts = tuple(range(2, _given(args.t_max, 4) + 1))
+        check = checks.run_sign_check(which.upper(), ts, _given(args.order, 200))
     else:
         check = checks.run_oracle_crosscheck(
-            args.t_max or 6, args.n_max or 40, tuple(range(1, args.k_max + 1))
+            _given(args.t_max, 6), _given(args.n_max, 40), tuple(range(1, args.k_max + 1))
         )
     checks.emit(check, args.format, sys.stdout)
     return 0 if check.passed else 1

@@ -4,6 +4,11 @@ All arithmetic is exact; there is no floating point anywhere.  Operations on
 series of different truncation orders truncate to the smaller order, so
 pipeline code composes.  Series are immutable and therefore safe to share
 across threads and to cache.
+
+The two Euler-product builds, :func:`pochhammer_inf` and :func:`t_regular_gf`,
+are the only ones that cost more than O(order) and are memoized per
+argument tuple; everything built from them is a few O(order) shifts and is
+recomputed on each call.
 """
 
 from __future__ import annotations
@@ -30,30 +35,10 @@ class Series:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((0,), order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls((1,), order)
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "Series":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        c = [0] * (order + 1)
-        if exponent <= order:
-            c[exponent] = coeff
-        return cls(c, order)
-
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def nonzero(self) -> list[tuple[int, int]]:
-        return [(i, c) for i, c in enumerate(self.coeffs) if c]
 
     def __add__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
@@ -102,7 +87,7 @@ class Series:
         return Series((0,) * j + self.coeffs[: self.order + 1 - j], self.order)
 
     def times_geometric(self, k: int) -> "Series":
-        """Multiply by 1/(1 - q**k), i.e. by geometric(k, order).
+        """Multiply by 1/(1 - q**k).
 
         Uses the telescoping recurrence c'[i] = c[i] + c'[i-k], which is the
         same multiplication in O(order) operations.
@@ -134,16 +119,6 @@ class Series:
                 break
         body = " + ".join(terms) if terms else "0"
         return f"<Series order={self.order}: {body}>"
-
-
-def geometric(k: int, order: int) -> Series:
-    """The series 1/(1 - q**k): coefficient 1 at every multiple of k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    c = [0] * (order + 1)
-    for i in range(0, order + 1, k):
-        c[i] = 1
-    return Series(c, order)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +156,6 @@ def divide_unit(num: Series, den: Series) -> Series:
             acc -= c * q[i - j]
         q[i] = acc if d0 == 1 else -acc
     return Series(q, n)
-
-
-@lru_cache(maxsize=None)
-def partition_gf(order: int) -> Series:
-    """1/(q;q)_inf: coefficient of q^n is the number of partitions of n."""
-    return divide_unit(Series.one(order), pochhammer_inf(1, 1, order))
 
 
 @lru_cache(maxsize=None)

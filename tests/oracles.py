@@ -1,0 +1,79 @@
+"""Oracles and constructors that only the tests use.
+
+They are built from the library's ``Series`` ring alone, so a test that
+compares them with a production builder checks the builder against an
+independent derivation.
+"""
+
+from hookcounts.series import Series, divide_unit, pochhammer_inf
+
+
+def zero(order: int) -> Series:
+    return Series((0,), order)
+
+
+def one(order: int) -> Series:
+    return Series((1,), order)
+
+
+def monomial(exponent: int, order: int, coeff: int = 1) -> Series:
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    c = [0] * (order + 1)
+    if exponent <= order:
+        c[exponent] = coeff
+    return Series(c, order)
+
+
+def geometric(k: int, order: int) -> Series:
+    """The series 1/(1 - q**k): coefficient 1 at every multiple of k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    c = [0] * (order + 1)
+    for i in range(0, order + 1, k):
+        c[i] = 1
+    return Series(c, order)
+
+
+def partition_gf(order: int) -> Series:
+    """1/(q;q)_inf: coefficient of q^n is the number of partitions of n."""
+    return divide_unit(one(order), pochhammer_inf(1, 1, order))
+
+
+def hook3_marker_by_runs(t: int, order: int) -> Series:
+    """3-hook marker sum derived directly from the four diagram run patterns.
+
+    A cell of hook length 3 sits either at the end of a row run (arm 2),
+    inside or across a run boundary (arm 1, leg 1), or at the bottom of a
+    column run (leg 2).  Summing the frequency conditions for each pattern
+    over part values v not divisible by t gives this polynomial; multiplied
+    by the t-regular product it counts 3-hooks for every t >= 2.  Kept as an
+    independent route for cross-checking the telescoped closed forms.
+    """
+    c = [0] * (order + 1)
+
+    def add(e: int, d: int = 1) -> None:
+        if 0 <= e <= order:
+            c[e] += d
+
+    for v in range(1, order + 1):
+        if v % t == 0:
+            continue
+        g1 = v - 1 >= 1 and (v - 1) % t != 0
+        g2 = v - 2 >= 1 and (v - 2) % t != 0
+        add(3 * v)
+        if v >= 2:
+            add(2 * v)
+            if g1:
+                add(3 * v - 1, -1)
+                add(2 * v - 1)
+                add(3 * v - 2, -1)
+        if v >= 3:
+            add(v)
+            if g1:
+                add(2 * v - 1, -1)
+            if g2:
+                add(2 * v - 2, -1)
+            if g1 and g2:
+                add(3 * v - 3)
+    return Series(c, order)

@@ -103,6 +103,11 @@ class TestIdentityAndOracle:
         with pytest.raises(ValueError):
             run_identity_check("xyz", (2,), 100)
 
+    @pytest.mark.parametrize("which", ["abc", "def"])
+    def test_identity_rejects_empty_t_values(self, which):
+        with pytest.raises(ValueError, match="at least one t"):
+            run_identity_check(which, (), 100)
+
 
 class TestEmit:
     def test_json_is_deterministic_and_parses(self):
@@ -199,12 +204,23 @@ class TestCli:
         "verify theorem --which d --t-max 1",
         "verify theorem --which oracle --t-max 1 --n-max -1",
         "verify theorem --which oracle --k-max 0",
+        # an explicit zero is the value asked for, not a request for the default
+        "verify theorem --which d --t-max 0",
+        "verify theorem --which d --t-max 2 --order 0",
+        "verify theorem --which thm13 --n-max 0",
+        "verify theorem --which thm13 --t-max 0",
     ])
     def test_empty_scan_exits_2(self, capsys, argv):
         assert cli.main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "min()" not in captured.err
+
+    def test_oracle_explicit_zero_n_max_is_kept(self, capsys):
+        argv = "verify theorem --which oracle --t-max 2 --n-max 0 --k-max 1 --format json"
+        assert cli.main(argv.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["n_max"] == 0 and payload["passed"]
 
     def test_domain_error_exits_2(self, capsys):
         assert cli.main(["series", "--name", "bt1", "--t", "1", "--order", "5"]) == 2

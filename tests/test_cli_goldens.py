@@ -1,10 +1,13 @@
-"""Byte-exact goldens for ``hooks verify injection``.
+"""Byte-exact goldens for the ``hooks`` command line.
 
-Each line pins the exit code and the sha256 of stdout.  The goldens cover
-every map id, each output format, the gamma reports at t < 4 whose
-``NotInCodomain`` violations no other test pins text for, and the usage
-errors.  stderr is not pinned: gamma's ``RuntimeWarning`` carries a source
-path and line number.
+Each line pins the exit code and the sha256 of stdout.  ``GOLDENS`` covers
+``hooks verify injection``: every map id, each output format, the gamma
+reports at t < 4 whose ``NotInCodomain`` violations no other test pins text
+for, and the usage errors.  ``SERIES_GOLDENS`` covers the series route:
+``count`` by both methods, ``series`` for every name, ``verify identity``
+(def at t = 2 fails) and every ``verify theorem`` check in each format.
+stderr is not pinned: gamma's ``RuntimeWarning`` carries a source path and
+line number.
 """
 
 import hashlib
@@ -39,5 +42,58 @@ def test_verify_injection_stdout_is_pinned(capsys, line, code, digest):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert cli.main(["verify", "injection", *line.split()]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SERIES_GOLDENS = [
+    ("count --t 2 --k 1 --n 14 --method enum", 0, "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362"),
+    ("count --t 2 --k 1 --n 14 --method gf", 0, "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362"),
+    ("count --t 3 --k 2 --n 16 --method enum", 0, "c942bc47f4c98e6bda9666c229c1dced88eec8ee73383d7c75de3dc21a3941f4"),
+    ("count --t 3 --k 2 --n 16 --method gf", 0, "c942bc47f4c98e6bda9666c229c1dced88eec8ee73383d7c75de3dc21a3941f4"),
+    ("count --t 2 --k 3 --n 18 --method gf", 0, "eea8254c7500ba3de996aa8ad6af399183f04e17d4a8102fde539dbc93a90012"),
+    ("count --t 4 --k 3 --n 15 --method gf", 0, "e595be81bf15aa95763adb4fc0ba525bbed1971cf5fccdf3a946cd37025fb2c9"),
+    ("count --t 2 --k 4 --n 10 --method gf", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("series --name bt1 --t 2 --order 40", 0, "d403736a671f1be0856aa4631dc89e765a8508bf1b9820a3e967843794d62f33"),
+    ("series --name bt2 --t 3 --order 40", 0, "0a5fa79214f04e0e883f409a4e639d58f6d7a86cbc44a85f2c1b80c5dbfec25d"),
+    ("series --name bt3 --t 2 --order 40", 0, "9bcc88aa195050bd559ffc52a5aba39ef9e875962db66153ec3b52053bd2ed86"),
+    ("series --name bt3 --t 4 --order 40", 0, "2630e0ecd1812dc2799c18e4af5547022910c29b3b81a4f83f624b768cf38055"),
+    ("series --name A --t 3 --order 40", 0, "87cb1b1668b3456f9f184ba9c373a6ef557cd413ca7e4b143b3dbeacd3b2de19"),
+    ("series --name B --t 2 --order 40", 0, "3e8fdce819a5262104beede514dfdec6c7d24c5abeafdcac7037320d81f43937"),
+    ("series --name C --t 4 --order 40", 0, "0cb8ed90fe3c40148c94a19abecc7313a576bd14432d97cba85598a874b93e57"),
+    ("series --name D --t 2 --order 40", 0, "5d499ed7268be873bfc6d19fb7b78f71d800985e0d56557dc19bcf0f3acf3760"),
+    ("series --name E --t 2 --order 40", 0, "a99192a43b84e85e18681195d05445d17f6581d2b6ce70b2a72038086d1d164d"),
+    ("series --name F --t 3 --order 40", 0, "b61982f7970716b53e745591bef2a9f1209862f47d48ddbb5a4ccd2a11d81590"),
+    ("series --name D --t 1 --order 10", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify identity --which abc --t 2 --order 80 --format json", 0, "c2da88c1d40c1ec1cd8a67d60a25477bcb202d603b4e0d70afe4df1f3c2d1bda"),
+    ("verify identity --which abc --t 5 --order 80 --format csv", 0, "088626d14b879f7d0382e12ebc6fb2d431eba5fb90a05f0bfd8051fff55291a4"),
+    ("verify identity --which def --t 3 --order 80 --format human", 0, "a7e87f4a54155d2038f20ea0e0fd3207f62a4a233f394658fbd3b3f446c736c1"),
+    ("verify identity --which def --t 2 --order 60 --format json", 1, "a8a504822658a2e51d96f28ace6462488e1d2fb4166bcc6449db30fdacfed413"),
+    ("verify identity --which def --t 2 --order 60 --format human", 1, "b393e9d3bfb40d742daa99acd0c2927f30d8a4bf51dbac6977563919a947c5f6"),
+    ("verify theorem --which thm12 --t 2 --order 400 --format json", 0, "2f75025e151278840c94920a1ce7f5f29a83008c885ed94422fd6bc6f37a599a"),
+    ("verify theorem --which thm12 --t 3 --order 300 --format csv", 0, "98becb70e7ee6d95b5dfdc710ae335017a0934fa2d9adff345228f0592cf2e38"),
+    ("verify theorem --which thm12 --t 4 --order 200 --format human", 0, "a074a240d33d238e6ddd315693d7ea7161bf42dfafdd2e85fa8d098a607cb71a"),
+    ("verify theorem --which thm12 --t 3 --format json", 0, "9623aef46a22261292599938d135166fdb0f1dbfca80228618c2df94619d1b8c"),
+    ("verify theorem --which thm13 --t-max 4 --n-max 24 --format json", 0, "17e5b9c6260bfcdeac2a6695a74fd15eba073a8a0ef88ee82a20994c1506aa1f"),
+    ("verify theorem --which thm13 --t-max 3 --n-max 20 --format csv", 0, "03304cdd0b3fe90d4f3cb442859326520166907fd365c68bd83b8cc8059da749"),
+    ("verify theorem --which thm13 --t-max 5 --n-max 18 --format human", 0, "07cea146452a4af495bd755b3da04deba26792e5964a40942d000b5fe33bc9cd"),
+    ("verify theorem --which d --t-max 3 --order 60 --format json", 0, "223bf72bc93e27c555ce818cf262c4e1685fb3752e7a7034b8e1b327e1de292a"),
+    ("verify theorem --which d --format csv", 0, "a837de88c605e17b8d7afd75a8c933d48a9619e3ca641625263ab7b2564b2e0f"),
+    ("verify theorem --which d --t-max 5 --order 120 --format human", 0, "be8c7cfa82948e21f53593e746dc5f9de02680edadb32e78c9bf639fa4505cce"),
+    ("verify theorem --which e --t-max 3 --order 60 --format json", 1, "fc491243c5eb45913601729f409a37ec674745d3824eb8508897e72067612869"),
+    ("verify theorem --which e --t-max 4 --order 90 --format csv", 1, "554210b306271407c21f0bb9ac5c9e88d9dbc58bfea40dce8e583c449a83999d"),
+    ("verify theorem --which e --format human", 1, "0bceeb88d1d194547219a563bfb7983f94cb2c131fcb4f716627f83b895c6456"),
+    ("verify theorem --which f --t-max 3 --order 60 --format json", 0, "fe96f722793cc46ef39ffdcc7dc1f06133ab3519feb9e23c899faeaedcde2abc"),
+    ("verify theorem --which f --t-max 4 --order 90 --format csv", 0, "53c315ba1f3432b5d9e383a70603cb0c66b8f0d7157a1cf635015c20186c0b47"),
+    ("verify theorem --which f --t-max 2 --order 45 --format human", 0, "b0ab015c5d1454b5e4f88e5df48d43129d004f0d4d4317b23dd61306fe0d9101"),
+    ("verify theorem --which oracle --t-max 3 --n-max 14 --format json", 0, "283248926962f5afa03871cf7ce8291e4c127b69b48302f6b2fb1c9b3a8e94af"),
+    ("verify theorem --which oracle --t-max 2 --n-max 16 --k-max 2 --format csv", 0, "bdf526b670612bc2adc2f44a235cd48ce19bebf468b86de426e4e2427e824615"),
+    ("verify theorem --which oracle --t-max 4 --n-max 12 --k-max 1 --format human", 0, "99f7ec0030e7b3caef4b7b954c9a606e6462a23fa3bcc7c1d68e02d4ac746ad9"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", SERIES_GOLDENS, ids=[g[0] for g in SERIES_GOLDENS])
+def test_series_route_stdout_is_pinned(capsys, line, code, digest):
+    assert cli.main(line.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

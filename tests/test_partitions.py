@@ -11,7 +11,8 @@ from hookcounts.partitions import (
     partitions_of,
     t_regular_partitions,
 )
-from hookcounts.series import partition_gf, t_regular_gf
+from hookcounts.series import t_regular_gf
+from oracles import partition_gf
 
 P = Partition.parse
 
