@@ -5,10 +5,11 @@ series of different truncation orders truncate to the smaller order, so
 pipeline code composes.  Series are immutable and therefore safe to share
 across threads and to cache.
 
-The two Euler-product builds, :func:`pochhammer_inf` and :func:`t_regular_gf`,
-are the only ones that cost more than O(order) and are memoized per
-argument tuple; everything built from them is a few O(order) shifts and is
-recomputed on each call.
+The Euler products ``(q^s;q^s)_inf`` are written down term by term from
+Euler's pentagonal number theorem, in O(order) time.  Only the t-regular
+counting series :func:`t_regular_gf` is memoized per argument tuple: its
+unit division costs O(order * sqrt(order)).  Everything built from it is a
+few O(order) shifts and is recomputed on each call.
 """
 
 from __future__ import annotations
@@ -121,18 +122,27 @@ class Series:
         return f"<Series order={self.order}: {body}>"
 
 
-@lru_cache(maxsize=None)
 def pochhammer_inf(first: int, step: int, order: int) -> Series:
-    """Truncation of the infinite product (1 - q^first)(1 - q^(first+step))...
+    """Truncation of the infinite product (1 - q^s)(1 - q^2s)(1 - q^3s)...
 
-    Factors whose exponent exceeds the order are skipped.
+    Only ``first == step == s`` is supported.  By Euler's pentagonal number
+    theorem the product is the sum over k of (-1)^k q^(s k(3k-1)/2), k
+    running over all integers, so its O(sqrt(order)) nonzero terms are
+    written down directly.
     """
     if first < 1 or step < 1:
         raise ValueError("first and step must be at least 1")
+    if first != step:
+        raise ValueError("only (q^s;q^s)_inf is supported: first must equal step")
     c = [1] + [0] * order
-    for e in range(first, order + 1, step):
-        for i in range(order, e - 1, -1):
-            c[i] -= c[i - e]
+    k, e = 1, step  # e = s k(3k-1)/2; its partner s k(3k+1)/2 is e + s k
+    while e <= order:
+        sign = -1 if k % 2 else 1
+        c[e] += sign
+        if e + step * k <= order:
+            c[e + step * k] += sign
+        e += step * (3 * k + 1)
+        k += 1
     return Series(c, order)
 
 

@@ -5,7 +5,7 @@ compares them with a production builder checks the builder against an
 independent derivation.
 """
 
-from hookcounts.series import Series, divide_unit, pochhammer_inf
+from hookcounts.series import Series, divide_unit
 
 
 def zero(order: int) -> Series:
@@ -35,9 +35,24 @@ def geometric(k: int, order: int) -> Series:
     return Series(c, order)
 
 
+def pochhammer_product(first: int, step: int, order: int) -> Series:
+    """(1 - q^first)(1 - q^(first+step))... multiplied out factor by factor.
+
+    O(order^2): the differential oracle for the pentagonal-number build of
+    ``pochhammer_inf``.
+    """
+    if first < 1 or step < 1:
+        raise ValueError("first and step must be at least 1")
+    c = [1] + [0] * order
+    for e in range(first, order + 1, step):
+        for i in range(order, e - 1, -1):
+            c[i] -= c[i - e]
+    return Series(c, order)
+
+
 def partition_gf(order: int) -> Series:
     """1/(q;q)_inf: coefficient of q^n is the number of partitions of n."""
-    return divide_unit(one(order), pochhammer_inf(1, 1, order))
+    return divide_unit(one(order), pochhammer_product(1, 1, order))
 
 
 def hook3_marker_by_runs(t: int, order: int) -> Series:

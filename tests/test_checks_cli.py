@@ -32,6 +32,12 @@ class TestThm12:
         check = run_thm12(3, 300)
         assert check.passed and check.info["bound"] == 30692
 
+    def test_t3_full_run_passes(self):
+        check = run_thm12(3, 30792)
+        assert check.passed and check.witnesses == []
+        assert check.info["asserted_range"] == [30692, 30792]
+        assert check.info["largest_negative_n"] == 27
+
 
 class TestThm13:
     def test_failure_cells_are_exactly_n3_for_t_at_least_3(self):

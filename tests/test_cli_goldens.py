@@ -5,7 +5,8 @@ Each line pins the exit code and the sha256 of stdout.  ``GOLDENS`` covers
 reports at t < 4 whose ``NotInCodomain`` violations no other test pins text
 for, and the usage errors.  ``SERIES_GOLDENS`` covers the series route:
 ``count`` by both methods, ``series`` for every name, ``verify identity``
-(def at t = 2 fails) and every ``verify theorem`` check in each format.
+(def at t = 2 fails), every ``verify theorem`` check in each format, and
+the complete t = 3 ``thm12 --full`` run to 100 past the bound.
 stderr is not pinned: gamma's ``RuntimeWarning`` carries a source path and
 line number.
 """
@@ -74,6 +75,7 @@ SERIES_GOLDENS = [
     ("verify theorem --which thm12 --t 3 --order 300 --format csv", 0, "98becb70e7ee6d95b5dfdc710ae335017a0934fa2d9adff345228f0592cf2e38"),
     ("verify theorem --which thm12 --t 4 --order 200 --format human", 0, "a074a240d33d238e6ddd315693d7ea7161bf42dfafdd2e85fa8d098a607cb71a"),
     ("verify theorem --which thm12 --t 3 --format json", 0, "9623aef46a22261292599938d135166fdb0f1dbfca80228618c2df94619d1b8c"),
+    ("verify theorem --which thm12 --t 3 --full --format json", 0, "81887d78d64dd6fade173f6b00cbcf55f93d90df59efe3f5ac90059c3c98471f"),
     ("verify theorem --which thm13 --t-max 4 --n-max 24 --format json", 0, "17e5b9c6260bfcdeac2a6695a74fd15eba073a8a0ef88ee82a20994c1506aa1f"),
     ("verify theorem --which thm13 --t-max 3 --n-max 20 --format csv", 0, "03304cdd0b3fe90d4f3cb442859326520166907fd365c68bd83b8cc8059da749"),
     ("verify theorem --which thm13 --t-max 5 --n-max 18 --format human", 0, "07cea146452a4af495bd755b3da04deba26792e5964a40942d000b5fe33bc9cd"),

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 from conftest import small_series, unit_series
 from hookcounts.series import Series, csv_lines, divide_unit, pochhammer_inf, t_regular_gf
-from oracles import geometric, monomial, one, partition_gf, zero
+from oracles import geometric, monomial, one, partition_gf, pochhammer_product, zero
 
 
 def S(*coeffs, order=None):
@@ -89,6 +89,16 @@ class TestPochhammer:
             pochhammer_inf(0, 1, 5)
         with pytest.raises(ValueError):
             pochhammer_inf(1, 0, 5)
+
+    def test_rejects_first_unequal_to_step(self):
+        with pytest.raises(ValueError):
+            pochhammer_inf(2, 3, 10)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_matches_quadratic_product(self, s):
+        for order in range(301):
+            assert pochhammer_inf(s, s, order) == pochhammer_product(s, s, order)
+        assert pochhammer_inf(s, s, 3000) == pochhammer_product(s, s, 3000)
 
     def test_pentagonal_number_theorem(self):
         s = pochhammer_inf(1, 1, 200)
