@@ -2,7 +2,8 @@
 """Scan the decomposition series for negative coefficients and print a table.
 
 Reproduces the exception cells that the sign theorems carve out, including
-the undeclared one the verifier found in E at (2, 6).
+the undeclared one the verifier found in E at (2, 6).  A --t-max below 2
+or a negative --order is a usage error (exit 2).
 """
 
 import argparse
@@ -17,6 +18,13 @@ def main() -> int:
     parser.add_argument("--order", type=int, default=300)
     args = parser.parse_args()
 
+    # t = 1 has no t-regular series, and a scan of no t would print a vacuous table
+    if args.t_max < 2:
+        print("error: --t-max must be at least 2", file=sys.stderr)
+        return 2
+    if args.order < 0:
+        print("error: --order must be nonnegative", file=sys.stderr)
+        return 2
     print(f"negative coefficients up to order {args.order}")
     for name in ("D", "E", "F"):
         cells = []

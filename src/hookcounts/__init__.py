@@ -14,11 +14,9 @@ from .partitions import (
 )
 from .series import Series, divide_unit, pochhammer_inf, t_regular_gf
 from .hookgf import (
-    bt1_series,
-    bt2_series,
-    bt3_series,
     btk_enum,
     btk_gf,
+    btk_series,
     decomposition_series,
     distinct_partition_count,
     set_cardinality_series,

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .hookgf import (
-    bt2_series,
-    bt3_series,
     btk_enum_table,
     btk_series,
     decomposition_series,
@@ -89,8 +87,8 @@ def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
     mismatches = []
     enum_to = min(enum_limit, n_max)
     for t in range(2, t_max + 1):
-        b2 = bt2_series(t, n_max)
-        b3 = bt3_series(t, n_max)
+        b2 = btk_series(t, 2, n_max)
+        b3 = btk_series(t, 3, n_max)
         diff = b2 - b3
         failures.extend((t, n, diff[n]) for n in range(n_max + 1) if diff[n] < 0)
         table = btk_enum_table(t, enum_to, (2, 3))

@@ -4,22 +4,23 @@ Two independent routes to the same numbers:
 
 * :func:`btk_enum` walks every t-regular partition of n and counts cells of
   the requested hook length directly on the diagram.
-* The ``*_series`` builders expand the closed-form generating functions in
-  exact truncated arithmetic.
+* :func:`btk_series` expands, in exact truncated arithmetic, a generating
+  function derived for each (t, k) from the arm and leg of a diagram cell.
 
 They deliberately share no code beyond the Partition type, so agreement of
 the two routes is a real cross-check.  Builders are pure functions of their
-arguments.  Each is a few O(order) shifts of :func:`t_regular_gf`, which
-memoizes the Euler products, so the builders themselves keep no cache.
+arguments.  Each makes a few O(order) passes over :func:`t_regular_gf`,
+which memoizes the Euler products, so the builders themselves keep no
+cache; :func:`btk_series` makes one pass per term of a table that it
+derives again on each call, at a cost small next to those passes.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .partitions import hook_multiset, t_regular_partitions
 from .series import Series, t_regular_gf
-
-DECOMPOSITION_NAMES = ("A", "B", "C", "D", "E", "F")
-SET_IDS = ("S", "A", "B", "C", "D1", "D2")
 
 
 def _check_tk(t: int, k: int) -> None:
@@ -60,81 +61,72 @@ def _parts_ge2_gf(t: int, order: int) -> Series:
     return T - T.shift(1)
 
 
-def bt1_series(t: int, order: int) -> Series:
-    """Series whose q^n coefficient is the total number of 1-hooks."""
-    _check_tk(t, 1)
-    T = t_regular_gf(t, order)
-    return T.shift(1).times_geometric(1) - T.shift(t).times_geometric(t)
+def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
+    """Terms {c: {e: coeff}} with b(t,k) = T * sum_c sum_e coeff q^e / (1 - q^(ct)).
 
-
-def bt2_series(t: int, order: int) -> Series:
-    """Series whose q^n coefficient is the total number of 2-hooks."""
-    _check_tk(t, 1)
-    T = t_regular_gf(t, order)
-    return (
-        2 * T.shift(2).times_geometric(2)
-        - T.shift(t).times_geometric(t)
-        + (T.shift(2 * t - 1) - T.shift(2 * t) + T.shift(2 * t + 1)).times_geometric(2 * t)
-    )
-
-
-def _bt3_four_term(t: int, order: int) -> Series:
-    """The generic four-term closed form for the 3-hook series.
-
-    Correct for t >= 3; for t = 2 it over-counts, see :func:`bt3_series`.
+    Read off the diagram: a cell of arm a in a row of length v has leg
+    (r - 1) + N, where r is its row counted from the bottom among the rows
+    of length v and N is the number of parts in [v - a, v - 1].  Its hook
+    is k for exactly one r when N <= k - 1 - a and v has at least k - N - a
+    rows.  Fixing the multiplicities of the window parts and summing the
+    rows of length v, the generating function of those cells is
+    T * q^((k-a) v - sum j m_j) * prod (1 - q^(v-j)) over the window parts
+    v - j, with their multiplicities m_j summing to at most k - 1 - a; the
+    factor 1 - q^v of T cancels.  Which window parts are t-regular depends
+    only on v mod t, so each monomial q^(c v - d) summed over v > a in one
+    class becomes q^(c v0 - d) / (1 - q^(ct)), v0 the smallest such v.
     """
-    T = t_regular_gf(t, order)
-    third = T.shift(2 * t - 2) - T.shift(2 * t) + T.shift(2 * t + 2)
-    fourth = (
-        T.shift(3 * t - 3)
-        - T.shift(3 * t - 2)
-        - T.shift(3 * t - 1)
-        + 2 * T.shift(3 * t)
-        - T.shift(3 * t + 1)
-        - T.shift(3 * t + 2)
-        + T.shift(3 * t + 3)
-    )
-    return (
-        3 * T.shift(3).times_geometric(3)
-        - T.shift(t).times_geometric(t)
-        + third.times_geometric(2 * t)
-        - fourth.times_geometric(3 * t)
-    )
-
-
-def bt3_series(t: int, order: int) -> Series:
-    """Series whose q^n coefficient is the total number of 3-hooks.
-
-    For t = 2 consecutive part values alternate parity, which removes two of
-    the four run patterns behind the generic closed form; the four-term form
-    then over-counts (first at n = 6), so the t = 2 series is built from the
-    telescoped run analysis instead.  Both branches agree with the
-    enumeration oracle.
-    """
-    _check_tk(t, 1)
-    if t != 2:
-        return _bt3_four_term(t, order)
-    T = t_regular_gf(2, order)
-    return (
-        T.shift(3).times_geometric(2)
-        - T.shift(4).times_geometric(4)
-        + T.shift(6).times_geometric(4)
-        + T.shift(3).times_geometric(6)
-    )
+    terms: dict[int, dict[int, int]] = {}
+    for a in range(k):
+        room = k - 1 - a
+        for v in range(a + 1, a + 1 + t):
+            if v % t == 0:
+                continue
+            window = [j for j in range(1, a + 1) if (v - j) % t]
+            # (window parts so far, c, d) -> coefficient of q^(c v - d)
+            states = {(0, k - a, 0): 1}
+            for j in window:
+                grown: dict[tuple[int, int, int], int] = {}
+                for (n, c, d), x in states.items():
+                    for m in range(room - n + 1):
+                        key = (n + m, c, d + j * m)
+                        grown[key] = grown.get(key, 0) + x
+                        key = (n + m, c + 1, d + j * (m + 1))
+                        grown[key] = grown.get(key, 0) - x
+                states = grown
+            for (_, c, d), x in states.items():
+                row = terms.setdefault(c, {})
+                row[c * v - d] = row.get(c * v - d, 0) + x
+    return {c: {e: x for e, x in row.items() if x} for c, row in terms.items()}
 
 
 def btk_series(t: int, k: int, order: int) -> Series:
-    if k == 1:
-        return bt1_series(t, order)
-    if k == 2:
-        return bt2_series(t, order)
-    if k == 3:
-        return bt3_series(t, order)
-    raise ValueError("generating functions are available for k in {1, 2, 3} only")
+    """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
+    _check_tk(t, k)
+    T = t_regular_gf(t, order).coeffs
+    total = [0] * (order + 1)
+    for c, row in _hook_terms(t, k).items():
+        acc = [0] * (order + 1)
+        # acc += x q^e T; a term past the order leaves an empty slice
+        for e, x in row.items():
+            if x == 1:
+                acc[e:] = map(add, acc[e:], T)
+            elif x == -1:
+                acc[e:] = map(sub, acc[e:], T)
+            else:
+                acc[e:] = map(add, acc[e:], map(x.__mul__, T))
+        step = c * t  # then acc /= 1 - q^step
+        for i in range(step, order + 1):
+            acc[i] += acc[i - step]
+        total = list(map(add, total, acc))
+    return Series(total, order)
 
 
 def btk_gf(t: int, k: int, n: int, order: int | None = None) -> int:
     """Hook count read off the generating function."""
+    _check_tk(t, k)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if order is None:
         order = n
     if order < n:
@@ -143,11 +135,11 @@ def btk_gf(t: int, k: int, n: int, order: int | None = None) -> int:
 
 
 def diff_bt2_bt1(t: int, order: int) -> Series:
-    return bt2_series(t, order) - bt1_series(t, order)
+    return btk_series(t, 2, order) - btk_series(t, 1, order)
 
 
 def diff_bt2_bt3(t: int, order: int) -> Series:
-    return bt2_series(t, order) - bt3_series(t, order)
+    return btk_series(t, 2, order) - btk_series(t, 3, order)
 
 
 def decomposition_series(name: str, t: int, order: int) -> Series:
@@ -162,8 +154,8 @@ def decomposition_series(name: str, t: int, order: int) -> Series:
     those of the injections A -> S and C -> B.
     -A + B + C equals the 2-hook minus 1-hook difference for every t, and
     D + E + F the 2-hook minus 3-hook difference for t >= 3; at t = 2 the
-    latter matches the generic four-term 3-hook form instead of true
-    3-hook counts (see :func:`bt3_series`).
+    latter matches the generic four-term 3-hook form, which over-counts
+    3-hooks at t = 2 (first at n = 6), instead of true 3-hook counts.
     """
     _check_tk(t, 1)
     T = t_regular_gf(t, order)

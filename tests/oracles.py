@@ -1,11 +1,11 @@
 """Oracles and constructors that only the tests use.
 
-They are built from the library's ``Series`` ring alone, so a test that
-compares them with a production builder checks the builder against an
-independent derivation.
+They are built from the library's ``Series`` ring (and, for the hand-typed
+hook forms, its t-regular series) alone, so a test that compares them with
+a production builder checks the builder against an independent derivation.
 """
 
-from hookcounts.series import Series, divide_unit
+from hookcounts.series import Series, divide_unit, t_regular_gf
 
 
 def zero(order: int) -> Series:
@@ -63,7 +63,7 @@ def hook3_marker_by_runs(t: int, order: int) -> Series:
     column run (leg 2).  Summing the frequency conditions for each pattern
     over part values v not divisible by t gives this polynomial; multiplied
     by the t-regular product it counts 3-hooks for every t >= 2.  Kept as an
-    independent route for cross-checking the telescoped closed forms.
+    independent route for cross-checking the derived 3-hook series.
     """
     c = [0] * (order + 1)
 
@@ -92,3 +92,58 @@ def hook3_marker_by_runs(t: int, order: int) -> Series:
             if g1 and g2:
                 add(3 * v - 3)
     return Series(c, order)
+
+
+# The paper's closed forms for the 1-, 2- and 3-hook series, typed in by
+# hand; the statements under test against the derived ``btk_series``.
+
+
+def bt1_form(t: int, order: int) -> Series:
+    """T q/(1 - q) - T q^t/(1 - q^t), T the t-regular series."""
+    T = t_regular_gf(t, order)
+    return T.shift(1).times_geometric(1) - T.shift(t).times_geometric(t)
+
+
+def bt2_form(t: int, order: int) -> Series:
+    T = t_regular_gf(t, order)
+    return (
+        2 * T.shift(2).times_geometric(2)
+        - T.shift(t).times_geometric(t)
+        + (T.shift(2 * t - 1) - T.shift(2 * t) + T.shift(2 * t + 1)).times_geometric(2 * t)
+    )
+
+
+def bt3_four_term_form(t: int, order: int) -> Series:
+    """The generic four-term 3-hook form: right for t >= 3, over-counts at t = 2."""
+    T = t_regular_gf(t, order)
+    third = T.shift(2 * t - 2) - T.shift(2 * t) + T.shift(2 * t + 2)
+    fourth = (
+        T.shift(3 * t - 3)
+        - T.shift(3 * t - 2)
+        - T.shift(3 * t - 1)
+        + 2 * T.shift(3 * t)
+        - T.shift(3 * t + 1)
+        - T.shift(3 * t + 2)
+        + T.shift(3 * t + 3)
+    )
+    return (
+        3 * T.shift(3).times_geometric(3)
+        - T.shift(t).times_geometric(t)
+        + third.times_geometric(2 * t)
+        - fourth.times_geometric(3 * t)
+    )
+
+
+def bt3_t2_form(order: int) -> Series:
+    """The corrected t = 2 3-hook form, telescoped from the run analysis.
+
+    For t = 2 consecutive part values alternate parity, which removes two
+    of the four run patterns behind the four-term form.
+    """
+    T = t_regular_gf(2, order)
+    return (
+        T.shift(3).times_geometric(2)
+        - T.shift(4).times_geometric(4)
+        + T.shift(6).times_geometric(4)
+        + T.shift(3).times_geometric(6)
+    )

@@ -232,6 +232,22 @@ class TestCli:
         assert cli.main(["series", "--name", "bt1", "--t", "1", "--order", "5"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        ("count --t 2 --k 2 --n -1 --method gf", "n must be nonnegative"),
+        ("count --t 2 --k 0 --n 5 --method gf", "k must be at least 1"),
+    ])
+    def test_count_gf_bad_input_exits_2(self, capsys, argv, message):
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_oracle_reaches_k8(self, capsys):
+        argv = "verify theorem --which oracle --t-max 6 --n-max 30 --k-max 8 --format json"
+        assert cli.main(argv.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["ks"] == list(range(1, 9)) and payload["witnesses"] == []
+
     def test_reruns_are_byte_identical(self, capsys):
         args = ["verify", "theorem", "--which", "thm13", "--t-max", "4", "--n-max", "15", "--format", "json"]
         cli.main(args)

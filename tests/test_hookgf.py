@@ -1,11 +1,8 @@
 import pytest
 
 from hookcounts.hookgf import (
-    _bt3_four_term,
+    _hook_terms,
     _parts_ge2_gf,
-    bt1_series,
-    bt2_series,
-    bt3_series,
     btk_enum,
     btk_enum_table,
     btk_gf,
@@ -20,7 +17,13 @@ from hookcounts.hookgf import (
 from hookcounts.injections import FAMILIES
 from hookcounts.partitions import t_regular_partitions
 from hookcounts.series import t_regular_gf
-from oracles import hook3_marker_by_runs
+from oracles import (
+    bt1_form,
+    bt2_form,
+    bt3_four_term_form,
+    bt3_t2_form,
+    hook3_marker_by_runs,
+)
 
 
 class TestEnumOracle:
@@ -57,24 +60,29 @@ class TestEnumOracle:
 
 class TestSeriesBuilders:
     def test_one_hook_values(self):
-        s = bt1_series(2, 5)
+        s = btk_series(2, 1, 5)
         assert [s[n] for n in (0, 1, 2, 3)] == [0, 1, 1, 2]
-        assert bt1_series(4, 3)[3] == btk_enum(4, 1, 3) == 4
+        assert btk_series(4, 1, 3)[3] == btk_enum(4, 1, 3) == 4
 
     def test_two_hook_values(self):
-        assert bt2_series(2, 4)[2] == 1
-        assert bt2_series(4, 4)[3] == 2
-        assert bt2_series(3, 4)[0] == 0
+        assert btk_series(2, 2, 4)[2] == 1
+        assert btk_series(4, 2, 4)[3] == 2
+        assert btk_series(3, 2, 4)[0] == 0
 
     def test_three_hook_values(self):
-        assert bt3_series(4, 4)[3] == 3
-        assert bt3_series(2, 4)[3] == 2
-        assert bt3_series(5, 4)[1] == 0
+        assert btk_series(4, 3, 4)[3] == 3
+        assert btk_series(2, 3, 4)[3] == 2
+        assert btk_series(5, 3, 4)[1] == 0
 
     def test_gf_matches_enum(self):
         assert btk_gf(2, 2, 6) == btk_enum(2, 2, 6)
-        with pytest.raises(ValueError):
-            btk_series(2, 4, 10)
+        assert btk_gf(2, 4, 10) == btk_enum(2, 4, 10) == 13
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            btk_series(2, 0, 10)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            btk_series(2, 2, -1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            btk_gf(2, 2, -1)
         with pytest.raises(ValueError):
             btk_gf(2, 1, 10, order=5)
 
@@ -87,25 +95,51 @@ class TestSeriesBuilders:
                 assert table[(k, n)] == s[n]
 
 
+class TestDerivedSeries:
+    """The hook series derived for every k against the enumeration and the paper's forms."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_matches_enumeration_up_to_k8(self, t):
+        ks = tuple(range(1, 9))
+        table = btk_enum_table(t, 30, ks)
+        for k in ks:
+            assert btk_series(t, k, 30).coeffs == tuple(table[(k, n)] for n in range(31))
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_hand_typed_forms(self, t):
+        assert btk_series(t, 1, 300) == bt1_form(t, 300)
+        assert btk_series(t, 2, 300) == bt2_form(t, 300)
+        three = bt3_t2_form(300) if t == 2 else bt3_four_term_form(t, 300)
+        assert btk_series(t, 3, 300) == three
+
+    def test_term_counts(self):
+        def count(t, k):
+            return sum(len(row) for row in _hook_terms(t, k).values())
+
+        assert [count(2, k) for k in range(1, 8)] == [1, 2, 4, 8, 13, 20, 31]
+        assert [count(6, k) for k in range(1, 8)] == [5, 14, 23, 37, 66, 98, 149]
+
+
 class TestThreeHookClosedForms:
     """The generic four-term closed form is valid for t >= 3 only."""
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
     def test_run_analysis_matches_production_builder(self, t):
         runs = t_regular_gf(t, 120) * hook3_marker_by_runs(t, 120)
-        assert runs.coeffs == bt3_series(t, 120).coeffs
+        assert runs.coeffs == btk_series(t, 3, 120).coeffs
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_four_term_form_agrees_for_t_at_least_3(self, t):
-        assert _bt3_four_term(t, 120).coeffs == bt3_series(t, 120).coeffs
+        assert bt3_four_term_form(t, 120).coeffs == btk_series(t, 3, 120).coeffs
 
     def test_four_term_form_over_counts_at_t2(self):
         # first discrepancy is at n = 6: five actual 3-hooks, six claimed
-        legacy = _bt3_four_term(2, 40)
-        true = bt3_series(2, 40)
+        legacy = bt3_four_term_form(2, 40)
+        true = btk_series(2, 3, 40)
         assert legacy[6] == 6 and true[6] == 5
         assert btk_enum(2, 3, 6) == 5
         assert all(legacy[n] >= true[n] for n in range(41))
+        assert legacy.coeffs[:6] == true.coeffs[:6]
 
 
 class TestDecomposition:
@@ -135,7 +169,7 @@ class TestDecomposition:
             + decomposition_series("E", 2, 120)
             + decomposition_series("F", 2, 120)
         )
-        legacy_diff = bt2_series(2, 120) - _bt3_four_term(2, 120)
+        legacy_diff = btk_series(2, 2, 120) - bt3_four_term_form(2, 120)
         assert lhs.coeffs == legacy_diff.coeffs
         assert lhs.coeffs != diff_bt2_bt3(2, 120).coeffs
         assert lhs[6] - diff_bt2_bt3(2, 120)[6] == -1

@@ -1,4 +1,4 @@
-"""``scripts/thm12_full_run.py`` run as a subprocess, the way it is used."""
+"""The scripts under ``scripts/`` run as subprocesses, the way they are used."""
 
 import json
 import os
@@ -41,3 +41,25 @@ def test_thm12_full_run_t2_passes():
     done = run_script("thm12_full_run.py", "--t", "2", "--margin", "0", "--format", "json")
     assert done.returncode == 0
     assert json.loads(done.stdout)["info"]["asserted_range"] == [2990, 2990]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--t-max", "1"),  # would scan no t and print "none" for every series
+        ("--order", "-1"),
+    ],
+    ids=["t-max-below-2", "negative-order"],
+)
+def test_exception_scan_bad_input_exits_2(args):
+    done = run_script("exception_scan.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_exception_scan_lists_the_e_cells():
+    done = run_script("exception_scan.py", "--t-max", "2", "--order", "40")
+    assert done.returncode == 0
+    assert "  E: (t=2, n=3: -1), (t=2, n=6: -1), (t=2, n=9: -1)" in done.stdout.splitlines()
