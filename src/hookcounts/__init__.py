@@ -7,7 +7,6 @@ injections and sign theorems relating the 1-, 2- and 3-hook counts.
 
 from .partitions import (
     Partition,
-    count_hooks,
     hook_multiset,
     partitions_of,
     t_regular_partitions,

@@ -50,15 +50,20 @@ class TheoremCheck:
         }
 
 
+def thm12_bound(t: int) -> int:
+    """The n from which 2-hooks are asserted to dominate 1-hooks."""
+    return o5_weight_bound(t) + 1
+
+
 def run_thm12(t: int, order: int) -> TheoremCheck:
-    """2-hooks dominate 1-hooks from the computed bound on.
+    """2-hooks dominate 1-hooks from :func:`thm12_bound` on.
 
     Scans the difference series up to ``order``; the check asserts
     nonnegativity only at and above the bound (runs that stop short of the
     bound are informational and pass vacuously).  The largest n with a
     negative coefficient anywhere in range is recorded.
     """
-    bound = o5_weight_bound(t) + 1
+    bound = thm12_bound(t)
     diff = diff_bt2_bt1(t, order)
     witnesses = [(t, n, diff[n]) for n in range(min(bound, order + 1), order + 1) if diff[n] < 0]
     negatives = [n for n, c in enumerate(diff.coeffs) if c < 0]
@@ -78,8 +83,9 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
 def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
     """2-hooks dominate 3-hooks except at n=3 for t >= 3.
 
-    Series scan over the full window; the enumeration oracle re-derives both
-    hook counts up to ``enum_limit`` and any disagreement fails the check.
+    Series scan over the full window; the oracle cross-check of
+    :func:`run_oracle_crosscheck` re-derives both hook counts up to
+    ``enum_limit`` and any disagreement fails the check.
     """
     if t_max < 2 or n_max < 3:
         raise ValueError("need t_max >= 2 and n_max >= 3")
@@ -87,16 +93,9 @@ def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
     mismatches = []
     enum_to = min(enum_limit, n_max)
     for t in range(2, t_max + 1):
-        b2 = btk_series(t, 2, n_max)
-        b3 = btk_series(t, 3, n_max)
-        diff = b2 - b3
+        diff = diff_bt2_bt3(t, n_max)
         failures.extend((t, n, diff[n]) for n in range(n_max + 1) if diff[n] < 0)
-        table = btk_enum_table(t, enum_to, (2, 3))
-        for n in range(enum_to + 1):
-            if table[(2, n)] != b2[n]:
-                mismatches.append((t, 2, n, table[(2, n)], b2[n]))
-            if table[(3, n)] != b3[n]:
-                mismatches.append((t, 3, n, table[(3, n)], b3[n]))
+        mismatches.extend(_oracle_mismatches(t, enum_to, (2, 3)))
     expected = {(t, 3) for t in range(3, t_max + 1)}
     return TheoremCheck(
         which="thm13",
@@ -188,20 +187,25 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     )
 
 
+def _oracle_mismatches(t: int, n_max: int, ks: tuple[int, ...]) -> list[tuple]:
+    """(t, k, n, enumerated, series) for each cell where the two routes disagree."""
+    table = btk_enum_table(t, n_max, ks)
+    mismatches = []
+    for k in ks:
+        s = btk_series(t, k, n_max)
+        mismatches.extend(
+            (t, k, n, table[(k, n)], s[n]) for n in range(n_max + 1) if table[(k, n)] != s[n]
+        )
+    return mismatches
+
+
 def run_oracle_crosscheck(
     t_max: int, n_max: int, ks: tuple[int, ...] = (1, 2, 3)
 ) -> TheoremCheck:
     """Enumeration and generating-function hook counts must agree on the grid."""
     if t_max < 2 or n_max < 0 or not ks:
         raise ValueError("need t_max >= 2, n_max >= 0 and at least one k")
-    witnesses = []
-    for t in range(2, t_max + 1):
-        table = btk_enum_table(t, n_max, ks)
-        for k in ks:
-            s = btk_series(t, k, n_max)
-            for n in range(n_max + 1):
-                if table[(k, n)] != s[n]:
-                    witnesses.append((t, k, n, table[(k, n)], s[n]))
+    witnesses = [w for t in range(2, t_max + 1) for w in _oracle_mismatches(t, n_max, ks)]
     return TheoremCheck(
         which="oracle",
         params={"t_max": t_max, "n_max": n_max, "ks": list(ks)},
@@ -236,6 +240,11 @@ def emit(obj, fmt: str, stream: IO[str]) -> None:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _reports(obj) -> list:
+    """A lone report as a one-element list; a list of reports as it is."""
+    return [obj] if isinstance(obj, VerificationReport) else obj
+
+
 def _emit_csv(obj, stream: IO[str]) -> None:
     if isinstance(obj, TheoremCheck):
         stream.write("which,passed,witness\n")
@@ -244,17 +253,10 @@ def _emit_csv(obj, stream: IO[str]) -> None:
         for w in obj.witnesses:
             cell = ";".join(str(x) for x in w)
             stream.write(f"{obj.which},{obj.passed},{cell}\n")
-    elif isinstance(obj, VerificationReport):
-        stream.write("map,t,n,domain_size,image_size,passed\n")
-        stream.write(
-            f"{obj.map_id},{obj.t},{obj.n},{obj.domain_size},{obj.image_size},{obj.passed}\n"
-        )
-    else:
-        stream.write("map,t,n,domain_size,image_size,passed\n")
-        for r in obj:
-            stream.write(
-                f"{r.map_id},{r.t},{r.n},{r.domain_size},{r.image_size},{r.passed}\n"
-            )
+        return
+    stream.write("map,t,n,domain_size,image_size,passed\n")
+    for r in _reports(obj):
+        stream.write(f"{r.map_id},{r.t},{r.n},{r.domain_size},{r.image_size},{r.passed}\n")
 
 
 def _emit_human(obj, stream: IO[str]) -> None:
@@ -265,14 +267,12 @@ def _emit_human(obj, stream: IO[str]) -> None:
             stream.write(f"  witness: {w}\n")
         for key, value in sorted(obj.info.items()):
             stream.write(f"  {key}: {value}\n")
-    elif isinstance(obj, VerificationReport):
-        verdict = "PASS" if obj.passed else "FAIL"
+        return
+    for r in _reports(obj):
+        verdict = "PASS" if r.passed else "FAIL"
         stream.write(
-            f"{obj.map_id} t={obj.t} n={obj.n}: {verdict}  "
-            f"domain={obj.domain_size} image={obj.image_size}\n"
+            f"{r.map_id} t={r.t} n={r.n}: {verdict}  "
+            f"domain={r.domain_size} image={r.image_size}\n"
         )
-        for v in obj.violations:
+        for v in r.violations:
             stream.write(f"  {v.kind}: {v.input} ({v.detail})\n")
-    else:
-        for r in obj:
-            _emit_human(r, stream)

@@ -15,6 +15,16 @@ from .series import csv_lines
 
 SERIES_NAMES = ("bt1", "bt2", "bt3", "A", "B", "C", "D", "E", "F")
 
+# the flags each theorem check reads; giving it any other is a usage error
+THEOREM_FLAGS = {
+    "thm12": ("t", "order", "full"),
+    "thm13": ("t_max", "n_max"),
+    "d": ("t_max", "order"),
+    "e": ("t_max", "order"),
+    "f": ("t_max", "order"),
+    "oracle": ("t_max", "n_max", "k_max"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -52,19 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_inj.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
     p_thm = vsub.add_parser("theorem", help="theorem-level sign checks")
-    p_thm.add_argument(
-        "--which", choices=("thm12", "thm13", "d", "e", "f", "oracle"), required=True
-    )
-    p_thm.add_argument("--t", type=int, default=2, help="for thm12")
-    p_thm.add_argument("--order", type=int, default=None)
-    p_thm.add_argument("--t-max", type=int, default=None)
-    p_thm.add_argument("--n-max", type=int, default=None)
-    p_thm.add_argument("--k-max", type=int, default=3, help="for oracle")
+    p_thm.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
+    p_thm.add_argument("--t", type=int, help="for thm12 (default 2)")
+    p_thm.add_argument("--order", type=int)
+    p_thm.add_argument("--t-max", type=int)
+    p_thm.add_argument("--n-max", type=int)
+    p_thm.add_argument("--k-max", type=int, help="for oracle (default 3)")
     p_thm.add_argument(
         "--full",
         action="store_true",
-        help="for thm12 with t >= 3: extend the order to 100 past the theorem "
-        "bound (about 1 s at t=3, 20 s at t=4, 3 min at t=5)",
+        default=None,
+        help="for thm12: extend the order to 100 past the theorem bound "
+        "(well under 1 s at t=2, about 1 s at t=3, 20 s at t=4, 3 min at t=5)",
     )
     p_thm.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
@@ -108,23 +117,28 @@ def _given(value: int | None, default: int) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     which = args.which
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in ("t", "order", "t_max", "n_max", "k_max", "full")
+        if getattr(args, name) is not None and name not in THEOREM_FLAGS[which]
+    ]
+    if unread:
+        raise ValueError(f"--which {which} does not read {', '.join(unread)}")
     if which == "thm12":
-        order = args.order
+        t, order = _given(args.t, 2), args.order
         if args.full:
-            bound = injections.o5_weight_bound(args.t) + 1
-            order = max(order or 0, bound + 100)
+            order = max(order or 0, checks.thm12_bound(t) + 100)
         elif order is None:
-            order = 3100 if args.t == 2 else 2000
-        check = checks.run_thm12(args.t, order)
+            order = 3100 if t == 2 else 2000
+        check = checks.run_thm12(t, order)
     elif which == "thm13":
         check = checks.run_thm13(_given(args.t_max, 10), _given(args.n_max, 60))
     elif which in ("d", "e", "f"):
         ts = tuple(range(2, _given(args.t_max, 4) + 1))
         check = checks.run_sign_check(which.upper(), ts, _given(args.order, 200))
     else:
-        check = checks.run_oracle_crosscheck(
-            _given(args.t_max, 6), _given(args.n_max, 40), tuple(range(1, args.k_max + 1))
-        )
+        ks = tuple(range(1, _given(args.k_max, 3) + 1))
+        check = checks.run_oracle_crosscheck(_given(args.t_max, 6), _given(args.n_max, 40), ks)
     checks.emit(check, args.format, sys.stdout)
     return 0 if check.passed else 1
 

@@ -122,16 +122,12 @@ def btk_series(t: int, k: int, order: int) -> Series:
     return Series(total, order)
 
 
-def btk_gf(t: int, k: int, n: int, order: int | None = None) -> int:
+def btk_gf(t: int, k: int, n: int) -> int:
     """Hook count read off the generating function."""
     _check_tk(t, k)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if order is None:
-        order = n
-    if order < n:
-        raise ValueError("order must cover n")
-    return btk_series(t, k, order)[n]
+    return btk_series(t, k, n)[n]
 
 
 def diff_bt2_bt1(t: int, order: int) -> Series:

@@ -24,10 +24,6 @@ from typing import Callable, Iterator, Mapping
 from .partitions import Partition, partitions_of
 
 
-class ResidualClassError(ValueError):
-    """Raised when the combined map is applied to the uncovered fifth class."""
-
-
 @dataclass(frozen=True)
 class SubsetLabel:
     """Classification of a partition inside one of the named families.
@@ -353,18 +349,6 @@ def psi4(p: Partition, t: int, validate: bool = True) -> Partition:
 
 _PHI_FORWARD: dict[int, Callable[..., Partition]] = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
 _PHI_INVERSE: dict[int, Callable[..., Partition]] = {1: phi1_inv, 2: psi2, 3: psi3, 4: psi4}
-
-
-def phi_total(p: Partition, t: int) -> Partition:
-    """Dispatch to phi1..phi4 by O-subset; the fifth class is not covered."""
-    label = FAMILIES["O"].label(p, t)
-    if label is None:
-        raise ValueError(f"{p} is not t-regular with an odd number of 1s")
-    if label.index == 5:
-        raise ResidualClassError(
-            f"{p} falls in the residual class the combined map does not cover"
-        )
-    return _PHI_FORWARD[label.index](p, t, validate=False)
 
 
 def o5_weight_cap(t: int) -> int:

@@ -113,11 +113,6 @@ class Partition:
         """The largest part, 0 for the empty partition."""
         return self._items[0][0] if self._items else 0
 
-    def is_t_regular(self, t: int) -> bool:
-        if t < 2:
-            raise ValueError("t must be at least 2")
-        return all(part % t != 0 for part, _ in self._items)
-
     def union(self, other: "Partition") -> "Partition":
         """Multiset union: multiplicities add."""
         freq = {p: m for p, m in self._items}
@@ -254,10 +249,3 @@ def hook_multiset(p: Partition) -> HookMultiset:
             h = (row - j) + (heights[j] - i) - 1
             counts[h] = counts.get(h, 0) + 1
     return counts
-
-
-def count_hooks(p: Partition, k: int) -> int:
-    """Number of cells of p with hook length exactly k."""
-    if k < 1:
-        raise ValueError("hook length must be at least 1")
-    return hook_multiset(p).get(k, 0)

@@ -122,26 +122,23 @@ class Series:
         return f"<Series order={self.order}: {body}>"
 
 
-def pochhammer_inf(first: int, step: int, order: int) -> Series:
+def pochhammer_inf(s: int, order: int) -> Series:
     """Truncation of the infinite product (1 - q^s)(1 - q^2s)(1 - q^3s)...
 
-    Only ``first == step == s`` is supported.  By Euler's pentagonal number
-    theorem the product is the sum over k of (-1)^k q^(s k(3k-1)/2), k
-    running over all integers, so its O(sqrt(order)) nonzero terms are
-    written down directly.
+    By Euler's pentagonal number theorem the product is the sum over k of
+    (-1)^k q^(s k(3k-1)/2), k running over all integers, so its
+    O(sqrt(order)) nonzero terms are written down directly.
     """
-    if first < 1 or step < 1:
-        raise ValueError("first and step must be at least 1")
-    if first != step:
-        raise ValueError("only (q^s;q^s)_inf is supported: first must equal step")
+    if s < 1:
+        raise ValueError("s must be at least 1")
     c = [1] + [0] * order
-    k, e = 1, step  # e = s k(3k-1)/2; its partner s k(3k+1)/2 is e + s k
+    k, e = 1, s  # e = s k(3k-1)/2; its partner s k(3k+1)/2 is e + s k
     while e <= order:
         sign = -1 if k % 2 else 1
         c[e] += sign
-        if e + step * k <= order:
-            c[e + step * k] += sign
-        e += step * (3 * k + 1)
+        if e + s * k <= order:
+            c[e + s * k] += sign
+        e += s * (3 * k + 1)
         k += 1
     return Series(c, order)
 
@@ -150,7 +147,7 @@ def divide_unit(num: Series, den: Series) -> Series:
     """Exact division by a series with constant term +1 or -1.
 
     Cost is O(order * nnz(den)), which makes division by sparse products
-    such as pochhammer_inf(1, 1, N) cheap.
+    such as pochhammer_inf(1, N) cheap.
     """
     n = min(num.order, den.order)
     d0 = den.coeffs[0]
@@ -173,7 +170,7 @@ def t_regular_gf(t: int, order: int) -> Series:
     """(q^t;q^t)_inf / (q;q)_inf: coefficient of q^n counts t-regular partitions."""
     if t < 2:
         raise ValueError("t must be at least 2")
-    return divide_unit(pochhammer_inf(t, t, order), pochhammer_inf(1, 1, order))
+    return divide_unit(pochhammer_inf(t, order), pochhammer_inf(1, order))
 
 
 def csv_lines(s: Series) -> Iterator[str]:

@@ -195,8 +195,7 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["params"]["order"] >= payload["info"]["bound"]
-        assert payload["info"]["asserted_range"] is not None
+        assert payload["info"]["asserted_range"] == [2990, 3090]
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -215,12 +214,38 @@ class TestCli:
         "verify theorem --which d --t-max 2 --order 0",
         "verify theorem --which thm13 --n-max 0",
         "verify theorem --which thm13 --t-max 0",
+        "verify theorem --which thm12 --t 1 --full",  # the theorem and its bound need t >= 2
+        "verify theorem --which e --order 29",  # sign checks scan to order 30 at least
     ])
     def test_empty_scan_exits_2(self, capsys, argv):
         assert cli.main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "min()" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "min()" not in lines[0]
+
+    @pytest.mark.parametrize("argv,flags", [
+        ("--which thm13 --order 5", ["--order"]),
+        ("--which d --t 3", ["--t"]),
+        ("--which oracle --full", ["--full"]),
+        ("--which thm12 --k-max 4", ["--k-max"]),
+        ("--which thm13 --t-max 3 --n-max 10 --order 5 --t 9 --full", ["--t", "--order", "--full"]),
+    ], ids=["thm13-order", "d-t", "oracle-full", "thm12-k-max", "thm13-three-flags"])
+    def test_unread_flag_exits_2(self, capsys, argv, flags):
+        assert cli.main(["verify", "theorem", *argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith(" does not read " + ", ".join(flags))
+
+    def test_e_scan_lists_every_negative_cell(self, capsys):
+        # the exception table: (2, 6) and (2, 9) in range, (2, 3) below n = 4
+        argv = "verify theorem --which e --t-max 2 --order 40 --format json"
+        assert cli.main(argv.split()) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witnesses"] == [[2, 6, -1], [2, 9, -1]]
+        assert payload["info"]["below_range_negatives"] == [[2, 3, -1]]
 
     def test_oracle_explicit_zero_n_max_is_kept(self, capsys):
         argv = "verify theorem --which oracle --t-max 2 --n-max 0 --k-max 1 --format json"

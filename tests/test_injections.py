@@ -6,7 +6,6 @@ import pytest
 from hookcounts.injections import (
     FAMILIES,
     MAPS,
-    ResidualClassError,
     SubsetLabel,
     delta3,
     epsilon,
@@ -21,7 +20,6 @@ from hookcounts.injections import (
     phi2_case,
     phi3,
     phi4,
-    phi_total,
     psi2,
     psi3,
     psi4,
@@ -249,18 +247,18 @@ class TestPhi4:
 
 
 class TestPhiTotal:
+    """The combined map phi: one of phi1..phi4 per O-subset, the fifth not covered."""
+
     def test_dispatches_by_class(self):
-        assert phi_total(P("17,15,13,10,5,3,2,1^3"), 4) == P("15,13,10,9,8,5,3,2,1^3")
-        assert phi_total(P("13,7,6,2^2,1^55"), 4) == P("33,13,9^2,7,6,2^2,1^4")
-
-    def test_residual_class_is_a_distinct_error(self):
-        with pytest.raises(ResidualClassError):
-            phi_total(P("1^5"), 2)
-
-    def test_non_member_is_plain_error(self):
-        with pytest.raises(ValueError) as err:
-            phi_total(P("3,1^2"), 2)
-        assert not isinstance(err.value, ResidualClassError)
+        spec = MAPS["phi"]
+        assert spec.classes == (1, 2, 3, 4)
+        for lam, mu in (
+            (P("17,15,13,10,5,3,2,1^3"), P("15,13,10,9,8,5,3,2,1^3")),
+            (P("13,7,6,2^2,1^55"), P("33,13,9^2,7,6,2^2,1^4")),
+        ):
+            cls = O.label(lam, 4).index
+            assert spec.forward[cls](lam, 4) == mu
+            assert spec.inverse[cls](mu, 4) == lam
 
 
 class TestWeightBound:

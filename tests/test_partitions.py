@@ -6,7 +6,6 @@ from hypothesis import given
 from conftest import partitions
 from hookcounts.partitions import (
     Partition,
-    count_hooks,
     hook_multiset,
     partitions_of,
     t_regular_partitions,
@@ -62,12 +61,6 @@ class TestPartitionBasics:
         assert P("3,1") == Partition.of(1, 3)
         assert hash(P("3,1")) == hash(Partition.of(1, 3))
         assert len({P("3,1"), Partition.of(3, 1), P("2^2")}) == 2
-
-    def test_t_regular(self):
-        assert P("5,3,1").is_t_regular(2)
-        assert not P("4,1").is_t_regular(2)
-        with pytest.raises(ValueError):
-            P("3").is_t_regular(1)
 
 
 class TestMultisetAlgebra:
@@ -165,14 +158,6 @@ class TestHooks:
         assert hook_multiset(Partition()) == {}
         assert hook_multiset(P("1")) == {1: 1}
 
-    def test_count_hooks_examples(self):
-        p = P("5,3^2,2,1^2")
-        assert count_hooks(p, 1) == 4
-        assert count_hooks(p, 2) == 3
-        assert count_hooks(P("3"), 2) == 1
-        with pytest.raises(ValueError):
-            count_hooks(p, 0)
-
     @given(partitions())
     def test_matches_grid_definition(self, p):
         assert hook_multiset(p) == _hooks_by_grid(p)
@@ -191,4 +176,4 @@ class TestHooks:
         # a 1-hook sits exactly at the last cell of each maximal run
         for n in range(31):
             for p in partitions_of(n):
-                assert count_hooks(p, 1) == len(p.items())
+                assert hook_multiset(p).get(1, 0) == len(p.items())
