@@ -195,6 +195,14 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["order"] >= payload["info"]["bound"]
+        assert payload["info"]["asserted_range"] is not None
+
+    def test_thm12_t2_full_asserts_up_to_bound_plus_margin(self, capsys):
+        # t = 2 has bound 2990; --full scans 100 past it
+        argv = "verify theorem --which thm12 --t 2 --full --format json"
+        assert cli.main(argv.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["info"]["asserted_range"] == [2990, 3090]
 
     def test_usage_error_exits_2(self, capsys):
@@ -216,6 +224,7 @@ class TestCli:
         "verify theorem --which thm13 --t-max 0",
         "verify theorem --which thm12 --t 1 --full",  # the theorem and its bound need t >= 2
         "verify theorem --which e --order 29",  # sign checks scan to order 30 at least
+        "verify theorem --which e --t-max 1",  # would scan no t at all
     ])
     def test_empty_scan_exits_2(self, capsys, argv):
         assert cli.main(argv.split()) == 2
