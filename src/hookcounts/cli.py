@@ -106,6 +106,11 @@ def _cmd_verify_identity(args) -> int:
 
 def _cmd_verify_injection(args) -> int:
     reports = injections.verify_injection_range(args.map, args.t, args.n_max)
+    if not sum(r.domain_size for r in reports):
+        raise ValueError(
+            f"{args.map} at t={args.t} has an empty domain for every n in "
+            f"{reports[0].n}..{args.n_max}; the check scans nothing"
+        )
     checks.emit(reports, args.format, sys.stdout)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -103,6 +103,8 @@ def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
 def btk_series(t: int, k: int, order: int) -> Series:
     """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
     _check_tk(t, k)
+    if k > order:  # a partition of n has no hook longer than n
+        return Series((0,), order)
     T = t_regular_gf(t, order).coeffs
     total = [0] * (order + 1)
     for c, row in _hook_terms(t, k).items():

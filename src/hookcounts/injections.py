@@ -84,8 +84,9 @@ def _check_t(t: int) -> None:
 class Family:
     """A family of partitions: a part rule, a 1-count rule and an extra condition.
 
-    ``parts(t)`` returns the rule every part obeys; :meth:`members` hands it
-    to :func:`partitions_of`, so partitions breaking it are never walked.
+    ``parts(v, t)`` is the rule every part value v obeys; :meth:`members`
+    hands it to :func:`partitions_of`, which asks it once per value, so
+    partitions breaking it are never walked.
     ``ones(f1, t)`` is the rule on the number of 1s (``None``: any number) and
     ``extra(p, t)`` any further condition.  ``subsets(p, t)``, called on
     members only, lists the indices of the named subsets whose defining
@@ -93,7 +94,7 @@ class Family:
     """
 
     name: str
-    parts: Callable[[int], Callable[[int], bool]]
+    parts: Callable[[int, int], bool]
     ones: Callable[[int, int], bool] | None = None
     extra: Callable[[Partition, int], bool] | None = None
     subsets: Callable[[Partition, int], list[int]] | None = None
@@ -105,14 +106,13 @@ class Family:
 
     def contains(self, p: Partition, t: int) -> bool:
         _check_t(t)
-        part_ok = self.parts(t)
-        return all(part_ok(v) for v, _ in p.items()) and self._rest(p, t)
+        return all(self.parts(v, t) for v, _ in p.items()) and self._rest(p, t)
 
     def members(self, n: int, t: int) -> Iterator[Partition]:
         """The members of weight n, in the order of :func:`partitions_of`."""
         _check_t(t)
         rest = self._rest
-        return (p for p in partitions_of(n, self.parts(t)) if rest(p, t))
+        return (p for p in partitions_of(n, lambda v: self.parts(v, t)) if rest(p, t))
 
     def label(self, p: Partition, t: int) -> SubsetLabel | None:
         """The first subset p falls in; None outside the family."""
@@ -179,42 +179,34 @@ def _s_subsets(p: Partition, t: int) -> list[int]:
     return out
 
 
-def _t_regular(t: int) -> Callable[[int], bool]:
-    return lambda v: v % t != 0
-
-
-def _two_regular(t: int) -> Callable[[int], bool]:
-    return lambda v: v % 2 != 0
-
-
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
         # t-regular with an odd number of 1s
-        Family("O", _t_regular, lambda f1, t: f1 % 2 == 1, subsets=_o_subsets),
+        Family("O", lambda v, t: v % t != 0, lambda f1, t: f1 % 2 == 1, subsets=_o_subsets),
         # no part is a multiple of t other than 2t, and the part 2t+1 appears
         Family(
             "R",
-            lambda t: lambda v: v % t != 0 or v == 2 * t,
+            lambda v, t: v % t != 0 or v == 2 * t,
             extra=lambda p, t: p.frequency(2 * t + 1) >= 1,
             subsets=_r_subsets,
         ),
         # t-regular, no part 3, and the number of 1s is -2 mod 2t
         Family(
             "A",
-            lambda t: lambda v: v % t != 0 and v != 3,
+            lambda v, t: v % t != 0 and v != 3,
             lambda f1, t: f1 % (2 * t) == 2 * t - 2,
             subsets=_a_subsets,
         ),
         # t-regular with the number of 1s congruent to 2 or 4 mod 6
-        Family("S", _t_regular, lambda f1, t: f1 % 6 in (2, 4), subsets=_s_subsets),
+        Family("S", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 4), subsets=_s_subsets),
         # t-regular with the number of 1s congruent to 2 or 5 mod 6
-        Family("B", _t_regular, lambda f1, t: f1 % 6 in (2, 5)),
+        Family("B", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 5)),
         # t-regular with the number of 1s congruent to 3 mod 6
-        Family("C", _t_regular, lambda f1, t: f1 % 6 == 3),
+        Family("C", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 == 3),
         # 2-regular whatever t, with the number of 1s 4 resp. 6 mod 12
-        Family("D1", _two_regular, lambda f1, t: f1 % 12 == 4),
-        Family("D2", _two_regular, lambda f1, t: f1 % 12 == 6),
+        Family("D1", lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 4),
+        Family("D2", lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 6),
     )
 }
 

@@ -8,6 +8,7 @@ injection machinery is built on.  Partitions are immutable and hashable.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 # hook length -> number of cells carrying it
@@ -164,56 +165,32 @@ def partitions_of(n: int, part_filter: Callable[[int], bool] | None = None) -> I
     """Yield the partitions of n whose parts all satisfy ``part_filter``.
 
     Order is descending lexicographic on the expanded part list, e.g. for
-    n=4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  The order is stable and is
-    relied on by golden tests.  n=0 yields exactly the empty partition.
+    n=4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1), because the walk picks part
+    values largest first and gives each the largest multiplicity first.  The
+    order is stable and is relied on by golden tests.  n=0 yields exactly the
+    empty partition.  ``part_filter`` is called once for each v from 1 to
+    n, before the walk starts; the walk keeps (part, multiplicity) pairs, so it
+    recurses at most one level deeper than the number of distinct parts.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # ascending, so bisect finds the largest allowed value that still fits
+    values = [v for v in range(1, n + 1) if part_filter is None or part_filter(v)]
+    items: list[Tuple[int, int]] = []
 
-    def walk() -> Iterator[Partition]:
-        # Iterative DFS; parts are chosen largest-first, so the (value,
-        # multiplicity) stack stays in canonical descending order and a
-        # snapshot is just a zip.  Memory is O(n) per stream.
-        if n == 0:
-            yield Partition._from_sorted_items((), 0)
+    def walk(rest: int, below: int) -> Iterator[Partition]:
+        # complete items with parts from values[:below] summing to rest
+        if rest == 0:
+            yield Partition._from_sorted_items(tuple(items), n)
             return
-        vals: list[int] = []
-        mults: list[int] = []
-        frames = [[n, n]]  # [remaining, next candidate part at this level]
-        while frames:
-            frame = frames[-1]
-            v = frame[1]
-            if part_filter is not None:
-                while v >= 1 and not part_filter(v):
-                    v -= 1
-            if v < 1:
-                # level exhausted: drop the frame and the part that opened it
-                frames.pop()
-                if frames:
-                    if mults[-1] == 1:
-                        vals.pop()
-                        mults.pop()
-                    else:
-                        mults[-1] -= 1
-                continue
-            frame[1] = v - 1
-            if vals and vals[-1] == v:
-                mults[-1] += 1
-            else:
-                vals.append(v)
-                mults.append(1)
-            remaining = frame[0] - v
-            if remaining == 0:
-                yield Partition._from_sorted_items(tuple(zip(vals, mults)), n)
-                if mults[-1] == 1:
-                    vals.pop()
-                    mults.pop()
-                else:
-                    mults[-1] -= 1
-            else:
-                frames.append([remaining, min(v, remaining)])
+        for i in range(bisect_right(values, rest, 0, below) - 1, -1, -1):
+            v = values[i]
+            for m in range(rest // v, 0, -1):
+                items.append((v, m))
+                yield from walk(rest - m * v, i)
+                items.pop()
 
-    return walk()
+    return walk(n, len(values))
 
 
 def t_regular_partitions(n: int, t: int) -> Iterator[Partition]:

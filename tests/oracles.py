@@ -1,10 +1,14 @@
 """Oracles and constructors that only the tests use.
 
 They are built from the library's ``Series`` ring (and, for the hand-typed
-hook forms, its t-regular series) alone, so a test that compares them with
-a production builder checks the builder against an independent derivation.
+hook forms, its t-regular series) or its ``Partition`` type alone, so a test
+that compares them with a production builder checks the builder against an
+independent derivation.
 """
 
+from typing import Callable, Iterator
+
+from hookcounts.partitions import Partition
 from hookcounts.series import Series, divide_unit, t_regular_gf
 
 
@@ -48,6 +52,58 @@ def pochhammer_product(first: int, step: int, order: int) -> Series:
         for i in range(order, e - 1, -1):
             c[i] -= c[i - e]
     return Series(c, order)
+
+
+def partitions_by_frames(
+    n: int, part_filter: Callable[[int], bool] | None = None
+) -> Iterator[Partition]:
+    """Partitions of n with allowed parts, by an iterative frame-stack DFS.
+
+    Each frame holds the weight left and the next candidate part, stepped
+    down by one (asking the filter again) until it is allowed.  The
+    differential oracle for the multiplicity-form walk of ``partitions_of``:
+    same partitions, same descending-lex order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield Partition()
+        return
+    vals: list[int] = []
+    mults: list[int] = []
+    frames = [[n, n]]  # [remaining, next candidate part at this level]
+    while frames:
+        frame = frames[-1]
+        v = frame[1]
+        if part_filter is not None:
+            while v >= 1 and not part_filter(v):
+                v -= 1
+        if v < 1:
+            # level exhausted: drop the frame and the part that opened it
+            frames.pop()
+            if frames:
+                if mults[-1] == 1:
+                    vals.pop()
+                    mults.pop()
+                else:
+                    mults[-1] -= 1
+            continue
+        frame[1] = v - 1
+        if vals and vals[-1] == v:
+            mults[-1] += 1
+        else:
+            vals.append(v)
+            mults.append(1)
+        remaining = frame[0] - v
+        if remaining == 0:
+            yield Partition(dict(zip(vals, mults)))
+            if mults[-1] == 1:
+                vals.pop()
+                mults.pop()
+            else:
+                mults[-1] -= 1
+        else:
+            frames.append([remaining, min(v, remaining)])
 
 
 def partition_gf(order: int) -> Series:

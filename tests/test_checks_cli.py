@@ -214,6 +214,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         "verify injection --map tau --t 3 --n-max 3",
         "verify injection --map phi --t 2 --n-max -1",
+        "verify injection --map phi2 --t 4 --n-max 40",  # every cell's domain is empty
+        "verify injection --map phi --t 2 --n-max 0",
         "verify theorem --which d --t-max 1",
         "verify theorem --which oracle --t-max 1 --n-max -1",
         "verify theorem --which oracle --k-max 0",
@@ -261,6 +263,13 @@ class TestCli:
         assert cli.main(argv.split()) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["n_max"] == 0 and payload["passed"]
+
+    def test_oracle_beyond_every_hook_length_passes(self, capsys):
+        # k up to 100 at n <= 10: the series route must not derive what is 0
+        argv = "verify theorem --which oracle --k-max 100 --n-max 10 --format json"
+        assert cli.main(argv.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["ks"] == list(range(1, 101)) and payload["passed"]
 
     def test_domain_error_exits_2(self, capsys):
         assert cli.main(["series", "--name", "bt1", "--t", "1", "--order", "5"]) == 2

@@ -75,6 +75,8 @@ class TestSeriesBuilders:
     def test_gf_matches_enum(self):
         assert btk_gf(2, 2, 6) == btk_enum(2, 2, 6)
         assert btk_gf(2, 4, 10) == btk_enum(2, 4, 10) == 13
+        # no hook is longer than n: answered without deriving the k = 100 table
+        assert btk_gf(2, 100, 5) == btk_enum(2, 100, 5) == 0
         with pytest.raises(ValueError, match="k must be at least 1"):
             btk_series(2, 0, 10)
         with pytest.raises(ValueError, match="order must be nonnegative"):

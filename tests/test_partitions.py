@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import partitions
+from hookcounts.injections import FAMILIES
 from hookcounts.partitions import (
     Partition,
     hook_multiset,
@@ -11,7 +12,7 @@ from hookcounts.partitions import (
     t_regular_partitions,
 )
 from hookcounts.series import t_regular_gf
-from oracles import partition_gf
+from oracles import partition_gf, partitions_by_frames
 
 P = Partition.parse
 
@@ -105,6 +106,18 @@ class TestEnumeration:
         got = [str(p) for p in partitions_of(5, lambda v: v % 2 == 1)]
         assert got == ["5", "3,1^2", "1^5"]
 
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_filter_called_once_per_value(self, n):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return v % 3 != 0
+
+        walked = list(partitions_of(n, counted))
+        assert sorted(calls) == list(range(1, n + 1))
+        assert len(walked) == sum(1 for _ in t_regular_partitions(n, 3))
+
     def test_t_regular_small_cases(self):
         assert {str(p) for p in t_regular_partitions(3, 2)} == {"3", "1^3"}
         assert {str(p) for p in t_regular_partitions(3, 4)} == {"3", "2,1", "1^3"}
@@ -177,3 +190,30 @@ class TestHooks:
         for n in range(31):
             for p in partitions_of(n):
                 assert hook_multiset(p).get(1, 0) == len(p.items())
+
+
+def _regular(t):
+    return lambda v: v % t != 0
+
+
+def _family_rule(family, t):
+    return lambda v: family.parts(v, t)
+
+
+WALK_FILTERS = (
+    [pytest.param(None, id="all")]
+    + [pytest.param(_regular(t), id=f"{t}-regular") for t in range(2, 7)]
+    + [
+        pytest.param(_family_rule(family, t), id=f"{name}-t{t}")
+        for name, family in FAMILIES.items()
+        for t in range(2, 6)
+    ]
+    + [pytest.param(lambda v: v != 1, id="no-ones"), pytest.param(lambda v: False, id="nothing")]
+)
+
+
+@pytest.mark.parametrize("part_filter", WALK_FILTERS)
+def test_walk_matches_frame_stack_oracle(part_filter):
+    # same partitions in the same order as the frame-stack walk it replaced
+    for n in range(29):
+        assert list(partitions_of(n, part_filter)) == list(partitions_by_frames(n, part_filter))
