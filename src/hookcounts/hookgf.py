@@ -12,7 +12,9 @@ the two routes is a real cross-check.  Builders are pure functions of their
 arguments.  Each makes a few O(order) passes over :func:`t_regular_gf`,
 which memoizes the Euler products, so the builders themselves keep no
 cache; :func:`btk_series` makes one pass per term of a table that it
-derives again on each call, at a cost small next to those passes.
+derives again on each call, up to the order only, at a cost small next to
+those passes.  The hook differences merge two such tables into one before
+the passes, so terms that cancel between them cost nothing.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def _parts_ge2_gf(t: int, order: int) -> Series:
     return T - T.shift(1)
 
 
-def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
-    """Terms {c: {e: coeff}} with b(t,k) = T * sum_c sum_e coeff q^e / (1 - q^(ct)).
+def _hook_terms(t: int, k: int, order: int) -> dict[int, dict[int, int]]:
+    """Terms {c: {e: coeff}}, e <= order, with b(t,k) = T * sum_c sum_e coeff q^e / (1 - q^(ct)).
 
     Read off the diagram: a cell of arm a in a row of length v has leg
     (r - 1) + N, where r is its row counted from the bottom among the rows
@@ -75,6 +77,9 @@ def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
     factor 1 - q^v of T cancels.  Which window parts are t-regular depends
     only on v mod t, so each monomial q^(c v - d) summed over v > a in one
     class becomes q^(c v0 - d) / (1 - q^(ct)), v0 the smallest such v.
+    Terms past the order are never derived: the window parts still to come
+    lower c v - d by at most a per unit of multiplicity left, so a state
+    whose lowest reachable exponent is past the order is dropped.
     """
     terms: dict[int, dict[int, int]] = {}
     for a in range(k):
@@ -88,6 +93,8 @@ def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
             for j in window:
                 grown: dict[tuple[int, int, int], int] = {}
                 for (n, c, d), x in states.items():
+                    if c * v - d - a * (room - n) > order:
+                        continue
                     for m in range(room - n + 1):
                         key = (n + m, c, d + j * m)
                         grown[key] = grown.get(key, 0) + x
@@ -95,22 +102,34 @@ def _hook_terms(t: int, k: int) -> dict[int, dict[int, int]]:
                         grown[key] = grown.get(key, 0) - x
                 states = grown
             for (_, c, d), x in states.items():
-                row = terms.setdefault(c, {})
-                row[c * v - d] = row.get(c * v - d, 0) + x
+                if c * v - d <= order:
+                    row = terms.setdefault(c, {})
+                    row[c * v - d] = row.get(c * v - d, 0) + x
     return {c: {e: x for e, x in row.items() if x} for c, row in terms.items()}
 
 
-def btk_series(t: int, k: int, order: int) -> Series:
-    """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
-    _check_tk(t, k)
-    if k > order:  # a partition of n has no hook longer than n
-        return Series((0,), order)
+def _hook_combination(t: int, weights: dict[int, int], order: int) -> Series:
+    """Series of sum_k w_k b(t,k) over ``weights`` {k: w_k}.
+
+    The weighted term tables are merged first, so terms that cancel between
+    them cost no pass.  Then one pass over T per term (x q^e T added into
+    its row) and, per row c, one pass to divide by 1 - q^(ct) and one to
+    add the row into the total.
+    """
+    merged: dict[int, dict[int, int]] = {}
+    for k, w in weights.items():
+        for c, row in _hook_terms(t, k, order).items():
+            into = merged.setdefault(c, {})
+            for e, x in row.items():
+                into[e] = into.get(e, 0) + w * x
     T = t_regular_gf(t, order).coeffs
     total = [0] * (order + 1)
-    for c, row in _hook_terms(t, k).items():
+    for c, row in merged.items():
+        row = {e: x for e, x in row.items() if x}
+        if not row:
+            continue
         acc = [0] * (order + 1)
-        # acc += x q^e T; a term past the order leaves an empty slice
-        for e, x in row.items():
+        for e, x in row.items():  # acc += x q^e T
             if x == 1:
                 acc[e:] = map(add, acc[e:], T)
             elif x == -1:
@@ -124,6 +143,14 @@ def btk_series(t: int, k: int, order: int) -> Series:
     return Series(total, order)
 
 
+def btk_series(t: int, k: int, order: int) -> Series:
+    """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
+    _check_tk(t, k)
+    if k > order:  # a partition of n has no hook longer than n
+        return Series((0,), order)
+    return _hook_combination(t, {k: 1}, order)
+
+
 def btk_gf(t: int, k: int, n: int) -> int:
     """Hook count read off the generating function."""
     _check_tk(t, k)
@@ -133,11 +160,11 @@ def btk_gf(t: int, k: int, n: int) -> int:
 
 
 def diff_bt2_bt1(t: int, order: int) -> Series:
-    return btk_series(t, 2, order) - btk_series(t, 1, order)
+    return _hook_combination(t, {2: 1, 1: -1}, order)
 
 
 def diff_bt2_bt3(t: int, order: int) -> Series:
-    return btk_series(t, 2, order) - btk_series(t, 3, order)
+    return _hook_combination(t, {2: 1, 3: -1}, order)
 
 
 def decomposition_series(name: str, t: int, order: int) -> Series:

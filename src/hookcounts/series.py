@@ -8,13 +8,15 @@ across threads and to cache.
 The Euler products ``(q^s;q^s)_inf`` are written down term by term from
 Euler's pentagonal number theorem, in O(order) time.  Only the t-regular
 counting series :func:`t_regular_gf` is memoized per argument tuple: its
-unit division costs O(order * sqrt(order)).  Everything built from it is a
-few O(order) shifts and is recomputed on each call.
+unit division makes O(order * sqrt(order)) big-integer additions, gathered
+and summed in C a group of divisor offsets at a time.  Everything built
+from it is a few O(order) passes and is recomputed on each call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 
@@ -146,23 +148,41 @@ def pochhammer_inf(s: int, order: int) -> Series:
 def divide_unit(num: Series, den: Series) -> Series:
     """Exact division by a series with constant term +1 or -1.
 
-    Cost is O(order * nnz(den)), which makes division by sparse products
-    such as pochhammer_inf(1, N) cheap.
+    The divisor's nonzero tail offsets are grouped by coefficient (the Euler
+    products have two groups, +1 and -1).  Each quotient coefficient then
+    costs, per group, one ``itemgetter`` gather of the earlier quotient terms
+    at those offsets and one ``sum``, both in C; a group's getter is rebuilt
+    only when a new offset comes into range.  The work is still
+    O(order * nnz(den)) big-integer additions, but the interpreter steps once
+    per coefficient and group, not once per offset.
     """
     n = min(num.order, den.order)
     d0 = den.coeffs[0]
     if d0 not in (1, -1):
         raise ValueError("divisor must have constant term 1 or -1")
-    tail = [(j, c) for j, c in enumerate(den.coeffs[1 : n + 1], start=1) if c]
-    q = [0] * (n + 1)
-    for i in range(n + 1):
-        acc = num.coeffs[i]
-        for j, c in tail:
-            if j > i:
-                break
-            acc -= c * q[i - j]
-        q[i] = acc if d0 == 1 else -acc
-    return Series(q, n)
+    # q[i] = d0 * (num[i] - sum_j den[j] q[i-j]), with d0 folded into both
+    offsets: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for j, c in enumerate(den.coeffs[1 : n + 1], start=1):
+        if c:
+            offsets.append(j)
+            groups.setdefault(d0 * c, []).append(j)
+    numc = num.coeffs if d0 == 1 else [-a for a in num.coeffs]
+    # After a leading sentinel 0, q[-j] is the quotient term j places back,
+    # and a getter over the sentinel and one offset still returns a tuple.
+    q = [0]
+    for lo, hi in zip([0] + offsets, offsets + [n + 1]):
+        gets = [
+            (c, itemgetter(0, *[-j for j in js if j <= lo]))
+            for c, js in groups.items()
+            if js[0] <= lo
+        ]
+        for i in range(lo, hi):
+            acc = numc[i]
+            for c, get in gets:
+                acc -= c * sum(get(q))
+            q.append(acc)
+    return Series(q[1:], n)
 
 
 @lru_cache(maxsize=None)

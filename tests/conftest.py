@@ -29,3 +29,14 @@ def unit_series(draw, order: int = 12, max_abs: int = 8):
     s = draw(small_series(order=order, max_abs=max_abs))
     lead = draw(st.sampled_from((1, -1)))
     return Series((lead,) + s.coeffs[1:], order)
+
+
+@st.composite
+def gappy_unit_series(draw, max_order: int = 40):
+    """Constant term +1 or -1, then runs of zeros between unbounded integers."""
+    order = draw(st.integers(0, max_order))
+    coeffs = [draw(st.sampled_from((1, -1)))]
+    while len(coeffs) <= order:
+        coeffs += [0] * draw(st.integers(0, 6))
+        coeffs.append(draw(st.integers()))
+    return Series(coeffs, order)

@@ -54,6 +54,29 @@ def pochhammer_product(first: int, step: int, order: int) -> Series:
     return Series(c, order)
 
 
+def divide_unit_by_offsets(num: Series, den: Series) -> Series:
+    """Exact division by a unit series, one interpreter step per divisor offset.
+
+    The differential oracle for the grouped-offset ``divide_unit``: each
+    quotient coefficient subtracts ``c * q[i - j]`` for every nonzero
+    divisor term ``c q^j`` in range, then divides by the constant term.
+    """
+    n = min(num.order, den.order)
+    d0 = den.coeffs[0]
+    if d0 not in (1, -1):
+        raise ValueError("divisor must have constant term 1 or -1")
+    tail = [(j, c) for j, c in enumerate(den.coeffs[1 : n + 1], start=1) if c]
+    q = [0] * (n + 1)
+    for i in range(n + 1):
+        acc = num.coeffs[i]
+        for j, c in tail:
+            if j > i:
+                break
+            acc -= c * q[i - j]
+        q[i] = acc if d0 == 1 else -acc
+    return Series(q, n)
+
+
 def partitions_by_frames(
     n: int, part_filter: Callable[[int], bool] | None = None
 ) -> Iterator[Partition]:

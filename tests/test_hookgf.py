@@ -25,6 +25,9 @@ from oracles import (
     hook3_marker_by_runs,
 )
 
+# above every exponent of the k <= 8 tables, so that nothing is pruned
+UNPRUNED = 10**6
+
 
 class TestEnumOracle:
     def test_boundary_pairs(self):
@@ -77,6 +80,8 @@ class TestSeriesBuilders:
         assert btk_gf(2, 4, 10) == btk_enum(2, 4, 10) == 13
         # no hook is longer than n: answered without deriving the k = 100 table
         assert btk_gf(2, 100, 5) == btk_enum(2, 100, 5) == 0
+        # long hooks at a short order: the pruned table stays small
+        assert btk_gf(2, 40, 50) == btk_enum(2, 40, 50) == 150
         with pytest.raises(ValueError, match="k must be at least 1"):
             btk_series(2, 0, 10)
         with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -112,10 +117,27 @@ class TestDerivedSeries:
 
     def test_term_counts(self):
         def count(t, k):
-            return sum(len(row) for row in _hook_terms(t, k).values())
+            return sum(len(row) for row in _hook_terms(t, k, UNPRUNED).values())
 
         assert [count(2, k) for k in range(1, 8)] == [1, 2, 4, 8, 13, 20, 31]
         assert [count(6, k) for k in range(1, 8)] == [5, 14, 23, 37, 66, 98, 149]
+
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_pruned_terms_are_the_table_cut_at_the_order(self, t):
+        for k in range(1, 9):
+            full = _hook_terms(t, k, UNPRUNED)
+            for order in (k, 2 * k, 30):
+                cut = {c: {e: x for e, x in row.items() if e <= order} for c, row in full.items()}
+                assert _hook_terms(t, k, order) == {c: row for c, row in cut.items() if row}
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
+    def test_merged_differences_match_difference_of_series(self, t):
+        # o = 0, 1, 2 are the orders at which some of the hook tables are empty
+        for o in range(301):
+            two = btk_series(t, 2, o)
+            assert diff_bt2_bt1(t, o) == two - btk_series(t, 1, o)
+            assert diff_bt2_bt3(t, o) == two - btk_series(t, 3, o)
 
 
 class TestThreeHookClosedForms:

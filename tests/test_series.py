@@ -2,9 +2,17 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import small_series, unit_series
+from conftest import gappy_unit_series, small_series, unit_series
 from hookcounts.series import Series, csv_lines, divide_unit, pochhammer_inf, t_regular_gf
-from oracles import geometric, monomial, one, partition_gf, pochhammer_product, zero
+from oracles import (
+    divide_unit_by_offsets,
+    geometric,
+    monomial,
+    one,
+    partition_gf,
+    pochhammer_product,
+    zero,
+)
 
 
 def S(*coeffs, order=None):
@@ -131,6 +139,18 @@ class TestDivision:
     @given(small_series(), unit_series())
     def test_division_inverts_multiplication(self, a, b):
         assert divide_unit(a * b, b) == a
+
+    @given(st.lists(st.integers(), min_size=1, max_size=41), gappy_unit_series())
+    def test_matches_per_offset_oracle(self, num, den):
+        num = Series(num)
+        assert divide_unit(num, den) == divide_unit_by_offsets(num, den)
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_euler_quotient_matches_per_offset_oracle(self, t):
+        num, den = pochhammer_inf(t, 2000), pochhammer_inf(1, 2000)
+        expected = divide_unit_by_offsets(num, den)
+        assert divide_unit(num, den) == expected
+        assert t_regular_gf(t, 2000) == expected
 
     def test_big_coefficients_vs_dp_oracle(self):
         # independent oracle: classic coin-style DP over part sizes
