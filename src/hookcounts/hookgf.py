@@ -7,14 +7,14 @@ Two independent routes to the same numbers:
 * :func:`btk_series` expands, in exact truncated arithmetic, a generating
   function derived for each (t, k) from the arm and leg of a diagram cell.
 
-They deliberately share no code beyond the Partition type, so agreement of
-the two routes is a real cross-check.  Builders are pure functions of their
-arguments.  Each makes a few O(order) passes over :func:`t_regular_gf`,
-which memoizes the Euler products, so the builders themselves keep no
-cache; :func:`btk_series` makes one pass per term of a table that it
-derives again on each call, up to the order only, at a cost small next to
-those passes.  The hook differences merge two such tables into one before
-the passes, so terms that cancel between them cost nothing.
+They deliberately share no code, so agreement of the two routes is a real
+cross-check.  Every series here is a numerator table: T, the t-regular
+series (the one memoized build), times a sum of polynomials over 1 - q^m,
+which one pass loop, :func:`_combination`, evaluates in one O(order) pass
+per term.  The k-hook tables are derived on each call, up to the order
+only; the family counts and the pieces B and F are typed by hand.  Piece
+A is family O's count, C is R's; A's table counts A only for t != 3.
+Differences merge their tables first, so cancelling terms cost nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def btk_enum(t: int, k: int, n: int) -> int:
 
 def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Hook counts for all (k, n) with k in ks and n <= n_max, one sweep per n."""
+    if not ks:
+        raise ValueError("need at least one k")
     _check_tk(t, min(ks))
     table = {(k, n): 0 for k in ks for n in range(n_max + 1)}
     for n in range(n_max + 1):
@@ -57,14 +59,13 @@ def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, i
     return table
 
 
-def _parts_ge2_gf(t: int, order: int) -> Series:
-    """Generating function of t-regular partitions with every part >= 2."""
-    T = t_regular_gf(t, order)
-    return T - T.shift(1)
+# {m: {e: x}} stands for T * sum_m (sum_e x q^e) / (1 - q^m), T = t_regular_gf(t);
+# a row m = 0 divides by nothing
+Table = dict[int, dict[int, int]]
 
 
-def _hook_terms(t: int, k: int, order: int) -> dict[int, dict[int, int]]:
-    """Terms {c: {e: coeff}}, e <= order, with b(t,k) = T * sum_c sum_e coeff q^e / (1 - q^(ct)).
+def _hook_terms(t: int, k: int, order: int) -> Table:
+    """The table of b(t,k), its terms cut at the order: every row has m = c t.
 
     Read off the diagram: a cell of arm a in a row of length v has leg
     (r - 1) + N, where r is its row counted from the bottom among the rows
@@ -81,7 +82,7 @@ def _hook_terms(t: int, k: int, order: int) -> dict[int, dict[int, int]]:
     lower c v - d by at most a per unit of multiplicity left, so a state
     whose lowest reachable exponent is past the order is dropped.
     """
-    terms: dict[int, dict[int, int]] = {}
+    terms: Table = {}
     for a in range(k):
         room = k - 1 - a
         for v in range(a + 1, a + 1 + t):
@@ -103,44 +104,49 @@ def _hook_terms(t: int, k: int, order: int) -> dict[int, dict[int, int]]:
                 states = grown
             for (_, c, d), x in states.items():
                 if c * v - d <= order:
-                    row = terms.setdefault(c, {})
+                    row = terms.setdefault(c * t, {})
                     row[c * v - d] = row.get(c * v - d, 0) + x
-    return {c: {e: x for e, x in row.items() if x} for c, row in terms.items()}
+    return {m: {e: x for e, x in row.items() if x} for m, row in terms.items()}
 
 
-def _hook_combination(t: int, weights: dict[int, int], order: int) -> Series:
-    """Series of sum_k w_k b(t,k) over ``weights`` {k: w_k}.
+def _merge(plus: Table, minus: Table) -> Table:
+    """The table of the first series minus the second; cancelled terms read 0."""
+    merged = {m: dict(row) for m, row in plus.items()}
+    for m, row in minus.items():
+        into = merged.setdefault(m, {})
+        for e, x in row.items():
+            into[e] = into.get(e, 0) - x
+    return merged
 
-    The weighted term tables are merged first, so terms that cancel between
-    them cost no pass.  Then one pass over T per term (x q^e T added into
-    its row) and, per row c, one pass to divide by 1 - q^(ct) and one to
-    add the row into the total.
+
+def _combination(t: int, table: Table, order: int) -> Series:
+    """The series of ``table``, in one O(order) pass per term and row.
+
+    A row starts as its first term times T, adds the others and, unless
+    m = 0, is divided by 1 - q^m; the first row becomes the running total,
+    each later one is added in.  Zero terms and terms past the order are skipped.
     """
-    merged: dict[int, dict[int, int]] = {}
-    for k, w in weights.items():
-        for c, row in _hook_terms(t, k, order).items():
-            into = merged.setdefault(c, {})
-            for e, x in row.items():
-                into[e] = into.get(e, 0) + w * x
     T = t_regular_gf(t, order).coeffs
-    total = [0] * (order + 1)
-    for c, row in merged.items():
-        row = {e: x for e, x in row.items() if x}
-        if not row:
+    total = None
+    for m, row in table.items():
+        terms = [(e, x) for e, x in row.items() if x and e <= order]
+        if not terms:
             continue
-        acc = [0] * (order + 1)
-        for e, x in row.items():  # acc += x q^e T
+        (e, x), *rest = terms
+        acc = [0] * e
+        acc += T[: order + 1 - e] if x == 1 else map(x.__mul__, T[: order + 1 - e])
+        for e, x in rest:  # acc += x q^e T
             if x == 1:
                 acc[e:] = map(add, acc[e:], T)
             elif x == -1:
                 acc[e:] = map(sub, acc[e:], T)
             else:
                 acc[e:] = map(add, acc[e:], map(x.__mul__, T))
-        step = c * t  # then acc /= 1 - q^step
-        for i in range(step, order + 1):
-            acc[i] += acc[i - step]
-        total = list(map(add, total, acc))
-    return Series(total, order)
+        if m:  # acc /= 1 - q^m
+            for i in range(m, order + 1):
+                acc[i] += acc[i - m]
+        total = acc if total is None else list(map(add, total, acc))
+    return Series(total or (0,), order)
 
 
 def btk_series(t: int, k: int, order: int) -> Series:
@@ -148,7 +154,7 @@ def btk_series(t: int, k: int, order: int) -> Series:
     _check_tk(t, k)
     if k > order:  # a partition of n has no hook longer than n
         return Series((0,), order)
-    return _hook_combination(t, {k: 1}, order)
+    return _combination(t, _hook_terms(t, k, order), order)
 
 
 def btk_gf(t: int, k: int, n: int) -> int:
@@ -160,77 +166,80 @@ def btk_gf(t: int, k: int, n: int) -> int:
 
 
 def diff_bt2_bt1(t: int, order: int) -> Series:
-    return _hook_combination(t, {2: 1, 1: -1}, order)
+    return _combination(t, _merge(_hook_terms(t, 2, order), _hook_terms(t, 1, order)), order)
 
 
 def diff_bt2_bt3(t: int, order: int) -> Series:
-    return _hook_combination(t, {2: 1, 3: -1}, order)
+    return _combination(t, _merge(_hook_terms(t, 2, order), _hook_terms(t, 3, order)), order)
+
+
+def _family_table(set_id: str, t: int) -> Table:
+    """The counting table of a family, written from its definition in ``FAMILIES``.
+
+    Parts other than 1 under t-regularity give T (1 - q), the 1-count rule
+    the rest.  A's 1 - q^3 drops the part 3, which T has only if t != 3.
+    """
+    s = 2 * t
+    tables = {
+        "O": {2: {1: 1, 2: -1}},  # (1 - q) q / (1 - q^2)
+        "R": {s: {s + 1: 1}},  # the part 2t allowed, 2t + 1 at least once
+        # (1 - q)(1 - q^3) q^(2t-2) / (1 - q^2t)
+        "A": {s: {s - 2: 1, s - 1: -1, s + 1: -1, s + 2: 1}},
+        "S": {6: {2: 1, 3: -1, 4: 1, 5: -1}},  # (1 - q)(q^2 + q^4) / (1 - q^6)
+        "B": {6: {2: 1, 3: -1, 5: 1, 6: -1}},  # (1 - q)(q^2 + q^5) / (1 - q^6)
+        "C": {6: {3: 1, 4: -1}},  # (1 - q) q^3 / (1 - q^6)
+        "D1": {12: {4: 1, 5: -1}},  # (1 - q) q^4 / (1 - q^12)
+        "D2": {12: {6: 1, 7: -1}},  # (1 - q) q^6 / (1 - q^12)
+    }
+    if set_id not in tables:
+        raise ValueError(f"unknown set id {set_id!r}")
+    return tables[set_id]
+
+
+def _piece_table(name: str, t: int) -> Table:
+    """The table of a decomposition piece: A is O's, C is R's, D = S - A, E = B - C."""
+    s, r = 2 * t, 3 * t
+    if name in ("A", "C"):
+        return _family_table("O" if name == "A" else "R", t)
+    if name in ("D", "E"):
+        plus, minus = ("S", "A") if name == "D" else ("B", "C")
+        return _merge(_family_table(plus, t), _family_table(minus, t))
+    if name == "B":  # (1 - q) q^(2t-1) / (1 - q^2t)
+        return {s: {s - 1: 1, s: -1}}
+    if name == "F":  # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
+        return {r: {r - 3: 1, r - 2: -1, r - 1: -1, r: 2, r + 1: -1, r + 2: -1, r + 3: 1}}
+    raise ValueError(f"unknown decomposition series {name!r}")
 
 
 def decomposition_series(name: str, t: int, order: int) -> Series:
     """The six named pieces of the 2-hook minus 1-hook and 2-hook minus 3-hook splits.
 
-    A counts t-regular partitions with an odd number of 1s; C counts
-    partitions avoiding multiples of t other than 2t that contain the part
-    2t+1.  B has no set interpretation and is exposed as a series only.
-    D and E are differences of the family counting series of
-    :func:`set_cardinality_series`, whose A, B, C name families, not the
-    pieces here: D = S - A and E = B - C, so their sign statements are
-    those of the injections A -> S and C -> B.
-    -A + B + C equals the 2-hook minus 1-hook difference for every t, and
-    D + E + F the 2-hook minus 3-hook difference for t >= 3; at t = 2 the
-    latter matches the generic four-term 3-hook form, which over-counts
-    3-hooks at t = 2 (first at n = 6), instead of true 3-hook counts.
+    A is the family O's count and C is R's; B has no set interpretation.
+    D = S - A and E = B - C are differences of the counts of the families
+    A, B, C (not the pieces), so their signs are those of the injections
+    A -> S and C -> B; A's series counts A only for t != 3.  -A + B + C is
+    the 2-hook minus 1-hook difference for every t, and D + E + F the 2-hook
+    minus 3-hook one for t >= 3; at t = 2 it matches the four-term 3-hook
+    form, which over-counts 3-hooks (first at n = 6).
     """
     _check_tk(t, 1)
-    T = t_regular_gf(t, order)
-    U = _parts_ge2_gf(t, order)
-    if name == "A":
-        return U.shift(1).times_geometric(2)
-    if name == "B":
-        return U.shift(2 * t - 1).times_geometric(2 * t)
-    if name == "C":
-        return T.shift(2 * t + 1).times_geometric(2 * t)
-    if name == "D":
-        return set_cardinality_series("S", t, order) - set_cardinality_series("A", t, order)
-    if name == "E":
-        return set_cardinality_series("B", t, order) - set_cardinality_series("C", t, order)
-    if name == "F":
-        v = U - U.shift(2)
-        w = v + v.shift(3)
-        return w.shift(3 * t - 3).times_geometric(3 * t)
-    raise ValueError(f"unknown decomposition series {name!r}")
+    return _combination(t, _piece_table(name, t), order)
 
 
 def set_cardinality_series(set_id: str, t: int, order: int) -> Series:
-    """Counting series for the frequency-congruence partition families.
+    """Counting series of a partition family of ``injections.FAMILIES``.
 
-    S: t-regular, number of 1s congruent to 2 or 4 mod 6.
-    A: t-regular, no part 3, number of 1s congruent to -2 mod 2t.
-    B: t-regular, number of 1s congruent to 2 or 5 mod 6.
-    C: t-regular, number of 1s congruent to 3 mod 6.
-    D1/D2 (t=2 only): 2-regular, number of 1s congruent to 4 resp. 6 mod 12.
-
-    The A series matches the predicate count only when t is not 3; for t=3
-    the displayed product is still built but is no longer a counting series.
+    O: t-regular, an odd number of 1s.  R: no part a multiple of t but 2t,
+    the part 2t+1 present.  A: t-regular, no part 3, 1-count -2 mod 2t.
+    S, B, C: t-regular, 1-count 2 or 4, 2 or 5, resp. 3 mod 6.
+    D1/D2 (t=2 only): 2-regular, 1-count 4 resp. 6 mod 12.  A's series
+    counts A only when t is not 3: at t = 3 it first differs at n = 7 (no
+    member, coefficient -1).
     """
     _check_tk(t, 1)
     if set_id in ("D1", "D2") and t != 2:
         raise ValueError("D1 and D2 are defined for t=2 only")
-    U = _parts_ge2_gf(t, order)
-    if set_id == "S":
-        return (U.shift(2) + U.shift(4)).times_geometric(6)
-    if set_id == "A":
-        return (U - U.shift(3)).shift(2 * t - 2).times_geometric(2 * t)
-    if set_id == "B":
-        return (U.shift(2) + U.shift(5)).times_geometric(6)
-    if set_id == "C":
-        return U.shift(3).times_geometric(6)
-    if set_id == "D1":
-        return U.shift(4).times_geometric(12)
-    if set_id == "D2":
-        return U.shift(6).times_geometric(12)
-    raise ValueError(f"unknown set id {set_id!r}")
+    return _combination(t, _family_table(set_id, t), order)
 
 
 def t2_remainder_series(order: int) -> Series:
@@ -239,8 +248,7 @@ def t2_remainder_series(order: int) -> Series:
     Nonnegativity of this series away from n in {3, 6} is the convexity
     input behind the t=2 sign analysis of E.
     """
-    U = _parts_ge2_gf(2, order)
-    return U.shift(2) - U.shift(3)
+    return _combination(2, {0: {2: 1, 3: -2, 4: 1}}, order)
 
 
 def distinct_partition_count(n: int) -> int:

@@ -1,9 +1,9 @@
 """Oracles and constructors that only the tests use.
 
 They are built from the library's ``Series`` ring (and, for the hand-typed
-hook forms, its t-regular series) or its ``Partition`` type alone, so a test
-that compares them with a production builder checks the builder against an
-independent derivation.
+hook forms and the series chains, its t-regular series) or its ``Partition``
+type alone, so a test that compares them with a production builder checks
+the builder against an independent derivation.
 """
 
 from typing import Callable, Iterator
@@ -226,3 +226,59 @@ def bt3_t2_form(order: int) -> Series:
         + T.shift(6).times_geometric(4)
         + T.shift(3).times_geometric(6)
     )
+
+
+# The decomposition pieces and family counts as chains of ``Series`` ring
+# operations over the parts-at-least-2 series; the differential reference
+# for the numerator tables of ``hookgf``.
+
+
+def parts_ge2_gf(t: int, order: int) -> Series:
+    """Generating function of t-regular partitions with every part >= 2."""
+    T = t_regular_gf(t, order)
+    return T - T.shift(1)
+
+
+def set_cardinality_chain(set_id: str, t: int, order: int) -> Series:
+    """Counting series of the families S, A, B, C and, at t = 2, D1 and D2."""
+    U = parts_ge2_gf(t, order)
+    if set_id == "S":
+        return (U.shift(2) + U.shift(4)).times_geometric(6)
+    if set_id == "A":
+        return (U - U.shift(3)).shift(2 * t - 2).times_geometric(2 * t)
+    if set_id == "B":
+        return (U.shift(2) + U.shift(5)).times_geometric(6)
+    if set_id == "C":
+        return U.shift(3).times_geometric(6)
+    if set_id == "D1":
+        return U.shift(4).times_geometric(12)
+    if set_id == "D2":
+        return U.shift(6).times_geometric(12)
+    raise ValueError(f"unknown set id {set_id!r}")
+
+
+def decomposition_chain(name: str, t: int, order: int) -> Series:
+    """The pieces A..F of the 2-hook minus 1-hook and 2-hook minus 3-hook splits."""
+    T = t_regular_gf(t, order)
+    U = parts_ge2_gf(t, order)
+    if name == "A":
+        return U.shift(1).times_geometric(2)
+    if name == "B":
+        return U.shift(2 * t - 1).times_geometric(2 * t)
+    if name == "C":
+        return T.shift(2 * t + 1).times_geometric(2 * t)
+    if name == "D":
+        return set_cardinality_chain("S", t, order) - set_cardinality_chain("A", t, order)
+    if name == "E":
+        return set_cardinality_chain("B", t, order) - set_cardinality_chain("C", t, order)
+    if name == "F":
+        v = U - U.shift(2)
+        w = v + v.shift(3)
+        return w.shift(3 * t - 3).times_geometric(3 * t)
+    raise ValueError(f"unknown decomposition series {name!r}")
+
+
+def t2_remainder_chain(order: int) -> Series:
+    """(q^2 - q^3)(1 - q)(q^2;q^2)_inf / (q;q)_inf."""
+    U = parts_ge2_gf(2, order)
+    return U.shift(2) - U.shift(3)

@@ -1,8 +1,12 @@
+import ast
+import inspect
+import types
+
 import pytest
 
+from hookcounts import hookgf, partitions
 from hookcounts.hookgf import (
     _hook_terms,
-    _parts_ge2_gf,
     btk_enum,
     btk_enum_table,
     btk_gf,
@@ -22,7 +26,11 @@ from oracles import (
     bt2_form,
     bt3_four_term_form,
     bt3_t2_form,
+    decomposition_chain,
     hook3_marker_by_runs,
+    parts_ge2_gf,
+    set_cardinality_chain,
+    t2_remainder_chain,
 )
 
 # above every exponent of the k <= 8 tables, so that nothing is pruned
@@ -46,6 +54,8 @@ class TestEnumOracle:
             btk_enum(2, 0, 5)
         with pytest.raises(ValueError):
             btk_enum(2, 1, -1)
+        with pytest.raises(ValueError, match="need at least one k"):
+            btk_enum_table(2, 5, ())
 
     def test_any_hook_length_supported(self):
         # no closed form needed: enumeration handles k = 7 too
@@ -230,12 +240,12 @@ class TestDSeries:
         assert decomposition_series("D", 2, 10)[6] == -1
 
     def test_t3_collapses_to_two_term_form(self):
-        u = _parts_ge2_gf(3, 200)
+        u = parts_ge2_gf(3, 200)
         closed = (u.shift(2) + u.shift(7)).times_geometric(6)
         assert closed.coeffs == decomposition_series("D", 3, 200).coeffs
 
     def test_t2_period_twelve_split(self):
-        u = _parts_ge2_gf(2, 200)
+        u = parts_ge2_gf(2, 200)
         nonneg_part = (
             u.shift(5) + u.shift(8) + u.shift(9) + u.shift(13)
         ).times_geometric(12)
@@ -247,7 +257,9 @@ class TestDSeries:
         assert split.coeffs == decomposition_series("D", 2, 200).coeffs
 
 
-SET_CASES = [(2, "S"), (4, "S"), (4, "A"), (5, "A"), (4, "B"), (5, "C")]
+SET_CASES = [(t, k) for t in range(2, 7) for k in FAMILIES if t == 2 or k not in ("D1", "D2")]
+# checked up to n = 40 since before every family was covered; the rest up to n = 24
+WIDE_SET_CASES = {(2, "S"), (4, "S"), (4, "A"), (5, "A"), (4, "B"), (5, "C")}
 
 
 class TestSetSeries:
@@ -255,11 +267,15 @@ class TestSetSeries:
         "t,set_id", SET_CASES, ids=[f"{t}-{k}-in_{k.lower()}" for t, k in SET_CASES]
     )
     def test_counting_series_match_predicates(self, t, set_id):
-        s = set_cardinality_series(set_id, t, 40)
-        contains = FAMILIES[set_id].contains
-        for n in range(41):
-            count = sum(1 for p in t_regular_partitions(n, t) if contains(p, t))
-            assert count == s[n]
+        n_max = 40 if (t, set_id) in WIDE_SET_CASES else 24
+        s = set_cardinality_series(set_id, t, n_max)
+        counts = tuple(sum(1 for _ in FAMILIES[set_id].members(n, t)) for n in range(n_max + 1))
+        if (t, set_id) == (3, "A"):
+            # the factor 1 - q^3 removes a part 3 that no 3-regular partition has
+            first = next(n for n in range(n_max + 1) if counts[n] != s[n])
+            assert (first, counts[first], s[first]) == (7, 0, -1)
+        else:
+            assert counts == s.coeffs
 
     def test_t2_residue_families(self):
         d1 = set_cardinality_series("D1", 2, 40)
@@ -292,6 +308,63 @@ class TestSetSeries:
             set_cardinality_series("D1", 3, 10)
         with pytest.raises(ValueError):
             set_cardinality_series("X", 2, 10)
+
+
+class TestTablesMatchSeriesChains:
+    """The numerator tables against the ``Series`` operator chains they replace."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
+    def test_every_order(self, t):
+        sets = ("S", "A", "B", "C") + (("D1", "D2") if t == 2 else ())
+        for o in range(301):
+            for name in "ABCDEF":
+                assert decomposition_series(name, t, o) == decomposition_chain(name, t, o)
+            for set_id in sets:
+                assert set_cardinality_series(set_id, t, o) == set_cardinality_chain(set_id, t, o)
+            assert set_cardinality_series("O", t, o) == decomposition_chain("A", t, o)
+            assert set_cardinality_series("R", t, o) == decomposition_chain("C", t, o)
+            if t == 2:
+                assert t2_remainder_series(o) == t2_remainder_chain(o)
+
+
+def _code_names(code: types.CodeType) -> set[str]:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+class TestRouteIndependence:
+    """The series route shares no logic with the enumeration route."""
+
+    def test_hookgf_does_not_import_injections(self):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(hookgf))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        assert "series.t_regular_gf" in imported  # the scan sees the relative imports
+        assert not any("injections" in name.split(".") for name in imported)
+
+    def test_series_builders_use_no_partitions_name(self):
+        bound = {
+            name
+            for name, value in vars(partitions).items()
+            if getattr(value, "__module__", None) == partitions.__name__
+        }
+        assert {"Partition", "partitions_of", "hook_multiset"} <= bound
+        bound.add("partitions")
+        builders = (
+            hookgf._combination,
+            hookgf._merge,
+            hookgf._hook_terms,
+            hookgf._family_table,
+            hookgf._piece_table,
+        )
+        for f in builders:
+            assert not _code_names(f.__code__) & bound, f.__name__
 
 
 class TestRemainderSeries:
