@@ -89,6 +89,8 @@ def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
     """
     if t_max < 2 or n_max < 3:
         raise ValueError("need t_max >= 2 and n_max >= 3")
+    if enum_limit < 0:
+        raise ValueError("enum_limit must be nonnegative")
     failures = []
     mismatches = []
     enum_to = min(enum_limit, n_max)

@@ -3,7 +3,7 @@
 Two independent routes to the same numbers:
 
 * :func:`btk_enum` walks every t-regular partition of n and counts cells of
-  the requested hook length directly on the diagram.
+  the requested hook length on the diagram's boundary path.
 * :func:`btk_series` expands, in exact truncated arithmetic, a generating
   function derived for each (t, k) from the arm and leg of a diagram cell.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .partitions import hook_multiset, t_regular_partitions
+from .partitions import boundary_masks, t_regular_partitions
 from .series import Series, t_regular_gf
 
 
@@ -37,25 +37,26 @@ def btk_enum(t: int, k: int, n: int) -> int:
     _check_tk(t, k)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    for p in t_regular_partitions(n, t):
-        total += hook_multiset(p).get(k, 0)
-    return total
+    masks = map(boundary_masks, t_regular_partitions(n, t))
+    return sum((east & (north >> k)).bit_count() for east, north in masks)
 
 
 def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """Hook counts for all (k, n) with k in ks and n <= n_max, one sweep per n."""
+    """Hook counts for all (k, n) with k in ks and n <= n_max, one sweep per n.
+
+    A partition costs a pass over its distinct parts and a mask AND per k.
+    """
     if not ks:
         raise ValueError("need at least one k")
     _check_tk(t, min(ks))
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     table = {(k, n): 0 for k in ks for n in range(n_max + 1)}
     for n in range(n_max + 1):
         for p in t_regular_partitions(n, t):
-            counts = hook_multiset(p)
+            east, north = boundary_masks(p)
             for k in ks:
-                c = counts.get(k, 0)
-                if c:
-                    table[(k, n)] += c
+                table[k, n] += (east & (north >> k)).bit_count()
     return table
 
 

@@ -165,32 +165,47 @@ def partitions_of(n: int, part_filter: Callable[[int], bool] | None = None) -> I
     """Yield the partitions of n whose parts all satisfy ``part_filter``.
 
     Order is descending lexicographic on the expanded part list, e.g. for
-    n=4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1), because the walk picks part
-    values largest first and gives each the largest multiplicity first.  The
-    order is stable and is relied on by golden tests.  n=0 yields exactly the
-    empty partition.  ``part_filter`` is called once for each v from 1 to
-    n, before the walk starts; the walk keeps (part, multiplicity) pairs, so it
-    recurses at most one level deeper than the number of distinct parts.
+    n=4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1); golden tests rely on it.
+    n=0 yields exactly the empty partition.  ``part_filter`` is called once
+    for each v from 1 to n, before the walk.  One loop over (part,
+    multiplicity) items fills the weight left greedily, yields if none is
+    left, takes one copy off the last item and fills again from the values
+    below it; a remainder the fill cannot place is carried along.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     # ascending, so bisect finds the largest allowed value that still fits
     values = [v for v in range(1, n + 1) if part_filter is None or part_filter(v)]
-    items: list[Tuple[int, int]] = []
 
-    def walk(rest: int, below: int) -> Iterator[Partition]:
-        # complete items with parts from values[:below] summing to rest
-        if rest == 0:
-            yield Partition._from_sorted_items(tuple(items), n)
-            return
-        for i in range(bisect_right(values, rest, 0, below) - 1, -1, -1):
-            v = values[i]
-            for m in range(rest // v, 0, -1):
+    def walk() -> Iterator[Partition]:
+        idx: list[int] = []  # index into values of each item's part
+        items: list[Tuple[int, int]] = []
+        rest, below = n, len(values)
+        while True:
+            i = bisect_right(values, rest, 0, below) - 1
+            while i >= 0:
+                v = values[i]
+                m, rest = divmod(rest, v)
+                idx.append(i)
                 items.append((v, m))
-                yield from walk(rest - m * v, i)
-                items.pop()
+                i = bisect_right(values, rest, 0, i) - 1
+            if not rest:
+                yield Partition._from_sorted_items(tuple(items), n)
+            if idx and not idx[-1]:
+                # the smallest value: fewer copies leave what nothing below fills
+                idx.pop()
+                v, m = items.pop()
+                rest += v * m
+            if not idx:
+                return
+            below = idx.pop()
+            v, m = items.pop()
+            rest += v
+            if m > 1:
+                idx.append(below)
+                items.append((v, m - 1))
 
-    return walk(n, len(values))
+    return walk()
 
 
 def t_regular_partitions(n: int, t: int) -> Iterator[Partition]:
@@ -200,29 +215,23 @@ def t_regular_partitions(n: int, t: int) -> Iterator[Partition]:
     return partitions_of(n, lambda v: v % t != 0)
 
 
-def conjugate_column_heights(p: Partition) -> list[int]:
-    """Column heights of the diagram, i.e. the conjugate partition's parts."""
-    lam1 = p.largest()
-    heights = [0] * lam1
-    for part, mult in p.items():
-        for j in range(part):
-            heights[j] += mult
-    return heights
+def boundary_masks(p: Partition) -> Tuple[int, int]:
+    """The rim of the diagram, walked from bottom-left to top-right, as ``(east, north)``.
+
+    Bit s of ``east`` (``north``) is set if step s runs under a column (up a
+    row end).  A cell's hook joins the east step under its column to the north
+    step at its row's end: ``(east & (north >> k)).bit_count()`` cells have hook k.
+    """
+    north = rows = v = 0
+    for v, m in reversed(p.items()):  # the north steps of the rows of length v
+        north |= ((1 << m) - 1) << (v + rows)
+        rows += m
+    # v is now the largest part: the walk has v + rows steps, the rest east
+    return ((1 << (v + rows)) - 1) ^ north, north
 
 
 def hook_multiset(p: Partition) -> HookMultiset:
-    """Count diagram cells by hook length.
-
-    Hook length of a cell = cells to its right + cells below it + 1; computed
-    from row lengths and conjugate column heights in O(cells).
-    """
-    rows = p.parts()
-    if not rows:
-        return {}
-    heights = conjugate_column_heights(p)
-    counts: HookMultiset = {}
-    for i, row in enumerate(rows):
-        for j in range(row):
-            h = (row - j) + (heights[j] - i) - 1
-            counts[h] = counts.get(h, 0) + 1
-    return counts
+    """Count diagram cells by hook length, from the boundary masks."""
+    east, north = boundary_masks(p)
+    counts = {k: (east & (north >> k)).bit_count() for k in range(1, north.bit_length())}
+    return {k: c for k, c in counts.items() if c}

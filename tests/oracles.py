@@ -6,9 +6,10 @@ type alone, so a test that compares them with a production builder checks
 the builder against an independent derivation.
 """
 
+from bisect import bisect_right
 from typing import Callable, Iterator
 
-from hookcounts.partitions import Partition
+from hookcounts.partitions import HookMultiset, Partition
 from hookcounts.series import Series, divide_unit, t_regular_gf
 
 
@@ -127,6 +128,60 @@ def partitions_by_frames(
                 mults[-1] -= 1
         else:
             frames.append([remaining, min(v, remaining)])
+
+
+def partitions_by_recursion(
+    n: int, part_filter: Callable[[int], bool] | None = None
+) -> Iterator[Partition]:
+    """Partitions of n with allowed parts, by recursion over (part, multiplicity) pairs.
+
+    Each level picks the largest allowed value that fits first, and for it
+    the largest multiplicity first, then recurses on the weight left with
+    smaller values only.  The differential oracle for the one-loop walk of
+    ``partitions_of``: same partitions, same descending-lex order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    values = [v for v in range(1, n + 1) if part_filter is None or part_filter(v)]
+    items: list[tuple[int, int]] = []
+
+    def walk(rest: int, below: int) -> Iterator[Partition]:
+        # complete items with parts from values[:below] summing to rest
+        if rest == 0:
+            yield Partition(dict(items))
+            return
+        for i in range(bisect_right(values, rest, 0, below) - 1, -1, -1):
+            v = values[i]
+            for m in range(rest // v, 0, -1):
+                items.append((v, m))
+                yield from walk(rest - m * v, i)
+                items.pop()
+
+    return walk(n, len(values))
+
+
+def conjugate_column_heights(p: Partition) -> list[int]:
+    """Column heights of the diagram, i.e. the conjugate partition's parts."""
+    heights = [0] * p.largest()
+    for part, mult in p.items():
+        for j in range(part):
+            heights[j] += mult
+    return heights
+
+
+def hook_multiset_by_heights(p: Partition) -> HookMultiset:
+    """Cells by hook length from row lengths and conjugate column heights, in O(cells).
+
+    Hook of the cell in row i, column j = (row - j) + (heights[j] - i) - 1.
+    The differential oracle for the boundary-mask ``hook_multiset``.
+    """
+    heights = conjugate_column_heights(p)
+    counts: HookMultiset = {}
+    for i, row in enumerate(p.parts()):
+        for j in range(row):
+            h = (row - j) + (heights[j] - i) - 1
+            counts[h] = counts.get(h, 0) + 1
+    return counts
 
 
 def partition_gf(order: int) -> Series:

@@ -51,6 +51,8 @@ class TestThm13:
             run_thm13(1, 25)
         with pytest.raises(ValueError):
             run_thm13(4, 2)
+        with pytest.raises(ValueError, match="enum_limit must be nonnegative"):
+            run_thm13(3, 10, enum_limit=-1)
 
 
 class TestSignChecks:

@@ -28,6 +28,8 @@ from oracles import (
     bt3_t2_form,
     decomposition_chain,
     hook3_marker_by_runs,
+    hook_multiset_by_heights,
+    partitions_by_recursion,
     parts_ge2_gf,
     set_cardinality_chain,
     t2_remainder_chain,
@@ -56,11 +58,27 @@ class TestEnumOracle:
             btk_enum(2, 1, -1)
         with pytest.raises(ValueError, match="need at least one k"):
             btk_enum_table(2, 5, ())
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            btk_enum_table(2, -1, (1,))
 
     def test_any_hook_length_supported(self):
         # no closed form needed: enumeration handles k = 7 too
         expected = sum(hook_multiset(p).get(7, 0) for p in t_regular_partitions(9, 2))
         assert btk_enum(2, 7, 9) == expected
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_matches_heights_oracle(self, t):
+        # the per-cell count the boundary masks replaced, over the recursive walk
+        ks = tuple(range(1, 9))
+        expected = {(k, n): 0 for k in ks for n in range(25)}
+        for n in range(25):
+            for p in partitions_by_recursion(n, lambda v: v % t != 0):
+                for h, c in hook_multiset_by_heights(p).items():
+                    if h in ks:
+                        expected[(h, n)] += c
+        assert btk_enum_table(t, 24, ks) == expected
+        for (k, n), count in expected.items():
+            assert btk_enum(t, k, n) == count
 
     def test_table_matches_pointwise(self):
         table = btk_enum_table(3, 12, (1, 2, 3))
@@ -365,6 +383,38 @@ class TestRouteIndependence:
         )
         for f in builders:
             assert not _code_names(f.__code__) & bound, f.__name__
+
+    def test_enumeration_uses_no_series_name(self):
+        series_names = {
+            "t_regular_gf",
+            "divide_unit",
+            "pochhammer_inf",
+            "Series",
+            "_combination",
+            "_hook_terms",
+            "_merge",
+            "_family_table",
+            "_piece_table",
+        }
+        for f in (btk_enum, btk_enum_table):
+            names = _code_names(f.__code__)
+            assert "t_regular_partitions" in names  # the scan sees the walk
+            assert not names & series_names, f.__name__
+        # the module's code object holds every function, method and closure in it
+        module_code = compile(inspect.getsource(partitions), partitions.__file__, "exec")
+        names = _code_names(module_code)
+        assert {"bisect_right", "boundary_masks"} <= names
+        assert not names & series_names
+
+    def test_partitions_imports_no_series_module(self):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(partitions))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert "bisect" in imported
+        assert not any({"series", "hookgf"} & set(name.split(".")) for name in imported)
 
 
 class TestRemainderSeries:

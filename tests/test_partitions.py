@@ -12,7 +12,12 @@ from hookcounts.partitions import (
     t_regular_partitions,
 )
 from hookcounts.series import t_regular_gf
-from oracles import partition_gf, partitions_by_frames
+from oracles import (
+    hook_multiset_by_heights,
+    partition_gf,
+    partitions_by_frames,
+    partitions_by_recursion,
+)
 
 P = Partition.parse
 
@@ -175,6 +180,12 @@ class TestHooks:
     def test_matches_grid_definition(self, p):
         assert hook_multiset(p) == _hooks_by_grid(p)
 
+    def test_matches_heights_oracle(self):
+        # the row-and-column-heights count that the boundary masks replaced
+        for n in range(23):
+            for p in partitions_of(n):
+                assert hook_multiset(p) == hook_multiset_by_heights(p)
+
     def test_totals_and_max_on_random_sample(self):
         rng = random.Random(20240817)
         for _ in range(1000):
@@ -209,6 +220,13 @@ WALK_FILTERS = (
         for t in range(2, 6)
     ]
     + [pytest.param(lambda v: v != 1, id="no-ones"), pytest.param(lambda v: False, id="nothing")]
+    # no part 1 and gaps between the values: the greedy fill leaves remainders
+    + [
+        pytest.param(lambda v: v in (3, 5), id="3-and-5"),
+        pytest.param(lambda v: v % 2 == 0, id="even"),
+        pytest.param(lambda v: v >= 4, id="at-least-4"),
+        pytest.param(lambda v: v in (2, 7), id="2-and-7"),
+    ]
 )
 
 
@@ -217,3 +235,10 @@ def test_walk_matches_frame_stack_oracle(part_filter):
     # same partitions in the same order as the frame-stack walk it replaced
     for n in range(29):
         assert list(partitions_of(n, part_filter)) == list(partitions_by_frames(n, part_filter))
+
+
+@pytest.mark.parametrize("part_filter", WALK_FILTERS)
+def test_walk_matches_recursive_oracle(part_filter):
+    # same partitions in the same order as the recursive walk it replaced
+    for n in range(29):
+        assert list(partitions_of(n, part_filter)) == list(partitions_by_recursion(n, part_filter))
