@@ -13,8 +13,9 @@ series (the one memoized build), times a sum of polynomials over 1 - q^m,
 which one pass loop, :func:`_combination`, evaluates in one O(order) pass
 per term.  The k-hook tables are derived on each call, up to the order
 only; the family counts and the pieces B and F are typed by hand.  Piece
-A is family O's count, C is R's; A's table counts A only for t != 3.
-Differences merge their tables first, so cancelling terms cost nothing.
+A is family O's count, C is R's; D keeps the paper's form of family A's
+count, which differs from the exact one at t = 3.  Differences merge their
+tables first, so cancelling terms cost nothing.
 """
 
 from __future__ import annotations
@@ -174,18 +175,26 @@ def diff_bt2_bt3(t: int, order: int) -> Series:
     return _combination(t, _merge(_hook_terms(t, 2, order), _hook_terms(t, 3, order)), order)
 
 
+def _paper_a_table(t: int) -> Table:
+    """(1 - q)(1 - q^3) q^(2t-2) / (1 - q^2t): the paper's count of family A.
+
+    The factor 1 - q^3 drops the part 3, which T has only if t != 3.
+    """
+    s = 2 * t
+    return {s: {s - 2: 1, s - 1: -1, s + 1: -1, s + 2: 1}}
+
+
 def _family_table(set_id: str, t: int) -> Table:
     """The counting table of a family, written from its definition in ``FAMILIES``.
 
     Parts other than 1 under t-regularity give T (1 - q), the 1-count rule
-    the rest.  A's 1 - q^3 drops the part 3, which T has only if t != 3.
+    the rest.  At t = 3, T has no part 3 for A to drop.
     """
     s = 2 * t
     tables = {
         "O": {2: {1: 1, 2: -1}},  # (1 - q) q / (1 - q^2)
         "R": {s: {s + 1: 1}},  # the part 2t allowed, 2t + 1 at least once
-        # (1 - q)(1 - q^3) q^(2t-2) / (1 - q^2t)
-        "A": {s: {s - 2: 1, s - 1: -1, s + 1: -1, s + 2: 1}},
+        "A": {6: {4: 1, 5: -1}} if t == 3 else _paper_a_table(t),  # (1 - q) q^4 / (1 - q^6)
         "S": {6: {2: 1, 3: -1, 4: 1, 5: -1}},  # (1 - q)(q^2 + q^4) / (1 - q^6)
         "B": {6: {2: 1, 3: -1, 5: 1, 6: -1}},  # (1 - q)(q^2 + q^5) / (1 - q^6)
         "C": {6: {3: 1, 4: -1}},  # (1 - q) q^3 / (1 - q^6)
@@ -198,13 +207,17 @@ def _family_table(set_id: str, t: int) -> Table:
 
 
 def _piece_table(name: str, t: int) -> Table:
-    """The table of a decomposition piece: A is O's, C is R's, D = S - A, E = B - C."""
+    """The table of a decomposition piece: A is O's, C is R's, D = S - A, E = B - C.
+
+    D subtracts the paper's form of family A's count at every t.
+    """
     s, r = 2 * t, 3 * t
     if name in ("A", "C"):
         return _family_table("O" if name == "A" else "R", t)
-    if name in ("D", "E"):
-        plus, minus = ("S", "A") if name == "D" else ("B", "C")
-        return _merge(_family_table(plus, t), _family_table(minus, t))
+    if name == "D":
+        return _merge(_family_table("S", t), _paper_a_table(t))
+    if name == "E":
+        return _merge(_family_table("B", t), _family_table("C", t))
     if name == "B":  # (1 - q) q^(2t-1) / (1 - q^2t)
         return {s: {s - 1: 1, s: -1}}
     if name == "F":  # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
@@ -218,7 +231,8 @@ def decomposition_series(name: str, t: int, order: int) -> Series:
     A is the family O's count and C is R's; B has no set interpretation.
     D = S - A and E = B - C are differences of the counts of the families
     A, B, C (not the pieces), so their signs are those of the injections
-    A -> S and C -> B; A's series counts A only for t != 3.  -A + B + C is
+    A -> S and C -> B; D takes the paper's form of A's count, which at t = 3
+    is not A's count (see :func:`set_cardinality_series`).  -A + B + C is
     the 2-hook minus 1-hook difference for every t, and D + E + F the 2-hook
     minus 3-hook one for t >= 3; at t = 2 it matches the four-term 3-hook
     form, which over-counts 3-hooks (first at n = 6).
@@ -233,9 +247,9 @@ def set_cardinality_series(set_id: str, t: int, order: int) -> Series:
     O: t-regular, an odd number of 1s.  R: no part a multiple of t but 2t,
     the part 2t+1 present.  A: t-regular, no part 3, 1-count -2 mod 2t.
     S, B, C: t-regular, 1-count 2 or 4, 2 or 5, resp. 3 mod 6.
-    D1/D2 (t=2 only): 2-regular, 1-count 4 resp. 6 mod 12.  A's series
-    counts A only when t is not 3: at t = 3 it first differs at n = 7 (no
-    member, coefficient -1).
+    D1/D2 (t=2 only): 2-regular, 1-count 4 resp. 6 mod 12.  Every series
+    is exact: A's at t = 3 is T (1 - q) q^4 / (1 - q^6), with no factor
+    1 - q^3 for a part 3 that T lacks.
     """
     _check_tk(t, 1)
     if set_id in ("D1", "D2") and t != 2:

@@ -1,10 +1,12 @@
 """Partition families, the weight-preserving injections, and their driver.
 
-Every map here transforms a partition of n into another partition of n.  The
-forward maps are defined on frequency-congruence families of t-regular
-partitions; inverse maps are defined on the image characterization only, so
-the verification driver calls an inverse exclusively on values the forward
-map just produced.
+Every map here transforms a partition of n into another partition of n.  Each
+is a raw formula ``f(p, t)``, written as one part trade per case: a forward
+map is right on its class of a frequency-congruence family of t-regular
+partitions, an inverse on the forward images, and neither checks its input.
+:func:`apply_map` and :func:`invert_map` are the checked entries: they
+accept exactly the members of the covered domain classes, resp. the
+forward images, and raise ValueError on anything else.
 
 Each family is described once, as a :class:`Family` record in
 :data:`FAMILIES`; each injection once, as a :class:`MapSpec` entry in
@@ -215,62 +217,41 @@ FAMILIES: dict[str, Family] = {
 # the maps
 # ---------------------------------------------------------------------------
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
+# a raw formula f(p, t), right only on its class
+RawMap = Callable[[Partition, int], Partition]
 
 
-def _require_class(p: Partition, t: int, family: str, index: int, role: str) -> None:
-    label = FAMILIES[family].label(p, t)
-    _require(label is not None and label.index == index, f"{p} is not a class-{index} {role}")
-
-
-def phi1(p: Partition, t: int, validate: bool = True) -> Partition:
+def phi1(p: Partition, t: int) -> Partition:
     """Trade the smallest part of shape 2kt+1 for one 2t+1 and (k-1) parts 2t."""
-    if validate:
-        _require_class(p, t, "O", 1, "input")
-    ks = _one_mod_ks(p, t)
-    _require(bool(ks), f"{p} has no part of shape 2kt+1")
-    k = ks[0]
-    added = Partition.from_parts([2 * t + 1] + [2 * t] * (k - 1))
-    return p.diff(Partition.of(2 * k * t + 1)).union(added)
+    k = _one_mod_ks(p, t)[0]
+    return p.trade((2 * k * t + 1,), [2 * t + 1] + [2 * t] * (k - 1))
 
 
-def phi1_inv(p: Partition, t: int, validate: bool = True) -> Partition:
+def phi1_inv(p: Partition, t: int) -> Partition:
     """Inverse of phi1 on its image: k is recovered as 1 + (number of 2t parts)."""
-    if validate:
-        _require_class(p, t, "R", 1, "image")
     m = p.frequency(2 * t)
-    k = 1 + m
-    removed = Partition.from_parts([2 * t + 1] + [2 * t] * m)
-    return p.diff(removed).union(Partition.of(2 * k * t + 1))
+    return p.trade([2 * t + 1] + [2 * t] * m, (2 * (m + 1) * t + 1,))
 
 
 def _phi2_xy(lam1: int, t: int) -> tuple[int, int]:
-    """Unique (x, y) with lam1 - 1 = x(2t+1) + y(4t+1), x >= 0, 0 <= y <= 2t.
+    """The (x, y) with lam1 - 1 = x(2t+1) + y(4t+1) and 0 <= y <= 2t.
 
     y is solved by modular inversion: 4t+1 is -1 modulo 2t+1, so
-    y = (1 - lam1) mod (2t+1).  x >= 0 is guaranteed once lam1 > 8t^2.
+    y = (1 - lam1) mod (2t+1).  x >= 0 once lam1 > 8t^2.
     """
     y = (1 - lam1) % (2 * t + 1)
-    rem = lam1 - 1 - y * (4 * t + 1)
-    if rem < 0 or rem % (2 * t + 1):
-        raise ArithmeticError(f"no valid split of {lam1 - 1} for t={t}")
-    return rem // (2 * t + 1), y
+    return (lam1 - 1 - y * (4 * t + 1)) // (2 * t + 1), y
 
 
-def phi2(p: Partition, t: int, validate: bool = True) -> Partition:
+def phi2(p: Partition, t: int) -> Partition:
     """Break the largest part into parts 4t+1 and 2t+1 (plus a fixed tail)."""
-    if validate:
-        _require_class(p, t, "O", 2, "input")
     lam1 = p.largest()
     x, y = _phi2_xy(lam1, t)
     if x:
         added = [4 * t + 1] * y + [2 * t + 1] * x + [1]
     else:
         added = [4 * t + 1] * (y - 1) + [2 * t + 1, 2 * t, 1]
-    return p.diff(Partition.of(lam1)).union(Partition.from_parts(added))
+    return p.trade((lam1,), added)
 
 
 def phi2_case(p: Partition, t: int) -> int:
@@ -278,69 +259,38 @@ def phi2_case(p: Partition, t: int) -> int:
     return 1 if x else 2
 
 
-def psi2(p: Partition, t: int, validate: bool = True) -> Partition:
+def psi2(p: Partition, t: int) -> Partition:
     """Inverse of phi2 on its image: reassemble the removed largest part."""
     f = p.frequency
-    if validate:
-        _require_class(p, t, "R", 2, "image")
-        _require(f(2 * t) <= 1, f"{p} carries more than one part 2t")
-        _require(f(1) >= 1, f"{p} has no part 1")
-    lam1 = 1 + 2 * t * f(2 * t) + (2 * t + 1) * f(2 * t + 1) + (4 * t + 1) * f(4 * t + 1)
-    removed = Partition.from_parts(
-        [4 * t + 1] * f(4 * t + 1) + [2 * t + 1] * f(2 * t + 1) + [2 * t] * f(2 * t) + [1]
-    )
-    return p.diff(removed).union(Partition.of(lam1))
+    a, b, c = f(4 * t + 1), f(2 * t + 1), f(2 * t)
+    lam1 = 1 + (4 * t + 1) * a + (2 * t + 1) * b + 2 * t * c
+    return p.trade([4 * t + 1] * a + [2 * t + 1] * b + [2 * t] * c + [1], (lam1,))
 
 
-def phi3(p: Partition, t: int, validate: bool = True) -> Partition:
+def phi3(p: Partition, t: int) -> Partition:
     """Dissolve the smallest heavily repeated part value into a fixed pattern."""
-    if validate:
-        _require_class(p, t, "O", 3, "input")
-    heavy = [v for v, m in p.items() if v >= 2 and m >= 6 * t + 1]
-    _require(bool(heavy), f"{p} has no part repeated at least {6 * t + 1} times")
-    l = min(heavy)
-    removed = Partition.from_parts([l] * (6 * t + 1))
-    added = Partition.from_parts(
-        [6 * t + 1] * (l - 1) + [2 * t + 1] * 2 + [1] * (2 * t - 1)
-    )
-    return p.diff(removed).union(added)
+    l = min(v for v, m in p.items() if v >= 2 and m >= 6 * t + 1)
+    return p.trade([l] * (6 * t + 1), [6 * t + 1] * (l - 1) + [2 * t + 1] * 2 + [1] * (2 * t - 1))
 
 
-def psi3(p: Partition, t: int, validate: bool = True) -> Partition:
+def psi3(p: Partition, t: int) -> Partition:
     """Inverse of phi3 on its image: the repeated value is 1 + (count of 6t+1 parts)."""
-    f = p.frequency
-    if validate:
-        _require_class(p, t, "R", 3, "image")
-        _require(f(2 * t + 1) == 2, f"{p} must carry the part 2t+1 exactly twice")
-        _require(f(1) >= 2 * t - 1, f"{p} needs at least {2 * t - 1} parts 1")
-    m = f(6 * t + 1)
-    removed = Partition.from_parts(
-        [6 * t + 1] * m + [2 * t + 1] * 2 + [1] * (2 * t - 1)
-    )
-    return p.diff(removed).union(Partition.from_parts([m + 1] * (6 * t + 1)))
+    m = p.frequency(6 * t + 1)
+    return p.trade([6 * t + 1] * m + [2 * t + 1] * 2 + [1] * (2 * t - 1), [m + 1] * (6 * t + 1))
 
 
-def phi4(p: Partition, t: int, validate: bool = True) -> Partition:
+def phi4(p: Partition, t: int) -> Partition:
     """Convert 12t+3 ones into the parts 8t+1, 2t+1, 2t+1."""
-    if validate:
-        _require_class(p, t, "O", 4, "input")
-    removed = Partition.from_parts([1] * (12 * t + 3))
-    added = Partition.from_parts([8 * t + 1] + [2 * t + 1] * 2)
-    return p.diff(removed).union(added)
+    return p.trade([1] * (12 * t + 3), (8 * t + 1, 2 * t + 1, 2 * t + 1))
 
 
-def psi4(p: Partition, t: int, validate: bool = True) -> Partition:
+def psi4(p: Partition, t: int) -> Partition:
     """Inverse of phi4 on its image."""
-    if validate:
-        _require_class(p, t, "R", 4, "image")
-        _require(p.frequency(2 * t + 1) == 2, f"{p} must carry the part 2t+1 exactly twice")
-        _require(p.frequency(8 * t + 1) == 1, f"{p} must carry the part 8t+1 exactly once")
-    removed = Partition.from_parts([8 * t + 1] + [2 * t + 1] * 2)
-    return p.diff(removed).union(Partition.from_parts([1] * (12 * t + 3)))
+    return p.trade((8 * t + 1, 2 * t + 1, 2 * t + 1), [1] * (12 * t + 3))
 
 
-_PHI_FORWARD: dict[int, Callable[..., Partition]] = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
-_PHI_INVERSE: dict[int, Callable[..., Partition]] = {1: phi1_inv, 2: psi2, 3: psi3, 4: psi4}
+_PHI_FORWARD: dict[int, RawMap] = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
+_PHI_INVERSE: dict[int, RawMap] = {1: phi1_inv, 2: psi2, 3: psi3, 4: psi4}
 
 
 def o5_weight_cap(t: int) -> int:
@@ -372,60 +322,36 @@ def o5_weight_bound(t: int) -> int:
     return bound
 
 
-def _warn_gamma(t: int) -> None:
-    warnings.warn(f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning)
-
-
-def _keep(p: Partition, t: int, validate: bool = True) -> Partition:
+def _keep(p: Partition, t: int) -> Partition:
     return p
 
 
-def _two_ones_to_two(p: Partition, t: int, validate: bool = True) -> Partition:
-    return p.diff(Partition.of(1, 1)).union(Partition.of(2))
+def _two_ones_to_two(p: Partition, t: int) -> Partition:
+    return p.trade((1, 1), (2,))
 
 
-def delta3(p: Partition, t: int, validate: bool = True) -> Partition:
+def delta3(p: Partition, t: int) -> Partition:
     """Inverse of the third gamma case: trade a 2 back for two 1s."""
-    if validate:
-        _require_class(p, t, "S", 3, "image")
-        _require(p.frequency(2) >= 1, f"{p} has no part 2")
-        _require(p.frequency(3) == 0, f"{p} must avoid the part 3")
-    return p.diff(Partition.of(2)).union(Partition.of(1, 1))
+    return p.trade((2,), (1, 1))
 
 
-_GAMMA_FORWARD: dict[int, Callable[..., Partition]] = {1: _keep, 2: _keep, 3: _two_ones_to_two}
-_GAMMA_INVERSE: dict[int, Callable[..., Partition]] = {1: _keep, 2: _keep, 3: delta3}
+# gamma: the identity on the first two A-subsets, two 1s traded for a 2 on the third;
+# the images stay t-regular only for t >= 4, and smaller t runs with a warning
+_GAMMA_FORWARD: dict[int, RawMap] = {1: _keep, 2: _keep, 3: _two_ones_to_two}
+_GAMMA_INVERSE: dict[int, RawMap] = {1: _keep, 2: _keep, 3: delta3}
 
 
-def gamma(p: Partition, t: int, validate: bool = True) -> Partition:
-    """Identity on the first two A-subsets; trade two 1s for a 2 on the third.
-
-    The image stays t-regular only for t >= 4; smaller t is accepted with a
-    warning so the failure mode can be observed directly.
-    """
-    if t < 4:
-        _warn_gamma(t)
-    label = FAMILIES["A"].label(p, t)
-    if validate:
-        _require(label is not None, f"{p} is not in the map's domain")
-    return _GAMMA_FORWARD[label.index if label else 3](p, t)
-
-
-def epsilon(p: Partition, validate: bool = True) -> Partition:
+def epsilon(p: Partition, t: int) -> Partition:
     """t=2 map: grow the largest part by 2 at the cost of two 1s.
 
     The all-ones column (largest part 1) maps to the two-equal-parts pattern
     instead; the two case images are disjoint since only the second produces
     equal top parts.
     """
-    if validate:
-        _require(FAMILIES["D2"].contains(p, 2), f"{p} is not 2-regular with 1-count 6 mod 12")
-        _require(p.weight >= 7, "the map is built for n >= 7")
     lam1 = p.largest()
     if lam1 >= 3:
-        return p.diff(Partition.of(lam1, 1, 1)).union(Partition.of(lam1 + 2))
+        return p.trade((lam1, 1, 1), (lam1 + 2,))
     k = (p.weight - 6) // 12
-    _require(k >= 1, f"{p} is below the smallest all-ones input")
     return Partition.from_parts([6 * k + 1] * 2 + [1] * 4)
 
 
@@ -435,7 +361,6 @@ def epsilon_case(p: Partition) -> int:
 
 def _tau_case4_pattern(n: int, t: int) -> Partition:
     k = (n - 3) // 6
-    _require(k >= 1, "the all-ones input must have at least nine parts")
     if t >= 5:
         return Partition.from_parts([3] + [2] * (3 * k - 1) + [1, 1])
     return Partition.from_parts([5] + [2] * (3 * k - 2) + [1, 1])
@@ -452,20 +377,16 @@ def tau_case(p: Partition, t: int) -> int:
     return 4
 
 
-def tau(p: Partition, t: int, validate: bool = True) -> Partition:
+def tau(p: Partition, t: int) -> Partition:
     """Move the 1-count from 3 mod 6 to 2 or 5 mod 6 by a four-case rewrite."""
-    if t < 3:
-        raise ValueError("the map needs t >= 3 to keep images t-regular")
-    if validate:
-        _require(FAMILIES["C"].contains(p, t), f"{p} is not t-regular with 1-count 3 mod 6")
     case = tau_case(p, t)
     lam1 = p.largest()
     if case == 1:
-        return p.diff(Partition.of(2)).union(Partition.of(1, 1))
+        return p.trade((2,), (1, 1))
     if case == 2:
-        return p.diff(Partition.of(lam1, 1)).union(Partition.of(lam1 + 1))
+        return p.trade((lam1, 1), (lam1 + 1,))
     if case == 3:
-        return p.diff(Partition.of(lam1, 1)).union(Partition.of(lam1 - 1, 2))
+        return p.trade((lam1, 1), (lam1 - 1, 2))
     return _tau_case4_pattern(p.weight, t)
 
 
@@ -479,26 +400,17 @@ def _is_tau_case4_image(p: Partition, t: int) -> bool:
     return top == (5, 1) and m >= 1 and m % 3 == 1
 
 
-def eta(p: Partition, t: int, validate: bool = True) -> Partition:
+def eta(p: Partition, t: int) -> Partition:
     """Inverse of tau on its image, dispatched by 1-count residue and 2-parts."""
-    if t < 3:
-        raise ValueError("the map needs t >= 3")
-    f1 = p.frequency(1) % 6
-    if validate:
-        _require(FAMILIES["B"].contains(p, t), f"{p} is not t-regular with 1-count 2 or 5 mod 6")
-    if f1 == 5:
-        return p.diff(Partition.of(1, 1)).union(Partition.of(2))
-    _require(f1 == 2, f"{p} is outside the image residues")
+    if p.frequency(1) % 6 == 5:
+        return p.trade((1, 1), (2,))
     if p.frequency(2) == 0:
         lam1 = p.largest()
-        _require(lam1 >= 2, f"{p} has no part to shrink")
-        return p.diff(Partition.of(lam1)).union(Partition.of(lam1 - 1, 1))
+        return p.trade((lam1,), (lam1 - 1, 1))
     if _is_tau_case4_image(p, t):
-        return Partition.from_parts([1] * p.weight)
-    targets = [v for v, _ in p.items() if v % t == t - 2]
-    _require(bool(targets), f"{p} has no part -2 mod t to restore")
-    v = max(targets)
-    return p.diff(Partition.of(v, 2)).union(Partition.of(v + 1, 1))
+        return Partition({1: p.weight})
+    v = max(v for v, _ in p.items() if v % t == t - 2)
+    return p.trade((v, 2), (v + 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +423,23 @@ class MapSpec:
     """One injection: domain and codomain families, and its maps per class.
 
     ``classes`` are the domain subsets the map covers (``(None,)`` for an
-    undivided domain).  ``forward`` and ``inverse`` map a class to a function
-    called as ``f(p, t, validate=False)``; a class absent from ``inverse``
-    has no declared inverse.  The map is verified for ``n >= min_n`` and the
-    t for which ``t_ok(t)`` holds; ``t_error`` says which those are.
+    undivided domain).  ``forward`` and ``inverse`` map a class to a raw
+    formula ``f(p, t)``; a class absent from ``inverse`` has no declared
+    inverse.  A raw formula checks nothing and is right only on its class
+    (the inverse on the forward images): :func:`apply_map` and
+    :func:`invert_map` are the checked way to call one.  The map is verified
+    for ``n >= min_n`` and the t for which ``t_ok(t)`` holds; ``t_error``
+    says which those are.
     """
 
     domain: str
     codomain: str
-    forward: Mapping[int | None, Callable[..., Partition]]
-    inverse: Mapping[int | None, Callable[..., Partition]]
+    forward: Mapping[int | None, RawMap]
+    inverse: Mapping[int | None, RawMap]
     classes: tuple[int | None, ...] = (None,)
     min_n: int = 0
     t_ok: Callable[[int], bool] = lambda t: t >= 2
     t_error: str = "t must be at least 2"
-
-
-def _epsilon_map(p: Partition, t: int, validate: bool = True) -> Partition:
-    return epsilon(p, validate)
 
 
 # phi1..phi4 and phi hold the _PHI_* tables themselves, not copies
@@ -540,7 +451,7 @@ MAPS: dict[str, MapSpec] = {
     "phi": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE, classes=(1, 2, 3, 4)),
     "gamma": MapSpec("A", "S", _GAMMA_FORWARD, _GAMMA_INVERSE, classes=(1, 2, 3)),
     "epsilon": MapSpec(
-        "D2", "D1", {None: _epsilon_map}, {}, min_n=7,
+        "D2", "D1", {None: epsilon}, {}, min_n=7,
         t_ok=lambda t: t == 2, t_error="epsilon is a t=2 map",
     ),
     "tau": MapSpec(
@@ -559,7 +470,50 @@ def _spec(map_id: str, t: int) -> MapSpec:
         raise ValueError(f"unknown map {map_id!r}")
     if not spec.t_ok(t):
         raise ValueError(spec.t_error)
+    if map_id == "gamma" and t < 4:
+        warnings.warn(f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning)
     return spec
+
+
+def _cell(map_id: str, t: int, n: int) -> MapSpec:
+    spec = _spec(map_id, t)
+    if n < spec.min_n:
+        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
+    return spec
+
+
+def _class(spec: MapSpec, family: str, p: Partition, t: int) -> int | None:
+    """The class of ``spec`` that names p's subset of ``family``; ValueError if none does."""
+    label = FAMILIES[family].label(p, t)
+    if label is None or label.index not in spec.classes:
+        raise ValueError(f"{p} is in no {family}-subset the map covers")
+    return label.index
+
+
+def apply_map(map_id: str, p: Partition, t: int) -> Partition:
+    """The image of p; ValueError unless p lies in a domain class the map covers."""
+    spec = _cell(map_id, t, p.weight)
+    return spec.forward[_class(spec, spec.domain, p, t)](p, t)
+
+
+def invert_map(map_id: str, mu: Partition, t: int) -> Partition:
+    """The preimage of mu; ValueError unless mu is an image of the map.
+
+    mu is accepted exactly when the declared inverse of the class that its
+    codomain subset names returns a member of that domain class, and the
+    map sends that member back to mu.
+    """
+    spec = _cell(map_id, t, mu.weight)
+    if not spec.inverse:
+        raise ValueError(f"{map_id} has no declared inverse")
+    try:
+        cls = _class(spec, spec.codomain, mu, t)
+        lam = spec.inverse[cls](mu, t)
+        if _class(spec, spec.domain, lam, t) == cls and spec.forward[cls](lam, t) == mu:
+            return lam
+    except ValueError:
+        pass
+    raise ValueError(f"{mu} is not an image of {map_id} at t={t}")
 
 
 def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
@@ -570,11 +524,7 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     Single-threaded; violations are sorted by canonical input text, so
     reports are deterministic.
     """
-    spec = _spec(map_id, t)
-    if n < spec.min_n:
-        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
-    if map_id == "gamma" and t < 4:
-        _warn_gamma(t)
+    spec = _cell(map_id, t, n)
     domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
     several = len(spec.classes) > 1
     violations: list[Violation] = []
@@ -598,7 +548,7 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
                 continue
             cls = ms[0]
         domain_size += 1
-        mu = spec.forward[cls](lam, t, validate=False)
+        mu = spec.forward[cls](lam, t)
         if mu.weight != n:
             violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
         elif (label := codomain.label(mu, t)) is None or label.index != cls:
@@ -609,7 +559,7 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
             images[mu] = lam
         inverse = spec.inverse.get(cls)
         if inverse is not None:
-            back = inverse(mu, t, validate=False)
+            back = inverse(mu, t)
             if back != lam:
                 violate(lam, "InverseMismatch", f"inverse returned {back}")
 

@@ -1,15 +1,15 @@
 """Integer partitions as frequency multisets, their enumeration, and hook lengths.
 
 A partition is stored as a map from part value to multiplicity, which is the
-natural shape for the multiset algebra (union / difference) that the
-injection machinery is built on.  Partitions are immutable and hashable.
+natural shape for the part trades (:meth:`Partition.trade`) that the
+injection maps are written in.  Partitions are immutable and hashable.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Callable, Dict, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
 
 # hook length -> number of cells carrying it
 HookMultiset = Dict[int, int]
@@ -114,29 +114,27 @@ class Partition:
         """The largest part, 0 for the empty partition."""
         return self._items[0][0] if self._items else 0
 
-    def union(self, other: "Partition") -> "Partition":
-        """Multiset union: multiplicities add."""
-        freq = {p: m for p, m in self._items}
-        for p, m in other._items:
-            freq[p] = freq.get(p, 0) + m
-        items = tuple(sorted(freq.items(), reverse=True))
-        return Partition._from_sorted_items(items, self._weight + other._weight)
+    def trade(self, removed: Iterable[int], added: Iterable[int]) -> "Partition":
+        """Take the parts ``removed`` out and put the parts ``added`` in.
 
-    def diff(self, other: "Partition") -> "Partition":
-        """Multiset difference; every part of ``other`` must fit inside self."""
-        freq = {p: m for p, m in self._items}
-        for p, m in other._items:
+        Both are iterables of parts, each repeat counted as one more copy;
+        removing a part that has no copy left raises ValueError.
+        """
+        freq = dict(self._items)
+        weight = self._weight
+        for p in removed:
             have = freq.get(p, 0)
-            if have < m:
-                raise ValueError(
-                    f"cannot remove {p}^{m} from {self}: only {have} available"
-                )
-            if have == m:
+            if not have:
+                raise ValueError(f"cannot remove {p} from {self}: no copy left")
+            if have == 1:
                 del freq[p]
             else:
-                freq[p] = have - m
-        items = tuple(sorted(freq.items(), reverse=True))
-        return Partition._from_sorted_items(items, self._weight - other._weight)
+                freq[p] = have - 1
+            weight -= p
+        for p in added:
+            freq[p] = freq.get(p, 0) + 1
+            weight += p
+        return Partition._from_sorted_items(tuple(sorted(freq.items(), reverse=True)), weight)
 
     def __iter__(self) -> Iterator[int]:
         for part, mult in self._items:

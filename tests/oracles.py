@@ -160,6 +160,28 @@ def partitions_by_recursion(
     return walk(n, len(values))
 
 
+def union(a: Partition, b: Partition) -> Partition:
+    """Multiset union: multiplicities add.  The reference for ``Partition.trade``."""
+    freq = dict(a.items())
+    for p, m in b.items():
+        freq[p] = freq.get(p, 0) + m
+    return Partition(freq)
+
+
+def diff(a: Partition, b: Partition) -> Partition:
+    """Multiset difference; every part of b must fit inside a."""
+    freq = dict(a.items())
+    for p, m in b.items():
+        have = freq.get(p, 0)
+        if have < m:
+            raise ValueError(f"cannot remove {p}^{m} from {a}: only {have} available")
+        if have == m:
+            del freq[p]
+        else:
+            freq[p] = have - m
+    return Partition(freq)
+
+
 def conjugate_column_heights(p: Partition) -> list[int]:
     """Column heights of the diagram, i.e. the conjugate partition's parts."""
     heights = [0] * p.largest()
@@ -300,7 +322,7 @@ def set_cardinality_chain(set_id: str, t: int, order: int) -> Series:
     if set_id == "S":
         return (U.shift(2) + U.shift(4)).times_geometric(6)
     if set_id == "A":
-        return (U - U.shift(3)).shift(2 * t - 2).times_geometric(2 * t)
+        return paper_a_chain(t, order) if t != 3 else U.shift(4).times_geometric(6)
     if set_id == "B":
         return (U.shift(2) + U.shift(5)).times_geometric(6)
     if set_id == "C":
@@ -310,6 +332,12 @@ def set_cardinality_chain(set_id: str, t: int, order: int) -> Series:
     if set_id == "D2":
         return U.shift(6).times_geometric(12)
     raise ValueError(f"unknown set id {set_id!r}")
+
+
+def paper_a_chain(t: int, order: int) -> Series:
+    """The paper's count of family A; at t = 3 it drops a part 3 that T lacks."""
+    U = parts_ge2_gf(t, order)
+    return (U - U.shift(3)).shift(2 * t - 2).times_geometric(2 * t)
 
 
 def decomposition_chain(name: str, t: int, order: int) -> Series:
@@ -323,7 +351,7 @@ def decomposition_chain(name: str, t: int, order: int) -> Series:
     if name == "C":
         return T.shift(2 * t + 1).times_geometric(2 * t)
     if name == "D":
-        return set_cardinality_chain("S", t, order) - set_cardinality_chain("A", t, order)
+        return set_cardinality_chain("S", t, order) - paper_a_chain(t, order)
     if name == "E":
         return set_cardinality_chain("B", t, order) - set_cardinality_chain("C", t, order)
     if name == "F":

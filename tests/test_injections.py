@@ -1,17 +1,21 @@
+import inspect
 import json
 import warnings
 
 import pytest
 
+from hookcounts import injections
 from hookcounts.injections import (
     FAMILIES,
+    MAP_MIN_N,
     MAPS,
     SubsetLabel,
+    apply_map,
     delta3,
     epsilon,
     epsilon_case,
     eta,
-    gamma,
+    invert_map,
     o5_weight_bound,
     o5_weight_cap,
     phi1,
@@ -126,16 +130,16 @@ class TestPhi1:
         # weight-consistent form of the reference pair (the recorded input
         # carries a stray part 7 that breaks weight preservation)
         lam = P("17,15,13,10,5,3,2,1^3")
-        mu = phi1(lam, 4)
-        assert mu == P("15,13,10,9,8,5,3,2,1^3")
-        assert phi1_inv(mu, 4) == lam
+        mu = apply_map("phi1", lam, 4)
+        assert mu == phi1(lam, 4) == P("15,13,10,9,8,5,3,2,1^3")
+        assert invert_map("phi1", mu, 4) == phi1_inv(mu, 4) == lam
 
     def test_recorded_input_keeps_its_extra_part(self):
-        mu = phi1(P("17,15,13,10,7,5,3,2,1^3"), 4)
+        mu = apply_map("phi1", P("17,15,13,10,7,5,3,2,1^3"), 4)
         assert mu == P("15,13,10,9,8,7,5,3,2,1^3")
 
     def test_minimal_k_is_fixed_point(self):
-        assert phi1(P("5,1"), 2) == P("5,1")
+        assert apply_map("phi1", P("5,1"), 2) == P("5,1")
 
     def test_round_trip_exhaustive(self):
         for t in (2, 3):
@@ -143,9 +147,9 @@ class TestPhi1:
                 for lam in O.members(n, t):
                     if O.label(lam, t).index != 1:
                         continue
-                    mu = phi1(lam, t)
+                    mu = apply_map("phi1", lam, t)
                     assert mu.weight == n
-                    assert phi1_inv(mu, t) == lam
+                    assert invert_map("phi1", mu, t) == lam
 
     def test_inverse_is_only_valid_on_the_image(self):
         # (5,5,4,1) sits in the target family but outside the image: the
@@ -155,28 +159,32 @@ class TestPhi1:
         back = phi1_inv(stray, 2)
         assert back == P("9,5,1")
         assert phi1(back, 2) != stray
+        with pytest.raises(ValueError):
+            invert_map("phi1", stray, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            phi1(P("3,1^2"), 2)  # even ones count
+            apply_map("phi1", P("3,1^2"), 2)  # even ones count
 
 
 class TestPhi2:
     def test_worked_example_nonzero_case(self):
         lam = P("157,34,29,11,5,3,1^3")
         assert phi2_case(lam, 4) == 1
-        mu = phi2(lam, 4)
+        mu = apply_map("phi2", lam, 4)
         assert mu == P("34,29,17^6,11,9^6,5,3,1^4")
-        assert psi2(mu, 4) == lam
+        assert invert_map("phi2", mu, 4) == lam
 
     def test_worked_example_zero_case_formula(self):
         # the recorded input is actually first-subset material (137 is 1 mod
         # 8), so only the raw formula reproduces the recorded pair
         lam = P("137,33,29,11,5,3,1^3")
         assert phi2_case(lam, 4) == 2
-        mu = phi2(lam, 4, validate=False)
+        mu = phi2(lam, 4)
         assert mu == P("33,29,17^7,11,9,8,5,3,1^4")
-        assert psi2(mu, 4, validate=False) == lam
+        assert psi2(mu, 4) == lam
+        with pytest.raises(ValueError):
+            apply_map("phi2", lam, 4)
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -185,32 +193,32 @@ class TestPhi2:
                 if O.label(lam, 2).index != 2:
                     continue
                 found += 1
-                mu = phi2(lam, 2)
+                mu = apply_map("phi2", lam, 2)
                 assert mu.weight == n and R.label(mu, 2).index == 2
-                assert psi2(mu, 2) == lam
+                assert invert_map("phi2", mu, 2) == lam
         assert found > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            phi2(P("5,1"), 2)
+            apply_map("phi2", P("5,1"), 2)
 
 
 class TestPhi3:
     def test_worked_example_formula(self):
         lam = P("17,13,11,9,3^25,1^3")
-        mu = phi3(lam, 4, validate=False)
+        mu = phi3(lam, 4)
         assert mu == P("25^2,17,13,11,9^3,1^10")
-        assert psi3(mu, 4, validate=False) == lam
+        assert psi3(mu, 4) == lam
 
     def test_formula_on_small_even_run(self):
-        assert phi3(P("2^13,1"), 2, validate=False) == P("13,5^2,1^4")
+        assert phi3(P("2^13,1"), 2) == P("13,5^2,1^4")
 
     def test_genuine_member_round_trip(self):
         lam = P("3^25,1^3")
         assert O.label(lam, 4).index == 3
-        mu = phi3(lam, 4)
+        mu = apply_map("phi3", lam, 4)
         assert R.label(mu, 4).index == 3
-        assert psi3(mu, 4) == lam
+        assert invert_map("phi3", mu, 4) == lam
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -219,20 +227,20 @@ class TestPhi3:
                 if O.label(lam, 2).index != 3:
                     continue
                 found += 1
-                mu = phi3(lam, 2)
-                assert psi3(mu, 2) == lam
+                mu = apply_map("phi3", lam, 2)
+                assert invert_map("phi3", mu, 2) == lam
         assert found > 0
 
 
 class TestPhi4:
     def test_worked_example(self):
         lam = P("13,7,6,2^2,1^55")
-        mu = phi4(lam, 4)
-        assert mu == P("33,13,9^2,7,6,2^2,1^4")
-        assert psi4(mu, 4) == lam
+        mu = apply_map("phi4", lam, 4)
+        assert mu == phi4(lam, 4) == P("33,13,9^2,7,6,2^2,1^4")
+        assert invert_map("phi4", mu, 4) == psi4(mu, 4) == lam
 
     def test_all_ones_column(self):
-        assert phi4(P("1^27"), 2) == P("17,5^2")
+        assert apply_map("phi4", P("1^27"), 2) == P("17,5^2")
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -241,8 +249,8 @@ class TestPhi4:
                 if O.label(lam, 2).index != 4:
                     continue
                 found += 1
-                mu = phi4(lam, 2)
-                assert psi4(mu, 2) == lam
+                mu = apply_map("phi4", lam, 2)
+                assert invert_map("phi4", mu, 2) == lam
         assert found > 0
 
 
@@ -289,48 +297,50 @@ class TestWeightBound:
 class TestGamma:
     def test_third_case_trades_ones_for_a_two(self):
         assert A.label(P("1^6"), 4).index == 3
-        assert gamma(P("1^6"), 4) == P("2,1^4")
+        assert apply_map("gamma", P("1^6"), 4) == P("2,1^4")
 
     def test_first_two_cases_are_identity(self):
         lam = P("1^14")  # ones count 14: 2 mod 6 and -2 mod 8, first subset
         assert A.label(lam, 4).index == 1
-        assert gamma(lam, 4) is lam
+        assert apply_map("gamma", lam, 4) is lam
 
     def test_warns_below_t4(self):
         with pytest.warns(RuntimeWarning):
-            gamma(P("1^2"), 2, validate=False)
+            apply_map("gamma", P("1^2"), 2)
+        with pytest.warns(RuntimeWarning):
+            invert_map("gamma", P("1^2"), 2)
 
     def test_delta3_round_trip(self):
         lam = P("1^6")
-        mu = gamma(lam, 4)
+        mu = apply_map("gamma", lam, 4)
         assert S.label(mu, 4).index == 3
-        assert delta3(mu, 4) == lam
+        assert invert_map("gamma", mu, 4) == delta3(mu, 4) == lam
 
     def test_delta3_validation(self):
         with pytest.raises(ValueError):
-            delta3(P("1^4"), 4)  # no part 2
+            invert_map("gamma", P("1^4"), 4)  # no part 2
 
 
 class TestEpsilon:
     def test_growth_case(self):
         assert epsilon_case(P("3,1^6")) == 1
-        assert epsilon(P("3,1^6")) == P("5,1^4")
+        assert apply_map("epsilon", P("3,1^6"), 2) == P("5,1^4")
 
     def test_all_ones_case(self):
-        assert epsilon(P("1^18")) == P("7^2,1^4")
+        assert apply_map("epsilon", P("1^18"), 2) == P("7^2,1^4")
 
     def test_rejects_small_weight(self):
         with pytest.raises(ValueError):
-            epsilon(P("1^6"))
+            apply_map("epsilon", P("1^6"), 2)
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
-            epsilon(P("3,1^4"))
+            apply_map("epsilon", P("3,1^4"), 2)
 
     def test_case_images_are_separated_by_top_parts(self):
         for n in range(7, 41):
             for lam in D2.members(n, 2):
-                mu = epsilon(lam, validate=False)
+                mu = epsilon(lam, 2)
                 assert D1.contains(mu, 2)
                 tops = mu.parts()[:2] + [0, 0]
                 if epsilon_case(lam) == 1:
@@ -342,7 +352,7 @@ class TestEpsilon:
         for n in range(7, 61):
             seen = {}
             for lam in D2.members(n, 2):
-                mu = epsilon(lam, validate=False)
+                mu = epsilon(lam, 2)
                 assert mu not in seen
                 seen[mu] = lam
 
@@ -350,43 +360,44 @@ class TestEpsilon:
 class TestTauEta:
     def test_case1(self):
         assert tau_case(P("2,1^3"), 3) == 1
-        assert tau(P("2,1^3"), 3) == P("1^5")
+        assert apply_map("tau", P("2,1^3"), 3) == P("1^5")
 
     def test_case3(self):
-        assert tau(P("5,1^3"), 3) == P("4,2,1^2")
+        assert apply_map("tau", P("5,1^3"), 3) == P("4,2,1^2")
 
     def test_case4(self):
-        assert tau(P("1^9"), 3) == P("5,2,1^2")
-        assert tau(P("1^9"), 5) == P("3,2^2,1^2")
+        assert apply_map("tau", P("1^9"), 3) == P("5,2,1^2")
+        assert apply_map("tau", P("1^9"), 5) == P("3,2^2,1^2")
 
     def test_case2(self):
-        assert tau(P("4,1^3"), 3) == P("5,1^2")
+        assert apply_map("tau", P("4,1^3"), 3) == P("5,1^2")
 
     def test_special_double_two(self):
         # at t=4 with top part 3 the rewrite stacks a second 2
         lam = P("3^2,1^3")
         assert tau_case(lam, 4) == 3
-        mu = tau(lam, 4)
+        mu = apply_map("tau", lam, 4)
+        assert mu == tau(lam, 4)
         assert mu.frequency(2) == 2
-        assert eta(mu, 4) == lam
+        assert invert_map("tau", mu, 4) == eta(mu, 4) == lam
 
     def test_needs_t_at_least_3(self):
         with pytest.raises(ValueError):
-            tau(P("1^9"), 2)
+            apply_map("tau", P("1^9"), 2)
         with pytest.raises(ValueError):
-            eta(P("1^5"), 2)
+            invert_map("tau", P("1^5"), 2)
 
     def test_smallest_all_ones_column_has_no_image(self):
         with pytest.raises(ValueError):
-            tau(P("1^3"), 3)
+            apply_map("tau", P("1^3"), 3)
 
     def test_round_trip_exhaustive(self):
         for t in (3, 4, 5):
             for n in range(4, 31):
                 for lam in C.members(n, t):
-                    mu = tau(lam, t)
+                    mu = apply_map("tau", lam, t)
                     assert mu.weight == n and B.contains(mu, t)
-                    assert eta(mu, t) == lam
+                    assert invert_map("tau", mu, t) == lam
 
     def test_case_images_pairwise_disjoint(self):
         for t in (3, 4, 5):
@@ -462,3 +473,81 @@ class TestDriver:
                 w.simplefilter("ignore")
                 report = verify_injection(map_id, t, n)
             assert report.passed
+
+
+class TestCheckedEntries:
+    """``apply_map`` and ``invert_map`` accept exactly the domain classes and the images."""
+
+    @staticmethod
+    def _outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError:
+            return None
+
+    def test_exact_domain_and_image(self):
+        checked = accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cells = [(m, s, t) for m, s in MAPS.items() for t in range(2, 6) if s.t_ok(t)]
+            for map_id, spec, t in cells:
+                domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
+                for n in range(21):
+                    forward, images = {}, {}
+                    for lam in domain.members(n, t):
+                        cls = domain.label(lam, t).index
+                        if n >= spec.min_n and cls in spec.classes:
+                            mu = forward[lam] = spec.forward[cls](lam, t)
+                            # below t = 4 a gamma image can leave the codomain
+                            if codomain.label(mu, t) == SubsetLabel(spec.codomain, cls):
+                                images[mu] = lam
+                    for p in partitions_of(n):
+                        checked += 1
+                        mu = self._outcome(apply_map, map_id, p, t)
+                        assert mu == forward.get(p), (map_id, t, str(p))
+                        back = self._outcome(invert_map, map_id, p, t)
+                        expected = images.get(p) if spec.inverse else None
+                        assert back == expected, (map_id, t, str(p))
+                        accepted += back is not None
+        assert checked == 28 * sum(1 for n in range(21) for _ in partitions_of(n)) == 75992
+        assert accepted == 1408
+
+    def test_map_without_inverse(self):
+        with pytest.raises(ValueError, match="no declared inverse"):
+            invert_map("epsilon", P("5,1^4"), 2)
+
+    def test_rejects_unknown_map_and_bad_cells(self):
+        with pytest.raises(ValueError):
+            apply_map("sigma", P("1"), 2)
+        with pytest.raises(ValueError):
+            invert_map("epsilon", P("5,1^4"), 3)
+        with pytest.raises(ValueError):
+            apply_map("phi", P("3,1"), 1)
+
+
+class TestRawFormulas:
+    """The maps are plain ``f(p, t)`` formulas with no checking knob."""
+
+    def test_no_function_takes_validate(self):
+        functions = []
+        for obj in vars(injections).values():
+            if inspect.isclass(obj) and obj.__module__ == injections.__name__:
+                functions.extend(f for f in vars(obj).values() if inspect.isfunction(f))
+            elif inspect.isfunction(obj):
+                functions.append(obj)
+        assert functions
+        for f in functions:
+            assert "validate" not in inspect.signature(f).parameters, f.__qualname__
+        for spec in MAPS.values():
+            for f in [*spec.forward.values(), *spec.inverse.values()]:
+                assert list(inspect.signature(f).parameters) == ["p", "t"], f.__qualname__
+
+    def test_phi_tables_hold_public_module_functions(self):
+        # the benchmark tracer rebinds these tables by the identity of each value
+        for table in (injections._PHI_FORWARD, injections._PHI_INVERSE):
+            for f in table.values():
+                assert not f.__name__.startswith("_")
+                assert getattr(injections, f.__name__) is f
+
+    def test_min_n_table_follows_maps(self):
+        assert MAP_MIN_N == {k: s.min_n for k, s in MAPS.items()}

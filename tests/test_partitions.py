@@ -13,10 +13,12 @@ from hookcounts.partitions import (
 )
 from hookcounts.series import t_regular_gf
 from oracles import (
+    diff,
     hook_multiset_by_heights,
     partition_gf,
     partitions_by_frames,
     partitions_by_recursion,
+    union,
 )
 
 P = Partition.parse
@@ -70,29 +72,45 @@ class TestPartitionBasics:
 
 
 class TestMultisetAlgebra:
+    """``Partition.trade`` against the multiset union and difference it replaced."""
+
     def test_union_worked_example(self):
         a, b = P("6,5^2,2^4,1^5"), P("5,2^3,1^2")
-        assert a.union(b) == P("6,5^3,2^7,1^7")
+        assert a.trade((), b) == union(a, b) == P("6,5^3,2^7,1^7")
 
     def test_diff_worked_example(self):
         a, b = P("6,5^2,2^4,1^5"), P("5,2^3,1^2")
-        assert a.diff(b) == P("6,5,2,1^3")
+        assert a.trade(b, ()) == diff(a, b) == P("6,5,2,1^3")
 
     def test_identities(self):
         a = P("4,2,1")
         empty = Partition()
-        assert a.union(empty) == a
-        assert a.diff(empty) == a
-        assert P("2").union(P("2")) == P("2^2")
+        assert a.trade((), empty) == union(a, empty) == a
+        assert a.trade(empty, ()) == diff(a, empty) == a
+        assert P("2").trade((), (2,)) == union(P("2"), P("2")) == P("2^2")
+
+    def test_repeated_parts_count_each_copy(self):
+        # tau's third case at top part 3 adds two copies of 2
+        lam = P("3^2,1^3")
+        mu = lam.trade((3, 1), (2, 2))
+        assert mu == union(diff(lam, P("3,1")), P("2^2")) == P("3,2^2,1^2")
+        assert mu.weight == lam.weight
 
     def test_diff_deficit_is_error(self):
         with pytest.raises(ValueError):
-            P("2").diff(P("1"))
+            diff(P("2"), P("1"))
+        with pytest.raises(ValueError):
+            P("2").trade((1,), ())
+        with pytest.raises(ValueError):
+            P("2,1").trade((1, 1), (2,))
 
     @given(partitions(), partitions())
     def test_union_then_diff_round_trips(self, a, b):
-        assert a.union(b).diff(b) == a
-        assert a.union(b).weight == a.weight + b.weight
+        grown = a.trade((), b)
+        assert grown == union(a, b)
+        assert grown.trade(b, ()) == diff(union(a, b), b) == a
+        assert grown.weight == a.weight + b.weight
+        assert a.trade(a, b) == b
 
 
 class TestEnumeration:
