@@ -21,15 +21,13 @@ from .hookgf import (
 )
 from .injections import VerificationReport, o5_weight_bound
 
-# (t, n) cells where a sign scan is allowed to go negative
-SIGN_EXCEPTIONS = {
-    "D": {(2, 6)},
-    "E": {(2, 9)},
-    "F": {(2, 5), (2, 8), (2, 11), (2, 14)},
+# each sign statement: the n it starts at, and the (t, n) cells where the
+# scan is allowed to go negative
+SIGN_STATEMENTS = {
+    "D": (0, {(2, 6)}),
+    "E": (4, {(2, 9)}),
+    "F": (0, {(2, 5), (2, 8), (2, 11), (2, 14)}),
 }
-
-# the sign statement for E starts at n = 4
-SIGN_MIN_N = {"D": 0, "E": 4, "F": 0}
 
 
 @dataclass
@@ -64,9 +62,8 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
     negative coefficient anywhere in range is recorded.
     """
     bound = thm12_bound(t)
-    diff = diff_bt2_bt1(t, order)
-    witnesses = [(t, n, diff[n]) for n in range(min(bound, order + 1), order + 1) if diff[n] < 0]
-    negatives = [n for n, c in enumerate(diff.coeffs) if c < 0]
+    negatives = [(n, c) for n, c in enumerate(diff_bt2_bt1(t, order).coeffs) if c < 0]
+    witnesses = [(t, n, c) for n, c in negatives if n >= bound]
     return TheoremCheck(
         which="thm12",
         params={"t": t, "order": order},
@@ -75,7 +72,7 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
         info={
             "bound": bound,
             "asserted_range": [bound, order] if bound <= order else None,
-            "largest_negative_n": negatives[-1] if negatives else None,
+            "largest_negative_n": negatives[-1][0] if negatives else None,
         },
     )
 
@@ -118,13 +115,13 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
     exception cells.  For E the statement starts at n=4; negatives below
     that are recorded as information only.
     """
-    if name not in SIGN_EXCEPTIONS:
+    if name not in SIGN_STATEMENTS:
         raise ValueError(f"sign checks exist for D, E, F, not {name!r}")
     if order < 30:
         raise ValueError("order must be at least 30")
     if not t_values:
         raise ValueError("need at least one t to scan")
-    min_n = SIGN_MIN_N[name]
+    min_n, declared = SIGN_STATEMENTS[name]
     witnesses = []
     below = []
     for t in t_values:
@@ -135,11 +132,7 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
                     witnesses.append((t, n, c))
                 else:
                     below.append((t, n, c))
-    expected = {
-        (t, n)
-        for (t, n) in SIGN_EXCEPTIONS[name]
-        if t in t_values and min_n <= n <= order
-    }
+    expected = {(t, n) for t, n in declared if t in t_values and min_n <= n <= order}
     return TheoremCheck(
         which=f"sign_{name}",
         params={"name": name, "t_values": list(t_values), "order": order, "min_n": min_n},

@@ -15,14 +15,16 @@ from .series import csv_lines
 
 SERIES_NAMES = ("bt1", "bt2", "bt3", "A", "B", "C", "D", "E", "F")
 
-# the flags each theorem check reads; giving it any other is a usage error
+# the flags each theorem check reads, with the value each takes when not given
+# (thm12's order is then worked out from t and --full); giving a check any
+# other theorem flag is a usage error
 THEOREM_FLAGS = {
-    "thm12": ("t", "order", "full"),
-    "thm13": ("t_max", "n_max"),
-    "d": ("t_max", "order"),
-    "e": ("t_max", "order"),
-    "f": ("t_max", "order"),
-    "oracle": ("t_max", "n_max", "k_max"),
+    "thm12": {"t": 2, "order": None, "full": False},
+    "thm13": {"t_max": 10, "n_max": 60},
+    "d": {"t_max": 4, "order": 200},
+    "e": {"t_max": 4, "order": 200},
+    "f": {"t_max": 4, "order": 200},
+    "oracle": {"t_max": 6, "n_max": 40, "k_max": 3},
 }
 
 
@@ -63,11 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thm = vsub.add_parser("theorem", help="theorem-level sign checks")
     p_thm.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
-    p_thm.add_argument("--t", type=int, help="for thm12 (default 2)")
+    p_thm.add_argument("--t", type=int, help=f"for thm12 (default {THEOREM_FLAGS['thm12']['t']})")
     p_thm.add_argument("--order", type=int)
     p_thm.add_argument("--t-max", type=int)
     p_thm.add_argument("--n-max", type=int)
-    p_thm.add_argument("--k-max", type=int, help="for oracle (default 3)")
+    p_thm.add_argument(
+        "--k-max", type=int, help=f"for oracle (default {THEOREM_FLAGS['oracle']['k_max']})"
+    )
     p_thm.add_argument(
         "--full",
         action="store_true",
@@ -115,35 +119,29 @@ def _cmd_verify_injection(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _given(value: int | None, default: int) -> int:
-    """The flag's value when it was given (zero included), else the default."""
-    return default if value is None else value
-
-
 def _cmd_verify_theorem(args) -> int:
-    which = args.which
-    unread = [
-        "--" + name.replace("_", "-")
-        for name in ("t", "order", "t_max", "n_max", "k_max", "full")
-        if getattr(args, name) is not None and name not in THEOREM_FLAGS[which]
-    ]
+    which, defaults = args.which, THEOREM_FLAGS[args.which]
+    every = {name for flags in THEOREM_FLAGS.values() for name in flags}
+    given = {name: v for name, v in vars(args).items() if name in every and v is not None}
+    unread = ["--" + name.replace("_", "-") for name in given if name not in defaults]
     if unread:
         raise ValueError(f"--which {which} does not read {', '.join(unread)}")
+    flag = {**defaults, **given}  # a given value, zero included, beats the default
     if which == "thm12":
-        t, order = _given(args.t, 2), args.order
-        if args.full:
+        t, order = flag["t"], flag["order"]
+        if flag["full"]:
             order = max(order or 0, checks.thm12_bound(t) + 100)
         elif order is None:
             order = 3100 if t == 2 else 2000
         check = checks.run_thm12(t, order)
     elif which == "thm13":
-        check = checks.run_thm13(_given(args.t_max, 10), _given(args.n_max, 60))
+        check = checks.run_thm13(flag["t_max"], flag["n_max"])
     elif which in ("d", "e", "f"):
-        ts = tuple(range(2, _given(args.t_max, 4) + 1))
-        check = checks.run_sign_check(which.upper(), ts, _given(args.order, 200))
+        ts = tuple(range(2, flag["t_max"] + 1))
+        check = checks.run_sign_check(which.upper(), ts, flag["order"])
     else:
-        ks = tuple(range(1, _given(args.k_max, 3) + 1))
-        check = checks.run_oracle_crosscheck(_given(args.t_max, 6), _given(args.n_max, 40), ks)
+        ks = tuple(range(1, flag["k_max"] + 1))
+        check = checks.run_oracle_crosscheck(flag["t_max"], flag["n_max"], ks)
     checks.emit(check, args.format, sys.stdout)
     return 0 if check.passed else 1
 

@@ -131,23 +131,14 @@ def _one_mod_ks(p: Partition, t: int) -> list[int]:
 
 
 def _o_subsets(p: Partition, t: int) -> list[int]:
-    ks = _one_mod_ks(p, t)
-    out = []
-    if ks:
-        out.append(1)
-    clean = not ks
-    big = p.largest() >= 8 * t * t + 1
-    heavy = any(v >= 2 and m >= 6 * t + 1 for v, m in p.items())
-    f1 = p.frequency(1)
-    if clean and big:
-        out.append(2)
-    if clean and not big and heavy:
-        out.append(3)
-    if clean and not big and not heavy and f1 >= 12 * t + 3:
-        out.append(4)
-    if clean and not big and not heavy and f1 <= 12 * t + 2:
-        out.append(5)
-    return out
+    """The one O-subset p falls in: each condition holds only where those before it fail."""
+    if _one_mod_ks(p, t):
+        return [1]
+    if p.largest() >= 8 * t * t + 1:
+        return [2]
+    if any(v >= 2 and m >= 6 * t + 1 for v, m in p.items()):
+        return [3]
+    return [4] if p.frequency(1) >= 12 * t + 3 else [5]
 
 
 def _r_subsets(p: Partition, t: int) -> list[int]:

@@ -48,10 +48,6 @@ class Partition:
         return self
 
     @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls.from_parts(parts)
-
-    @classmethod
     def from_parts(cls, parts) -> "Partition":
         freq: Dict[int, int] = {}
         for p in parts:
@@ -60,7 +56,7 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the canonical text form; the empty string is the empty partition."""
+        """Parse the canonical text form, parts strictly descending; "" is the empty partition."""
         text = text.strip()
         if not text:
             return cls()
@@ -76,8 +72,6 @@ class Partition:
                 raise ValueError(f"bad partition token {token!r}")
             if previous is not None and part >= previous:
                 raise ValueError(f"parts must be strictly descending, got {text!r}")
-            if part in freq:
-                raise ValueError(f"repeated part value in {text!r}")
             freq[part] = mult
             previous = part
         return cls(freq)
@@ -89,13 +83,6 @@ class Partition:
     def items(self) -> Tuple[Tuple[int, int], ...]:
         """(part, multiplicity) pairs, descending by part value."""
         return self._items
-
-    def parts(self) -> list[int]:
-        """Parts expanded with multiplicity, descending."""
-        out = []
-        for part, mult in self._items:
-            out.extend([part] * mult)
-        return out
 
     def frequency(self, k: int) -> int:
         """Multiplicity of the part value k; 0 for any value not present."""

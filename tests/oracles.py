@@ -199,7 +199,7 @@ def hook_multiset_by_heights(p: Partition) -> HookMultiset:
     """
     heights = conjugate_column_heights(p)
     counts: HookMultiset = {}
-    for i, row in enumerate(p.parts()):
+    for i, row in enumerate(p):
         for j in range(row):
             h = (row - j) + (heights[j] - i) - 1
             counts[h] = counts.get(h, 0) + 1

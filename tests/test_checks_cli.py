@@ -1,9 +1,14 @@
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hookcounts import cli
+import hookcounts
+from hookcounts import cli, injections
 from hookcounts.checks import (
     emit,
     run_identity_check,
@@ -292,6 +297,39 @@ class TestCli:
         assert cli.main(argv.split()) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["ks"] == list(range(1, 9)) and payload["witnesses"] == []
+
+    def test_broken_map_entry_exits_1(self, capsys, monkeypatch):
+        # every image gains a part 1, so each cell with a domain member fails
+        spec = dataclasses.replace(
+            injections.MAPS["tau"], forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
+        )
+        monkeypatch.setitem(injections.MAPS, "broken", spec)
+        argv = "verify injection --map broken --t 3 --n-max 9 --format json"
+        assert cli.main(argv.split()) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in payload] == list(range(4, 10))
+        assert not all(r["passed"] for r in payload)
+
+    def test_write_error_exits_2(self, capsys, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert cli.main(["count", "--t", "2", "--k", "2", "--n", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+
+    def test_python_m_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "hookcounts", "count", "--t", "2", "--k", "2", "--n", "12"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "34\n", "")
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ["verify", "theorem", "--which", "thm13", "--t-max", "4", "--n-max", "15", "--format", "json"]

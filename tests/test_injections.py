@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import warnings
@@ -342,7 +343,7 @@ class TestEpsilon:
             for lam in D2.members(n, 2):
                 mu = epsilon(lam, 2)
                 assert D1.contains(mu, 2)
-                tops = mu.parts()[:2] + [0, 0]
+                tops = list(mu)[:2] + [0, 0]
                 if epsilon_case(lam) == 1:
                     assert tops[0] > tops[1]
                 else:
@@ -473,6 +474,63 @@ class TestDriver:
                 w.simplefilter("ignore")
                 report = verify_injection(map_id, t, n)
             assert report.passed
+
+
+class TestDriverFailures:
+    """Broken ``MAPS``/``FAMILIES`` entries: the driver reports each fault it is built to find."""
+
+    @staticmethod
+    def _kinds(monkeypatch, spec, t, n, families=()):
+        for family in families:
+            monkeypatch.setitem(injections.FAMILIES, family.name, family)
+        monkeypatch.setitem(injections.MAPS, "broken", spec)
+        report = verify_injection("broken", t, n)
+        assert report.passed is False
+        return [v.kind for v in report.violations], report
+
+    def test_weight_change(self, monkeypatch):
+        spec = dataclasses.replace(
+            MAPS["tau"], forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
+        )
+        kinds, report = self._kinds(monkeypatch, spec, 3, 9)
+        assert kinds and set(kinds) == {"NotInCodomain"}
+        assert all(v.detail == "weight changed to 10" for v in report.violations)
+
+    def test_collision(self, monkeypatch):
+        spec = dataclasses.replace(
+            MAPS["tau"], forward={None: lambda p, t: Partition({1: p.weight})}, inverse={}
+        )
+        kinds, report = self._kinds(monkeypatch, spec, 3, 9)
+        assert kinds.count("Collision") == report.domain_size - 1 > 0
+        assert report.image_size == 1
+
+    def test_inverse_mismatch(self, monkeypatch):
+        spec = dataclasses.replace(
+            MAPS["tau"],
+            forward={None: lambda p, t: p},
+            inverse={None: lambda p, t: Partition({1: p.weight})},
+        )
+        kinds, report = self._kinds(monkeypatch, spec, 3, 9)
+        # only 1^9 itself comes back from the inverse unchanged
+        assert kinds.count("InverseMismatch") == report.domain_size - 1 > 0
+        assert "Collision" not in kinds
+
+    def test_classification_gap_and_overlaps(self, monkeypatch):
+        # an odd 1-count falls in no subset, an even one in both
+        family = injections.Family(
+            "X", lambda v, t: v % t != 0,
+            subsets=lambda p, t: [] if p.frequency(1) % 2 else [1, 2],
+        )
+        keep = lambda p, t: p  # noqa: E731
+        spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {}, classes=(1, 2))
+        kinds, report = self._kinds(monkeypatch, spec, 3, 7, families=(family,))
+        members = list(family.members(7, 3))
+        odd = sum(1 for p in members if p.frequency(1) % 2)
+        assert 0 < odd < len(members)
+        assert kinds.count("ClassificationGap") == odd
+        # once as a domain member, once as a codomain member
+        assert kinds.count("ClassificationOverlap") == 2 * (len(members) - odd)
+        assert report.domain_size == 0
 
 
 class TestCheckedEntries:

@@ -30,12 +30,27 @@ class TestTextForm:
             assert str(P(text)) == text
 
     def test_parse_expands_multiplicities(self):
-        assert P("3^2,1").parts() == [3, 3, 1]
+        assert list(P("3^2,1")) == [3, 3, 1]
 
     @pytest.mark.parametrize("bad", ["3,5", "2,2", "0", "3^0", "a", "5,,1", "3^-1"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             P(bad)
+
+    @pytest.mark.parametrize("text", ["1,3", "3,3", "5,2,2,1"])
+    def test_parse_rejects_ascending_and_repeated_parts(self, text):
+        # a repeated value is not strictly below the one before it
+        with pytest.raises(ValueError, match="strictly descending"):
+            P(text)
+
+    @pytest.mark.parametrize("text", ["3^0", "x", "3,,1"])
+    def test_parse_rejects_bad_tokens(self, text):
+        with pytest.raises(ValueError, match="bad partition token"):
+            P(text)
+
+    def test_parse_empty_is_the_empty_partition(self):
+        assert P("") == P("  ") == Partition()
+        assert not P("")
 
     @given(partitions())
     def test_round_trip_property(self, p):
@@ -66,9 +81,9 @@ class TestPartitionBasics:
         assert list(P("5,3^2,1^3")) == [5, 3, 3, 1, 1, 1]
 
     def test_hash_and_equality(self):
-        assert P("3,1") == Partition.of(1, 3)
-        assert hash(P("3,1")) == hash(Partition.of(1, 3))
-        assert len({P("3,1"), Partition.of(3, 1), P("2^2")}) == 2
+        assert P("3,1") == Partition.from_parts((1, 3))
+        assert hash(P("3,1")) == hash(Partition.from_parts((1, 3)))
+        assert len({P("3,1"), Partition.from_parts((3, 1)), P("2^2")}) == 2
 
 
 class TestMultisetAlgebra:
@@ -174,7 +189,7 @@ class TestEnumeration:
 
 def _hooks_by_grid(p):
     # Literal cell-by-cell definition on a materialized diagram.
-    rows = p.parts()
+    rows = list(p)
     counts = {}
     for i, r in enumerate(rows):
         for j in range(r):
