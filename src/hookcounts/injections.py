@@ -12,9 +12,10 @@ Each family is described once, as a :class:`Family` record in
 :data:`FAMILIES`; each injection once, as a :class:`MapSpec` entry in
 :data:`MAPS`.  :func:`verify_injection` runs an entry and certifies, for one
 (map, t, n) cell, that the map is well defined into its codomain, weight
-preserving, collision free, inverted by its declared inverse, and that the
-relevant subset classifications partition / stay disjoint.  Failures become
-report entries, never exceptions.
+preserving, collision free, inverted by its declared inverse, that the
+relevant subset classifications partition / stay disjoint, and that the walk
+met as many domain members as the family's counting series counts.  Failures
+become report entries, never exceptions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
+from . import hookgf
 from .partitions import Partition, partitions_of
 
 
@@ -84,37 +86,47 @@ def _check_t(t: int) -> None:
 
 @dataclass(frozen=True)
 class Family:
-    """A family of partitions: a part rule, a 1-count rule and an extra condition.
+    """A family of partitions: a part rule, a 1-count rule and a needed part.
 
-    ``parts(v, t)`` is the rule every part value v obeys; :meth:`members`
-    hands it to :func:`partitions_of`, which asks it once per value, so
-    partitions breaking it are never walked.
-    ``ones(f1, t)`` is the rule on the number of 1s (``None``: any number) and
-    ``extra(p, t)`` any further condition.  ``subsets(p, t)``, called on
-    members only, lists the indices of the named subsets whose defining
-    condition p satisfies.
+    ``parts(v, t)`` is the rule every part value v obeys and ``ones(f1, t)``
+    the rule on the number of 1s (``None``: any number); :meth:`members`
+    hands both to :func:`partitions_of`, which asks each once per value, so
+    partitions breaking either are never built.  ``needs(t)``, if set, is a
+    part >= 2 of the part rule that every member holds at least once.
+    ``subsets(p, t)``, called on members only, lists the indices of the
+    named subsets whose defining condition p satisfies.
     """
 
     name: str
     parts: Callable[[int, int], bool]
     ones: Callable[[int, int], bool] | None = None
-    extra: Callable[[Partition, int], bool] | None = None
+    needs: Callable[[int], int] | None = None
     subsets: Callable[[Partition, int], list[int]] | None = None
-
-    def _rest(self, p: Partition, t: int) -> bool:
-        return (self.ones is None or self.ones(p.frequency(1), t)) and (
-            self.extra is None or self.extra(p, t)
-        )
 
     def contains(self, p: Partition, t: int) -> bool:
         _check_t(t)
-        return all(self.parts(v, t) for v, _ in p.items()) and self._rest(p, t)
+        return (
+            all(self.parts(v, t) for v, _ in p.items())
+            and (self.ones is None or self.ones(p.frequency(1), t))
+            and (self.needs is None or p.frequency(self.needs(t)) >= 1)
+        )
 
     def members(self, n: int, t: int) -> Iterator[Partition]:
-        """The members of weight n, in the order of :func:`partitions_of`."""
+        """The members of weight n, in the order of :func:`partitions_of`.
+
+        With a needed part x, the walk runs over n - x and puts one x back
+        into each partition; adding the same part to all of them keeps
+        their order.
+        """
         _check_t(t)
-        rest = self._rest
-        return (p for p in partitions_of(n, lambda v: self.parts(v, t)) if rest(p, t))
+        parts = lambda v: self.parts(v, t)  # noqa: E731
+        ones = None if self.ones is None else (lambda r: self.ones(r, t))
+        if self.needs is None:
+            return partitions_of(n, parts, ones)
+        x = self.needs(t)
+        if n < x:
+            return iter(())
+        return (p.trade((), (x,)) for p in partitions_of(n - x, parts, ones))
 
     def label(self, p: Partition, t: int) -> SubsetLabel | None:
         """The first subset p falls in; None outside the family."""
@@ -181,7 +193,7 @@ FAMILIES: dict[str, Family] = {
         Family(
             "R",
             lambda v, t: v % t != 0 or v == 2 * t,
-            extra=lambda p, t: p.frequency(2 * t + 1) >= 1,
+            needs=lambda t: 2 * t + 1,
             subsets=_r_subsets,
         ),
         # t-regular, no part 3, and the number of 1s is -2 mod 2t
@@ -511,7 +523,9 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     """Certify one (map, t, n) cell exhaustively; see the module docstring.
 
     A map with several classes also reports domain members in no class or
-    in several (gap, overlap) and codomain members in several subsets.
+    in several (gap, overlap) and codomain members in several subsets.  The
+    number of domain members walked is checked against the family's
+    counting series, an independent route (DomainIncomplete).
     Single-threaded; violations are sorted by canonical input text, so
     reports are deterministic.
     """
@@ -524,8 +538,9 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
         violations.append(Violation(str(p), kind, detail))
 
     images: dict[Partition, Partition] = {}
-    domain_size = 0
+    domain_size = walked = 0
     for lam in domain.members(n, t):
+        walked += 1
         cls = None
         if domain.subsets is not None:
             ms = domain.subsets(lam, t)
@@ -553,6 +568,11 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
             back = inverse(mu, t)
             if back != lam:
                 violate(lam, "InverseMismatch", f"inverse returned {back}")
+
+    counted = hookgf.set_cardinality_series(spec.domain, t, n)[n]
+    if walked != counted:
+        detail = f"walked {walked} members, the counting series has {counted}"
+        violations.append(Violation(domain.name, "DomainIncomplete", detail))
 
     if several and codomain.subsets is not None:
         for mu in codomain.members(n, t):

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
 # hook length -> number of cells carrying it
 HookMultiset = Dict[int, int]
 
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_TOKEN = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")  # ASCII digits only
 
 
 class Partition:
@@ -30,9 +30,10 @@ class Partition:
         items = []
         if freq:
             for part, mult in freq.items():
-                if not (isinstance(part, int) and part >= 1):
+                # bool is an int subclass, but True would print as "True"
+                if isinstance(part, bool) or not (isinstance(part, int) and part >= 1):
                     raise ValueError(f"part must be a positive integer, got {part!r}")
-                if not (isinstance(mult, int) and mult >= 1):
+                if isinstance(mult, bool) or not (isinstance(mult, int) and mult >= 1):
                     raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
                 items.append((part, mult))
         items.sort(reverse=True)
@@ -146,21 +147,30 @@ class Partition:
         return f"Partition.parse({str(self)!r})"
 
 
-def partitions_of(n: int, part_filter: Callable[[int], bool] | None = None) -> Iterator[Partition]:
-    """Yield the partitions of n whose parts all satisfy ``part_filter``.
+def partitions_of(
+    n: int,
+    part_filter: Callable[[int], bool] | None = None,
+    ones: Callable[[int], bool] | None = None,
+) -> Iterator[Partition]:
+    """Yield the partitions of n whose parts satisfy ``part_filter`` and 1-count ``ones``.
 
-    Order is descending lexicographic on the expanded part list, e.g. for
-    n=4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1); golden tests rely on it.
-    n=0 yields exactly the empty partition.  ``part_filter`` is called once
-    for each v from 1 to n, before the walk.  One loop over (part,
-    multiplicity) items fills the weight left greedily, yields if none is
-    left, takes one copy off the last item and fills again from the values
-    below it; a remainder the fill cannot place is carried along.
+    ``None`` allows any part, resp. any number of 1s.  Order is descending
+    lexicographic on the expanded part list, e.g. for n=4: (4), (3,1),
+    (2,2), (2,1,1), (1,1,1,1); golden tests rely on it.  n=0 yields exactly
+    the empty partition if ``ones(0)`` holds.  ``part_filter`` is called
+    once for each v from 1 to n and ``ones`` once for each r from 0 to n,
+    before the walk.  One loop over (part, multiplicity) items of the parts
+    >= 2 fills the weight left greedily, takes one copy off the last item
+    and fills again from the values below it.  What no part >= 2 fills is
+    the 1-count: a fill end is yielded with that many 1s if the table of
+    allowed 1-counts holds it, and is never built otherwise.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     # ascending, so bisect finds the largest allowed value that still fits
-    values = [v for v in range(1, n + 1) if part_filter is None or part_filter(v)]
+    values = [v for v in range(2, n + 1) if part_filter is None or part_filter(v)]
+    one_ok = n >= 1 and (part_filter is None or part_filter(1))
+    allowed = [(r == 0 or one_ok) and (ones is None or ones(r)) for r in range(n + 1)]
 
     def walk() -> Iterator[Partition]:
         idx: list[int] = []  # index into values of each item's part
@@ -174,13 +184,10 @@ def partitions_of(n: int, part_filter: Callable[[int], bool] | None = None) -> I
                 idx.append(i)
                 items.append((v, m))
                 i = bisect_right(values, rest, 0, i) - 1
-            if not rest:
-                yield Partition._from_sorted_items(tuple(items), n)
-            if idx and not idx[-1]:
-                # the smallest value: fewer copies leave what nothing below fills
-                idx.pop()
-                v, m = items.pop()
-                rest += v * m
+            if allowed[rest]:
+                yield Partition._from_sorted_items(
+                    tuple(items) + ((1, rest),) if rest else tuple(items), n
+                )
             if not idx:
                 return
             below = idx.pop()

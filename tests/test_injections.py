@@ -1,11 +1,12 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import warnings
 
 import pytest
 
-from hookcounts import injections
+from hookcounts import hookgf, injections
 from hookcounts.injections import (
     FAMILIES,
     MAP_MIN_N,
@@ -34,6 +35,7 @@ from hookcounts.injections import (
     verify_injection_range,
 )
 from hookcounts.partitions import Partition, partitions_of
+from hookcounts.series import t_regular_gf
 
 P = Partition.parse
 O, R, A, S, B, C, D1, D2 = (FAMILIES[k] for k in ("O", "R", "A", "S", "B", "C", "D1", "D2"))
@@ -61,6 +63,12 @@ class TestFamilies:
             O.contains(P("1"), 1)
         with pytest.raises(ValueError):
             R.members(5, 1)
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_r_starts_at_its_needed_part(self, t):
+        # every member of R holds the part 2t+1, so none weighs less
+        assert all(list(R.members(n, t)) == [] for n in range(2 * t + 1))
+        assert list(R.members(2 * t + 1, t)) == [Partition({2 * t + 1: 1})]
 
 
 class TestClassifyO:
@@ -523,6 +531,10 @@ class TestDriverFailures:
         )
         keep = lambda p, t: p  # noqa: E731
         spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {}, classes=(1, 2))
+        # X is the t-regular partitions, so its counting series is T
+        monkeypatch.setattr(
+            hookgf, "set_cardinality_series", lambda name, t, order: t_regular_gf(t, order)
+        )
         kinds, report = self._kinds(monkeypatch, spec, 3, 7, families=(family,))
         members = list(family.members(7, 3))
         odd = sum(1 for p in members if p.frequency(1) % 2)
@@ -531,6 +543,19 @@ class TestDriverFailures:
         # once as a domain member, once as a codomain member
         assert kinds.count("ClassificationOverlap") == 2 * (len(members) - odd)
         assert report.domain_size == 0
+
+    def test_walk_that_drops_a_member_is_incomplete(self, monkeypatch):
+        # the counting series notices the one C-member the walk skipped
+        walk = injections.Family.members
+        full = verify_injection("tau", 3, 9)
+        skip_first = lambda self, n, t: itertools.islice(walk(self, n, t), 1, None)  # noqa: E731
+        monkeypatch.setattr(injections.Family, "members", skip_first)
+        kinds, report = self._kinds(monkeypatch, MAPS["tau"], 3, 9)
+        assert kinds == ["DomainIncomplete"]
+        assert report.violations[0].detail == (
+            f"walked {full.domain_size - 1} members, the counting series has {full.domain_size}"
+        )
+        assert full.passed and report.domain_size == full.domain_size - 1
 
 
 class TestCheckedEntries:

@@ -43,7 +43,8 @@ class TestTextForm:
         with pytest.raises(ValueError, match="strictly descending"):
             P(text)
 
-    @pytest.mark.parametrize("text", ["3^0", "x", "3,,1"])
+    # int() reads full-width and Arabic-Indic digits; the text form does not
+    @pytest.mark.parametrize("text", ["3^0", "x", "3,,1", "\uff13,1", "3^\uff12", "\u0663"])
     def test_parse_rejects_bad_tokens(self, text):
         with pytest.raises(ValueError, match="bad partition token"):
             P(text)
@@ -63,6 +64,12 @@ class TestPartitionBasics:
             Partition({0: 1})
         with pytest.raises(ValueError):
             Partition({2: 0})
+
+    @pytest.mark.parametrize("freq", [{True: 2}, {2: True}, {False: 1}, {3: False}])
+    def test_constructor_rejects_bools(self, freq):
+        # Partition({True: 2}) would print "True^2", which parse cannot read
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Partition(freq)
 
     def test_weight_length_largest(self):
         p = P("5,3^2,1^3")
@@ -146,14 +153,19 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [0, 1, 12])
     def test_filter_called_once_per_value(self, n):
-        calls = []
+        calls, ones_calls = [], []
 
         def counted(v):
             calls.append(v)
             return v % 3 != 0
 
-        walked = list(partitions_of(n, counted))
+        def counted_ones(r):
+            ones_calls.append(r)
+            return True
+
+        walked = list(partitions_of(n, counted, counted_ones))
         assert sorted(calls) == list(range(1, n + 1))
+        assert sorted(ones_calls) == list(range(n + 1))
         assert len(walked) == sum(1 for _ in t_regular_partitions(n, 3))
 
     def test_t_regular_small_cases(self):
@@ -261,6 +273,25 @@ WALK_FILTERS = (
         pytest.param(lambda v: v in (2, 7), id="2-and-7"),
     ]
 )
+
+
+ONES_RULES = (
+    pytest.param(lambda r: r % 2 == 1, id="odd"),
+    pytest.param(lambda r: r % 6 == 3, id="3-mod-6"),
+    pytest.param(lambda r: r % 12 == 6, id="6-mod-12"),
+    pytest.param(lambda r: r == 0, id="zero"),
+    pytest.param(lambda r: False, id="never"),
+)
+
+
+@pytest.mark.parametrize("ones", ONES_RULES)
+@pytest.mark.parametrize("part_filter", WALK_FILTERS)
+def test_ones_rule_matches_filtered_oracle(part_filter, ones):
+    # the 1-count rule checked before a partition is built keeps exactly the
+    # oracle's partitions with an allowed 1-count, in the oracle's order
+    for n in range(29):
+        expected = [p for p in partitions_by_recursion(n, part_filter) if ones(p.frequency(1))]
+        assert list(partitions_of(n, part_filter, ones)) == expected
 
 
 @pytest.mark.parametrize("part_filter", WALK_FILTERS)
