@@ -3,7 +3,7 @@
 Each runner scans a parameter window and reports the sign violations it
 finds as witnesses.  A check passes exactly when the witnesses match the
 declared exception set restricted to the scanned window, so reruns with the
-same flags are byte-identical.
+same flags are byte-identical.  A t or k listed twice is scanned once.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .hookgf import (
     diff_bt2_bt3,
 )
 from .injections import VerificationReport, o5_weight_bound
+
+# thm13 re-derives both hook counts by enumeration up to this n
+ENUM_LIMIT = 40
 
 # each sign statement: the n it starts at, and the (t, n) cells where the
 # scan is allowed to go negative
@@ -77,20 +80,18 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
     )
 
 
-def run_thm13(t_max: int, n_max: int, enum_limit: int = 40) -> TheoremCheck:
+def run_thm13(t_max: int, n_max: int) -> TheoremCheck:
     """2-hooks dominate 3-hooks except at n=3 for t >= 3.
 
     Series scan over the full window; the oracle cross-check of
     :func:`run_oracle_crosscheck` re-derives both hook counts up to
-    ``enum_limit`` and any disagreement fails the check.
+    :data:`ENUM_LIMIT` and any disagreement fails the check.
     """
     if t_max < 2 or n_max < 3:
         raise ValueError("need t_max >= 2 and n_max >= 3")
-    if enum_limit < 0:
-        raise ValueError("enum_limit must be nonnegative")
     failures = []
     mismatches = []
-    enum_to = min(enum_limit, n_max)
+    enum_to = min(ENUM_LIMIT, n_max)
     for t in range(2, t_max + 1):
         diff = diff_bt2_bt3(t, n_max)
         failures.extend((t, n, diff[n]) for n in range(n_max + 1) if diff[n] < 0)
@@ -121,6 +122,7 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
         raise ValueError("order must be at least 30")
     if not t_values:
         raise ValueError("need at least one t to scan")
+    t_values = tuple(dict.fromkeys(t_values))
     min_n, declared = SIGN_STATEMENTS[name]
     witnesses = []
     below = []
@@ -155,6 +157,7 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
         raise ValueError(f"identity checks are 'abc' or 'def', not {which!r}")
     if not t_values:
         raise ValueError("need at least one t to scan")
+    t_values = tuple(dict.fromkeys(t_values))
     witnesses = []
     for t in t_values:
         if which == "abc":
@@ -200,6 +203,7 @@ def run_oracle_crosscheck(
     """Enumeration and generating-function hook counts must agree on the grid."""
     if t_max < 2 or n_max < 0 or not ks:
         raise ValueError("need t_max >= 2, n_max >= 0 and at least one k")
+    ks = tuple(dict.fromkeys(ks))
     witnesses = [w for t in range(2, t_max + 1) for w in _oracle_mismatches(t, n_max, ks)]
     return TheoremCheck(
         which="oracle",

@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested check passes, 1 when any check fails,
-2 on usage or I/O errors.  All output is deterministic; there is no
-randomness anywhere in the pipeline.
+2 on usage or I/O errors.  A warning (gamma's below t = 4) leaves the exit
+code alone: each distinct one goes to stderr once, after the output, as
+``warning: <message>``, whatever the Python warning filters say.  All output
+is deterministic; there is no randomness anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import checks, hookgf, injections
 from .series import csv_lines
@@ -41,12 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--method", choices=("enum", "gf"), default="enum")
+    p_count.set_defaults(run=_cmd_count)
 
     p_series = sub.add_parser("series", help="emit a named series as CSV")
     p_series.add_argument("--name", choices=SERIES_NAMES, required=True)
     p_series.add_argument("--t", type=int, required=True)
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--format", choices=("csv",), default="csv")
+    p_series.set_defaults(run=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     vsub = p_verify.add_subparsers(dest="verify_what", required=True)
@@ -56,12 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--t", type=int, required=True)
     p_ident.add_argument("--order", type=int, default=200)
     p_ident.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p_ident.set_defaults(run=_cmd_verify_identity)
 
     p_inj = vsub.add_parser("injection", help="certify an injection exhaustively")
     p_inj.add_argument("--map", choices=tuple(injections.MAPS), required=True)
     p_inj.add_argument("--t", type=int, required=True)
     p_inj.add_argument("--n-max", type=int, required=True)
     p_inj.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p_inj.set_defaults(run=_cmd_verify_injection)
 
     p_thm = vsub.add_parser("theorem", help="theorem-level sign checks")
     p_thm.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
@@ -80,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(under 1 s at t=2 and t=3, 6 s at t=4, 70 s at t=5, 8 min and 1.8 GiB at t=6)",
     )
     p_thm.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p_thm.set_defaults(run=_cmd_verify_theorem)
 
     return parser
 
@@ -149,22 +157,19 @@ def _cmd_verify_theorem(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.verify_what == "identity":
-            return _cmd_verify_identity(args)
-        if args.verify_what == "injection":
-            return _cmd_verify_injection(args)
-        return _cmd_verify_theorem(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.run(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            code = 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -45,8 +45,10 @@ def btk_enum(t: int, k: int, n: int) -> int:
 def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Hook counts for all (k, n) with k in ks and n <= n_max, one sweep per n.
 
-    A partition costs a pass over its distinct parts and a mask AND per k.
+    A partition costs a pass over its distinct parts and a mask AND per
+    distinct k; a repeated k is counted once.
     """
+    ks = tuple(dict.fromkeys(ks))
     if not ks:
         raise ValueError("need at least one k")
     _check_tk(t, min(ks))

@@ -4,18 +4,16 @@ Every map here transforms a partition of n into another partition of n.  Each
 is a raw formula ``f(p, t)``, written as one part trade per case: a forward
 map is right on its class of a frequency-congruence family of t-regular
 partitions, an inverse on the forward images, and neither checks its input.
-:func:`apply_map` and :func:`invert_map` are the checked entries: they
-accept exactly the members of the covered domain classes, resp. the
-forward images, and raise ValueError on anything else.
 
 Each family is described once, as a :class:`Family` record in
 :data:`FAMILIES`; each injection once, as a :class:`MapSpec` entry in
-:data:`MAPS`.  :func:`verify_injection` runs an entry and certifies, for one
-(map, t, n) cell, that the map is well defined into its codomain, weight
-preserving, collision free, inverted by its declared inverse, that the
-relevant subset classifications partition / stay disjoint, and that the walk
-met as many domain members as the family's counting series counts.  Failures
-become report entries, never exceptions.
+:data:`MAPS`.  :func:`verify_injection`, the one runner of those entries,
+walks the domain, classifies each member and certifies, for one (map, t, n)
+cell, that the map is well defined into its codomain, weight preserving,
+collision free, inverted by its declared inverse, that the relevant subset
+classifications partition / stay disjoint, and that the walk met as many
+domain members as the family's counting series counts.  Failures become
+report entries, never exceptions.
 """
 
 from __future__ import annotations
@@ -257,11 +255,6 @@ def phi2(p: Partition, t: int) -> Partition:
     return p.trade((lam1,), added)
 
 
-def phi2_case(p: Partition, t: int) -> int:
-    x, _ = _phi2_xy(p.largest(), t)
-    return 1 if x else 2
-
-
 def psi2(p: Partition, t: int) -> Partition:
     """Inverse of phi2 on its image: reassemble the removed largest part."""
     f = p.frequency
@@ -358,10 +351,6 @@ def epsilon(p: Partition, t: int) -> Partition:
     return Partition.from_parts([6 * k + 1] * 2 + [1] * 4)
 
 
-def epsilon_case(p: Partition) -> int:
-    return 1 if p.largest() >= 3 else 2
-
-
 def _tau_case4_pattern(n: int, t: int) -> Partition:
     k = (n - 3) // 6
     if t >= 5:
@@ -429,8 +418,8 @@ class MapSpec:
     undivided domain).  ``forward`` and ``inverse`` map a class to a raw
     formula ``f(p, t)``; a class absent from ``inverse`` has no declared
     inverse.  A raw formula checks nothing and is right only on its class
-    (the inverse on the forward images): :func:`apply_map` and
-    :func:`invert_map` are the checked way to call one.  The map is verified
+    (the inverse on the forward images), so only :func:`verify_injection`
+    calls one, on the domain members it has classified.  The map is verified
     for ``n >= min_n`` and the t for which ``t_ok(t)`` holds; ``t_error``
     says which those are.
     """
@@ -478,47 +467,6 @@ def _spec(map_id: str, t: int) -> MapSpec:
     return spec
 
 
-def _cell(map_id: str, t: int, n: int) -> MapSpec:
-    spec = _spec(map_id, t)
-    if n < spec.min_n:
-        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
-    return spec
-
-
-def _class(spec: MapSpec, family: str, p: Partition, t: int) -> int | None:
-    """The class of ``spec`` that names p's subset of ``family``; ValueError if none does."""
-    label = FAMILIES[family].label(p, t)
-    if label is None or label.index not in spec.classes:
-        raise ValueError(f"{p} is in no {family}-subset the map covers")
-    return label.index
-
-
-def apply_map(map_id: str, p: Partition, t: int) -> Partition:
-    """The image of p; ValueError unless p lies in a domain class the map covers."""
-    spec = _cell(map_id, t, p.weight)
-    return spec.forward[_class(spec, spec.domain, p, t)](p, t)
-
-
-def invert_map(map_id: str, mu: Partition, t: int) -> Partition:
-    """The preimage of mu; ValueError unless mu is an image of the map.
-
-    mu is accepted exactly when the declared inverse of the class that its
-    codomain subset names returns a member of that domain class, and the
-    map sends that member back to mu.
-    """
-    spec = _cell(map_id, t, mu.weight)
-    if not spec.inverse:
-        raise ValueError(f"{map_id} has no declared inverse")
-    try:
-        cls = _class(spec, spec.codomain, mu, t)
-        lam = spec.inverse[cls](mu, t)
-        if _class(spec, spec.domain, lam, t) == cls and spec.forward[cls](lam, t) == mu:
-            return lam
-    except ValueError:
-        pass
-    raise ValueError(f"{mu} is not an image of {map_id} at t={t}")
-
-
 def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     """Certify one (map, t, n) cell exhaustively; see the module docstring.
 
@@ -529,7 +477,9 @@ def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     Single-threaded; violations are sorted by canonical input text, so
     reports are deterministic.
     """
-    spec = _cell(map_id, t, n)
+    spec = _spec(map_id, t)
+    if n < spec.min_n:
+        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
     domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
     several = len(spec.classes) > 1
     violations: list[Violation] = []

@@ -21,10 +21,11 @@ from hookcounts.checks import (
     run_thm13,
 )
 from hookcounts.hookgf import distinct_partition_count, t2_remainder_series
-from hookcounts.injections import apply_map, phi2, phi3, verify_injection_range
+from hookcounts.injections import FAMILIES, phi1, phi2, phi3, phi4, verify_injection_range
 from hookcounts.partitions import Partition, hook_multiset
 
 P = Partition.parse
+O = FAMILIES["O"]
 
 
 def _verdict(number: int, slug: str, ok: bool) -> bool:
@@ -47,7 +48,7 @@ def test_criterion_2_identity_suites():
 
 
 def test_criterion_3_exact_characterization():
-    check = run_thm13(10, 60, enum_limit=40)
+    check = run_thm13(10, 60)
     ok = _verdict(3, "2-hooks >= 3-hooks fails exactly at n=3 for t>=3", check.passed)
     assert ok, {
         "witnesses": check.witnesses,
@@ -101,28 +102,31 @@ def test_criterion_6_injection_certification():
 
 def test_criterion_7_worked_examples():
     checks = []
+
+    def in_class(lam, index):
+        return O.label(lam, 4).index == index
+
     # the long-trade map; input is the weight-consistent form of the
     # reference pair (its recorded input carries a stray 7)
-    checks.append(
-        apply_map("phi1", P("17,15,13,10,5,3,2,1^3"), 4) == P("15,13,10,9,8,5,3,2,1^3")
-    )
-    checks.append(
-        apply_map("phi1", P("17,15,13,10,7,5,3,2,1^3"), 4) == P("15,13,10,9,8,7,5,3,2,1^3")
-    )
+    lam = P("17,15,13,10,5,3,2,1^3")
+    checks.append(in_class(lam, 1) and phi1(lam, 4) == P("15,13,10,9,8,5,3,2,1^3"))
+    lam = P("17,15,13,10,7,5,3,2,1^3")
+    checks.append(in_class(lam, 1) and phi1(lam, 4) == P("15,13,10,9,8,7,5,3,2,1^3"))
     # top-part splitting map, both reference pairs (the first is reachable
-    # by the raw formula only: its input houses parts of the traded shape)
+    # by the raw formula only: its input houses parts of the traded shape,
+    # which puts it in the first O-subset)
     checks.append(
         phi2(P("137,33,29,11,5,3,1^3"), 4) == P("33,29,17^7,11,9,8,5,3,1^4")
     )
-    checks.append(
-        apply_map("phi2", P("157,34,29,11,5,3,1^3"), 4) == P("34,29,17^6,11,9^6,5,3,1^4")
-    )
+    lam = P("157,34,29,11,5,3,1^3")
+    checks.append(in_class(lam, 2) and phi2(lam, 4) == P("34,29,17^6,11,9^6,5,3,1^4"))
     # heavy-multiplicity dissolution, raw formula for the reference input
     checks.append(
         phi3(P("17,13,11,9,3^25,1^3"), 4) == P("25^2,17,13,11,9^3,1^10")
     )
     # ones-to-big-parts trade
-    checks.append(apply_map("phi4", P("13,7,6,2^2,1^55"), 4) == P("33,13,9^2,7,6,2^2,1^4"))
+    lam = P("13,7,6,2^2,1^55")
+    checks.append(in_class(lam, 4) and phi4(lam, 4) == P("33,13,9^2,7,6,2^2,1^4"))
     # hook multiset of the worked diagram
     checks.append(
         hook_multiset(P("5,3^2,2,1^2"))

@@ -56,8 +56,6 @@ class TestThm13:
             run_thm13(1, 25)
         with pytest.raises(ValueError):
             run_thm13(4, 2)
-        with pytest.raises(ValueError, match="enum_limit must be nonnegative"):
-            run_thm13(3, 10, enum_limit=-1)
 
 
 class TestSignChecks:
@@ -85,6 +83,11 @@ class TestSignChecks:
         # scanning t=3 alone: no declared exceptions in range, none found
         assert run_sign_check("D", (3,), 120).passed
 
+    def test_repeated_t_is_scanned_once(self):
+        check = run_sign_check("D", (2, 2), 40)
+        assert check.witnesses == [(2, 6, -1)]
+        assert check.to_dict() == run_sign_check("D", (2,), 40).to_dict()
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             run_sign_check("A", (2,), 200)
@@ -106,6 +109,16 @@ class TestIdentityAndOracle:
 
     def test_oracle_crosscheck(self):
         assert run_oracle_crosscheck(3, 15).passed
+
+    def test_identity_repeated_t_is_scanned_once(self):
+        check = run_identity_check("def", (2, 2), 10)
+        assert check.witnesses == [(2, 6, -1), (2, 7, -1), (2, 8, -1), (2, 9, -1), (2, 10, -2)]
+        assert check.to_dict() == run_identity_check("def", (2,), 10).to_dict()
+
+    def test_oracle_repeated_k_is_scanned_once(self):
+        check = run_oracle_crosscheck(3, 8, (2, 2))
+        assert check.passed and check.witnesses == []
+        assert check.to_dict() == run_oracle_crosscheck(3, 8, (2,)).to_dict()
 
     def test_oracle_rejects_empty_grids(self):
         for args in ((1, 15), (3, -1), (3, 15, ())):
@@ -330,6 +343,21 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "34\n", "")
+
+    def test_warning_is_a_stderr_line_under_w_error(self):
+        # a warning filter set to error neither raises out of main nor
+        # changes the exit code, which stays the check's
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        for t, code in ((2, 1), (3, 0)):
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "hookcounts", "verify", "injection",
+                 "--map", "gamma", "--t", str(t), "--n-max", "8", "--format", "csv"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == code
+            assert done.stdout.startswith("map,t,n,domain_size,image_size,passed\n")
+            assert done.stderr == f"warning: gamma images need not stay {t}-regular for t < 4\n"
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ["verify", "theorem", "--which", "thm13", "--t-max", "4", "--n-max", "15", "--format", "json"]

@@ -3,16 +3,15 @@
 Each line pins the exit code and the sha256 of stdout.  ``GOLDENS`` covers
 ``hooks verify injection``: every map id, each output format, the gamma
 reports at t < 4 whose ``NotInCodomain`` violations no other test pins text
-for, and the usage errors.  ``SERIES_GOLDENS`` covers the series route:
+for, and the usage errors; ``STDERR`` pins the stderr of each of its lines
+that writes any (gamma's ``warning:`` line below t = 4, the usage errors),
+and every other line writes none.  ``SERIES_GOLDENS`` covers the series route:
 ``count`` by both methods, ``series`` for every name, ``verify identity``
 (def at t = 2 fails), every ``verify theorem`` check in each format, and
 the complete t = 3 ``thm12 --full`` run to 100 past the bound.
-stderr is not pinned: gamma's ``RuntimeWarning`` carries a source path and
-line number.
 """
 
 import hashlib
-import warnings
 
 import pytest
 
@@ -38,13 +37,25 @@ GOLDENS = [
 ]
 
 
+GAMMA_T2 = "warning: gamma images need not stay 2-regular for t < 4\n"
+STDERR = {
+    "--map gamma --t 2 --n-max 12 --format json": GAMMA_T2,
+    "--map gamma --t 2 --n-max 24 --format human": GAMMA_T2,
+    "--map gamma --t 3 --n-max 20 --format human": (
+        "warning: gamma images need not stay 3-regular for t < 4\n"
+    ),
+    "--map epsilon --t 3 --n-max 10": "error: epsilon is a t=2 map\n",
+    "--map tau --t 2 --n-max 10": "error: tau needs t >= 3\n",
+    "--map gamma --t 1 --n-max 5": "error: t must be at least 2\n",
+}
+
+
 @pytest.mark.parametrize("line,code,digest", GOLDENS, ids=[g[0] for g in GOLDENS])
 def test_verify_injection_stdout_is_pinned(capsys, line, code, digest):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli.main(["verify", "injection", *line.split()]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert cli.main(["verify", "injection", *line.split()]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == STDERR.get(line, "")
 
 
 SERIES_GOLDENS = [

@@ -86,6 +86,11 @@ class TestEnumOracle:
             for n in range(13):
                 assert table[(k, n)] == btk_enum(3, k, n)
 
+    def test_repeated_k_is_counted_once(self):
+        table = btk_enum_table(2, 6, (2, 3, 2))
+        assert table[2, 6] == btk_enum(2, 2, 6) == 6
+        assert table == btk_enum_table(2, 6, (2, 3))
+
 
 class TestSeriesBuilders:
     def test_one_hook_values(self):

@@ -12,18 +12,14 @@ from hookcounts.injections import (
     MAP_MIN_N,
     MAPS,
     SubsetLabel,
-    apply_map,
     delta3,
     epsilon,
-    epsilon_case,
     eta,
-    invert_map,
     o5_weight_bound,
     o5_weight_cap,
     phi1,
     phi1_inv,
     phi2,
-    phi2_case,
     phi3,
     phi4,
     psi2,
@@ -139,16 +135,20 @@ class TestPhi1:
         # weight-consistent form of the reference pair (the recorded input
         # carries a stray part 7 that breaks weight preservation)
         lam = P("17,15,13,10,5,3,2,1^3")
-        mu = apply_map("phi1", lam, 4)
-        assert mu == phi1(lam, 4) == P("15,13,10,9,8,5,3,2,1^3")
-        assert invert_map("phi1", mu, 4) == phi1_inv(mu, 4) == lam
+        assert O.label(lam, 4).index == 1
+        mu = phi1(lam, 4)
+        assert mu == P("15,13,10,9,8,5,3,2,1^3")
+        assert R.label(mu, 4).index == 1
+        assert phi1_inv(mu, 4) == lam
 
     def test_recorded_input_keeps_its_extra_part(self):
-        mu = apply_map("phi1", P("17,15,13,10,7,5,3,2,1^3"), 4)
-        assert mu == P("15,13,10,9,8,7,5,3,2,1^3")
+        lam = P("17,15,13,10,7,5,3,2,1^3")
+        assert O.label(lam, 4).index == 1
+        assert phi1(lam, 4) == P("15,13,10,9,8,7,5,3,2,1^3")
 
     def test_minimal_k_is_fixed_point(self):
-        assert apply_map("phi1", P("5,1"), 2) == P("5,1")
+        assert O.label(P("5,1"), 2).index == 1
+        assert phi1(P("5,1"), 2) == P("5,1")
 
     def test_round_trip_exhaustive(self):
         for t in (2, 3):
@@ -156,9 +156,9 @@ class TestPhi1:
                 for lam in O.members(n, t):
                     if O.label(lam, t).index != 1:
                         continue
-                    mu = apply_map("phi1", lam, t)
-                    assert mu.weight == n
-                    assert invert_map("phi1", mu, t) == lam
+                    mu = phi1(lam, t)
+                    assert mu.weight == n and R.label(mu, t).index == 1
+                    assert phi1_inv(mu, t) == lam
 
     def test_inverse_is_only_valid_on_the_image(self):
         # (5,5,4,1) sits in the target family but outside the image: the
@@ -168,32 +168,33 @@ class TestPhi1:
         back = phi1_inv(stray, 2)
         assert back == P("9,5,1")
         assert phi1(back, 2) != stray
-        with pytest.raises(ValueError):
-            invert_map("phi1", stray, 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            apply_map("phi1", P("3,1^2"), 2)  # even ones count
+        # an even ones count puts the input outside O, so no map runs on it
+        assert O.label(P("3,1^2"), 2) is None
 
 
 class TestPhi2:
     def test_worked_example_nonzero_case(self):
         lam = P("157,34,29,11,5,3,1^3")
-        assert phi2_case(lam, 4) == 1
-        mu = apply_map("phi2", lam, 4)
+        assert O.label(lam, 4).index == 2
+        mu = phi2(lam, 4)
         assert mu == P("34,29,17^6,11,9^6,5,3,1^4")
-        assert invert_map("phi2", mu, 4) == lam
+        assert R.label(mu, 4).index == 2
+        # no part 2t: the largest part split into 4t+1s and 2t+1s only
+        assert mu.frequency(8) == 0
+        assert psi2(mu, 4) == lam
 
     def test_worked_example_zero_case_formula(self):
         # the recorded input is actually first-subset material (137 is 1 mod
         # 8), so only the raw formula reproduces the recorded pair
         lam = P("137,33,29,11,5,3,1^3")
-        assert phi2_case(lam, 4) == 2
+        assert O.label(lam, 4).index == 1
         mu = phi2(lam, 4)
         assert mu == P("33,29,17^7,11,9,8,5,3,1^4")
+        # the zero case is the one that leaves a part 2t
+        assert mu.frequency(8) == 1
         assert psi2(mu, 4) == lam
-        with pytest.raises(ValueError):
-            apply_map("phi2", lam, 4)
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -202,14 +203,14 @@ class TestPhi2:
                 if O.label(lam, 2).index != 2:
                     continue
                 found += 1
-                mu = apply_map("phi2", lam, 2)
+                mu = phi2(lam, 2)
                 assert mu.weight == n and R.label(mu, 2).index == 2
-                assert invert_map("phi2", mu, 2) == lam
+                assert psi2(mu, 2) == lam
         assert found > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            apply_map("phi2", P("5,1"), 2)
+        # 5 = 2*2*1 + 1 is of the first subset's shape, so 5,1 is no phi2 input
+        assert O.label(P("5,1"), 2).index == 1
 
 
 class TestPhi3:
@@ -225,9 +226,9 @@ class TestPhi3:
     def test_genuine_member_round_trip(self):
         lam = P("3^25,1^3")
         assert O.label(lam, 4).index == 3
-        mu = apply_map("phi3", lam, 4)
+        mu = phi3(lam, 4)
         assert R.label(mu, 4).index == 3
-        assert invert_map("phi3", mu, 4) == lam
+        assert psi3(mu, 4) == lam
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -236,20 +237,26 @@ class TestPhi3:
                 if O.label(lam, 2).index != 3:
                     continue
                 found += 1
-                mu = apply_map("phi3", lam, 2)
-                assert invert_map("phi3", mu, 2) == lam
+                mu = phi3(lam, 2)
+                assert mu.weight == n and R.label(mu, 2).index == 3
+                assert psi3(mu, 2) == lam
         assert found > 0
 
 
 class TestPhi4:
     def test_worked_example(self):
         lam = P("13,7,6,2^2,1^55")
-        mu = apply_map("phi4", lam, 4)
-        assert mu == phi4(lam, 4) == P("33,13,9^2,7,6,2^2,1^4")
-        assert invert_map("phi4", mu, 4) == psi4(mu, 4) == lam
+        assert O.label(lam, 4).index == 4
+        mu = phi4(lam, 4)
+        assert mu == P("33,13,9^2,7,6,2^2,1^4")
+        assert R.label(mu, 4).index == 4
+        assert psi4(mu, 4) == lam
 
     def test_all_ones_column(self):
-        assert apply_map("phi4", P("1^27"), 2) == P("17,5^2")
+        assert O.label(P("1^27"), 2).index == 4
+        mu = phi4(P("1^27"), 2)
+        assert mu == P("17,5^2")
+        assert R.label(mu, 2).index == 4
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
@@ -258,8 +265,9 @@ class TestPhi4:
                 if O.label(lam, 2).index != 4:
                     continue
                 found += 1
-                mu = apply_map("phi4", lam, 2)
-                assert invert_map("phi4", mu, 2) == lam
+                mu = phi4(lam, 2)
+                assert mu.weight == n and R.label(mu, 2).index == 4
+                assert psi4(mu, 2) == lam
         assert found > 0
 
 
@@ -304,47 +312,50 @@ class TestWeightBound:
 
 
 class TestGamma:
+    gamma = MAPS["gamma"]
+
     def test_third_case_trades_ones_for_a_two(self):
         assert A.label(P("1^6"), 4).index == 3
-        assert apply_map("gamma", P("1^6"), 4) == P("2,1^4")
+        mu = self.gamma.forward[3](P("1^6"), 4)
+        assert mu == P("2,1^4")
+        assert S.label(mu, 4).index == 3
 
     def test_first_two_cases_are_identity(self):
         lam = P("1^14")  # ones count 14: 2 mod 6 and -2 mod 8, first subset
         assert A.label(lam, 4).index == 1
-        assert apply_map("gamma", lam, 4) is lam
-
-    def test_warns_below_t4(self):
-        with pytest.warns(RuntimeWarning):
-            apply_map("gamma", P("1^2"), 2)
-        with pytest.warns(RuntimeWarning):
-            invert_map("gamma", P("1^2"), 2)
+        assert self.gamma.forward[1](lam, 4) is lam
+        assert S.label(lam, 4).index == 1
 
     def test_delta3_round_trip(self):
         lam = P("1^6")
-        mu = apply_map("gamma", lam, 4)
+        mu = self.gamma.forward[3](lam, 4)
         assert S.label(mu, 4).index == 3
-        assert invert_map("gamma", mu, 4) == delta3(mu, 4) == lam
+        assert self.gamma.inverse[3] is delta3
+        assert delta3(mu, 4) == lam
 
     def test_delta3_validation(self):
-        with pytest.raises(ValueError):
-            invert_map("gamma", P("1^4"), 4)  # no part 2
+        # 1^4 lies in the third S-subset but has no part 2 to trade back,
+        # so it is no image of the third case
+        assert S.label(P("1^4"), 4).index == 3
+        assert P("1^4").frequency(2) == 0
 
 
 class TestEpsilon:
     def test_growth_case(self):
-        assert epsilon_case(P("3,1^6")) == 1
-        assert apply_map("epsilon", P("3,1^6"), 2) == P("5,1^4")
+        assert D2.label(P("3,1^6"), 2) == SubsetLabel("D2", None)
+        mu = epsilon(P("3,1^6"), 2)
+        assert mu == P("5,1^4")
+        assert D1.label(mu, 2) == SubsetLabel("D1", None)
 
     def test_all_ones_case(self):
-        assert apply_map("epsilon", P("1^18"), 2) == P("7^2,1^4")
-
-    def test_rejects_small_weight(self):
-        with pytest.raises(ValueError):
-            apply_map("epsilon", P("1^6"), 2)
+        assert D2.label(P("1^18"), 2) == SubsetLabel("D2", None)
+        mu = epsilon(P("1^18"), 2)
+        assert mu == P("7^2,1^4")
+        assert D1.label(mu, 2) == SubsetLabel("D1", None)
 
     def test_rejects_non_member(self):
-        with pytest.raises(ValueError):
-            apply_map("epsilon", P("3,1^4"), 2)
+        # four 1s are 4 mod 12: the input is a D1 member, not a D2 one
+        assert D2.label(P("3,1^4"), 2) is None
 
     def test_case_images_are_separated_by_top_parts(self):
         for n in range(7, 41):
@@ -352,7 +363,7 @@ class TestEpsilon:
                 mu = epsilon(lam, 2)
                 assert D1.contains(mu, 2)
                 tops = list(mu)[:2] + [0, 0]
-                if epsilon_case(lam) == 1:
+                if lam.largest() >= 3:  # the growth case
                     assert tops[0] > tops[1]
                 else:
                     assert tops[0] == tops[1]
@@ -367,46 +378,42 @@ class TestEpsilon:
 
 
 class TestTauEta:
+    @staticmethod
+    def _tau(lam, t, case):
+        """tau's image of a C-member in the given case, checked to land in B."""
+        assert C.label(lam, t) == SubsetLabel("C", None)
+        assert tau_case(lam, t) == case
+        mu = tau(lam, t)
+        assert B.label(mu, t) == SubsetLabel("B", None)
+        return mu
+
     def test_case1(self):
-        assert tau_case(P("2,1^3"), 3) == 1
-        assert apply_map("tau", P("2,1^3"), 3) == P("1^5")
+        assert self._tau(P("2,1^3"), 3, 1) == P("1^5")
 
     def test_case3(self):
-        assert apply_map("tau", P("5,1^3"), 3) == P("4,2,1^2")
+        assert self._tau(P("5,1^3"), 3, 3) == P("4,2,1^2")
 
     def test_case4(self):
-        assert apply_map("tau", P("1^9"), 3) == P("5,2,1^2")
-        assert apply_map("tau", P("1^9"), 5) == P("3,2^2,1^2")
+        assert self._tau(P("1^9"), 3, 4) == P("5,2,1^2")
+        assert self._tau(P("1^9"), 5, 4) == P("3,2^2,1^2")
 
     def test_case2(self):
-        assert apply_map("tau", P("4,1^3"), 3) == P("5,1^2")
+        assert self._tau(P("4,1^3"), 3, 2) == P("5,1^2")
 
     def test_special_double_two(self):
         # at t=4 with top part 3 the rewrite stacks a second 2
         lam = P("3^2,1^3")
-        assert tau_case(lam, 4) == 3
-        mu = apply_map("tau", lam, 4)
-        assert mu == tau(lam, 4)
+        mu = self._tau(lam, 4, 3)
         assert mu.frequency(2) == 2
-        assert invert_map("tau", mu, 4) == eta(mu, 4) == lam
-
-    def test_needs_t_at_least_3(self):
-        with pytest.raises(ValueError):
-            apply_map("tau", P("1^9"), 2)
-        with pytest.raises(ValueError):
-            invert_map("tau", P("1^5"), 2)
-
-    def test_smallest_all_ones_column_has_no_image(self):
-        with pytest.raises(ValueError):
-            apply_map("tau", P("1^3"), 3)
+        assert eta(mu, 4) == lam
 
     def test_round_trip_exhaustive(self):
         for t in (3, 4, 5):
             for n in range(4, 31):
                 for lam in C.members(n, t):
-                    mu = apply_map("tau", lam, t)
+                    mu = tau(lam, t)
                     assert mu.weight == n and B.contains(mu, t)
-                    assert invert_map("tau", mu, t) == lam
+                    assert eta(mu, t) == lam
 
     def test_case_images_pairwise_disjoint(self):
         for t in (3, 4, 5):
@@ -464,6 +471,8 @@ class TestDriver:
         with pytest.raises(ValueError):
             verify_injection("tau", 2, 10)
         with pytest.raises(ValueError):
+            verify_injection("tau", 3, 3)  # 1^3 is a C-member below tau's smallest n
+        with pytest.raises(ValueError):
             verify_injection("phi", 2, -1)
 
     def test_range_that_scans_nothing_is_an_error(self):
@@ -482,6 +491,27 @@ class TestDriver:
                 w.simplefilter("ignore")
                 report = verify_injection(map_id, t, n)
             assert report.passed
+
+
+    def test_every_map_and_t_on_its_range(self):
+        # every MAPS entry at each t in 2..5 its rule allows, n up to 20: all
+        # cells pass but the gamma t = 2 ones whose images leave S
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reports = [
+                r
+                for map_id, spec in MAPS.items()
+                for t in range(2, 6)
+                if spec.t_ok(t)
+                for r in verify_injection_range(map_id, t, 20)
+            ]
+        assert len(reports) == 569
+        failed = [(r.map_id, r.t, r.n) for r in reports if not r.passed]
+        assert failed == [("gamma", 2, n) for n in (6, 11, 13, 15, 16, 17, 18, 19, 20)]
+        kinds = {v.kind for r in reports if not r.passed for v in r.violations}
+        assert kinds == {"NotInCodomain"}
+        gamma_t3 = [r for r in reports if (r.map_id, r.t) == ("gamma", 3)]
+        assert gamma_t3 and all(r.passed for r in gamma_t3)
 
 
 class TestDriverFailures:
@@ -556,56 +586,6 @@ class TestDriverFailures:
             f"walked {full.domain_size - 1} members, the counting series has {full.domain_size}"
         )
         assert full.passed and report.domain_size == full.domain_size - 1
-
-
-class TestCheckedEntries:
-    """``apply_map`` and ``invert_map`` accept exactly the domain classes and the images."""
-
-    @staticmethod
-    def _outcome(call, *args):
-        try:
-            return call(*args)
-        except ValueError:
-            return None
-
-    def test_exact_domain_and_image(self):
-        checked = accepted = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cells = [(m, s, t) for m, s in MAPS.items() for t in range(2, 6) if s.t_ok(t)]
-            for map_id, spec, t in cells:
-                domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
-                for n in range(21):
-                    forward, images = {}, {}
-                    for lam in domain.members(n, t):
-                        cls = domain.label(lam, t).index
-                        if n >= spec.min_n and cls in spec.classes:
-                            mu = forward[lam] = spec.forward[cls](lam, t)
-                            # below t = 4 a gamma image can leave the codomain
-                            if codomain.label(mu, t) == SubsetLabel(spec.codomain, cls):
-                                images[mu] = lam
-                    for p in partitions_of(n):
-                        checked += 1
-                        mu = self._outcome(apply_map, map_id, p, t)
-                        assert mu == forward.get(p), (map_id, t, str(p))
-                        back = self._outcome(invert_map, map_id, p, t)
-                        expected = images.get(p) if spec.inverse else None
-                        assert back == expected, (map_id, t, str(p))
-                        accepted += back is not None
-        assert checked == 28 * sum(1 for n in range(21) for _ in partitions_of(n)) == 75992
-        assert accepted == 1408
-
-    def test_map_without_inverse(self):
-        with pytest.raises(ValueError, match="no declared inverse"):
-            invert_map("epsilon", P("5,1^4"), 2)
-
-    def test_rejects_unknown_map_and_bad_cells(self):
-        with pytest.raises(ValueError):
-            apply_map("sigma", P("1"), 2)
-        with pytest.raises(ValueError):
-            invert_map("epsilon", P("5,1^4"), 3)
-        with pytest.raises(ValueError):
-            apply_map("phi", P("3,1"), 1)
 
 
 class TestRawFormulas:
