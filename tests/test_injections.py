@@ -339,6 +339,14 @@ class TestGamma:
         assert S.label(P("1^4"), 4).index == 3
         assert P("1^4").frequency(2) == 0
 
+    def test_warns_below_t4(self):
+        # the warning belongs to the t, not to a cell: t = 3 warns, t = 4 does not
+        with pytest.warns(RuntimeWarning, match="3-regular"):
+            verify_injection("gamma", 3, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert verify_injection("gamma", 4, 8).passed
+
 
 class TestEpsilon:
     def test_growth_case(self):
@@ -352,6 +360,16 @@ class TestEpsilon:
         mu = epsilon(P("1^18"), 2)
         assert mu == P("7^2,1^4")
         assert D1.label(mu, 2) == SubsetLabel("D1", None)
+
+    def test_rejects_small_weight(self):
+        # 1^6 is the only D2 member of weight 6, D1 has none, and the formula
+        # leaves it unchanged: below epsilon's smallest n there is no image
+        assert MAP_MIN_N["epsilon"] == 7
+        assert list(D2.members(6, 2)) == [P("1^6")]
+        assert list(D1.members(6, 2)) == []
+        assert epsilon(P("1^6"), 2) == P("1^6")
+        with pytest.raises(ValueError):
+            verify_injection("epsilon", 2, 6)
 
     def test_rejects_non_member(self):
         # four 1s are 4 mod 12: the input is a D1 member, not a D2 one
@@ -406,6 +424,23 @@ class TestTauEta:
         mu = self._tau(lam, 4, 3)
         assert mu.frequency(2) == 2
         assert eta(mu, 4) == lam
+
+    def test_needs_t_at_least_3(self):
+        assert not MAPS["tau"].t_ok(2) and MAPS["tau"].t_ok(3)
+        with pytest.raises(ValueError, match="t >= 3"):
+            verify_injection("tau", 2, 9)
+        with pytest.raises(ValueError, match="t >= 3"):
+            verify_injection_range("tau", 2, 9)
+
+    def test_smallest_all_ones_column_has_no_image(self):
+        # 1^3 is the only C-member of weight 3 and B has none there; the
+        # formula's output does not even keep the weight
+        assert list(C.members(3, 3)) == [P("1^3")]
+        assert list(B.members(3, 3)) == []
+        assert tau(P("1^3"), 3).weight != 3
+        assert MAP_MIN_N["tau"] == 4
+        with pytest.raises(ValueError):
+            verify_injection("tau", 3, 3)
 
     def test_round_trip_exhaustive(self):
         for t in (3, 4, 5):
@@ -471,8 +506,6 @@ class TestDriver:
         with pytest.raises(ValueError):
             verify_injection("tau", 2, 10)
         with pytest.raises(ValueError):
-            verify_injection("tau", 3, 3)  # 1^3 is a C-member below tau's smallest n
-        with pytest.raises(ValueError):
             verify_injection("phi", 2, -1)
 
     def test_range_that_scans_nothing_is_an_error(self):
@@ -491,7 +524,6 @@ class TestDriver:
                 w.simplefilter("ignore")
                 report = verify_injection(map_id, t, n)
             assert report.passed
-
 
     def test_every_map_and_t_on_its_range(self):
         # every MAPS entry at each t in 2..5 its rule allows, n up to 20: all
@@ -512,6 +544,20 @@ class TestDriver:
         assert kinds == {"NotInCodomain"}
         gamma_t3 = [r for r in reports if (r.map_id, r.t) == ("gamma", 3)]
         assert gamma_t3 and all(r.passed for r in gamma_t3)
+
+
+class TestCheckedEntries:
+    """``verify_injection`` is the one checked entry into ``MAPS``: it names what it refuses."""
+
+    def test_rejects_unknown_map_and_bad_cells(self):
+        with pytest.raises(ValueError, match="unknown map 'sigma'"):
+            verify_injection("sigma", 2, 1)
+        with pytest.raises(ValueError, match="unknown map 'sigma'"):
+            verify_injection_range("sigma", 2, 10)
+        with pytest.raises(ValueError, match=MAPS["epsilon"].t_error):
+            verify_injection_range("epsilon", 3, 10)
+        with pytest.raises(ValueError, match=MAPS["phi"].t_error):
+            verify_injection("phi", 1, 4)
 
 
 class TestDriverFailures:
