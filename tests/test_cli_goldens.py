@@ -31,6 +31,9 @@ GOLDENS = [
     ("--map epsilon --t 2 --n-max 20 --format human", 0, "f8ba2196fd2677f8bc7007b799b317dce59f0f1ce9f2e591e76e0279c9a60495"),
     ("--map tau --t 3 --n-max 15 --format json", 0, "8aab181acf891c755998354eee6bf30bcfd647bfdc1f1963fba56d1c60321237"),
     ("--map tau --t 5 --n-max 14 --format csv", 0, "bd6a64834684826b0427587c0c60f28edad4c0653118348260aed5b8cb5be03d"),
+    # t = 4 builds the 5,2^m,1^2 case-4 image and stacks a second 2 in case 3
+    ("--map tau --t 4 --n-max 30 --format json", 0, "b73ad1d6eb5040cab97253dfba795924307568b9e573f9f2a381a17b1f0c1a1b"),
+    ("--map tau --t 6 --n-max 30 --format human", 0, "e4e3441194ab4919aaf789239b1ae1a28bcc9224eb73c67db0558d5e5b511820"),
     ("--map epsilon --t 3 --n-max 10", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--map tau --t 2 --n-max 10", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--map gamma --t 1 --n-max 5", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
