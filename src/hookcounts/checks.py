@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO
+from functools import partial
+from typing import IO, Callable, Iterable
 
 from .hookgf import (
     btk_enum_table,
@@ -20,6 +21,7 @@ from .hookgf import (
     diff_bt2_bt3,
 )
 from .injections import VerificationReport, o5_weight_bound
+from .series import Series
 
 # thm13 re-derives both hook counts by enumeration up to this n
 ENUM_LIMIT = 40
@@ -51,6 +53,13 @@ class TheoremCheck:
         }
 
 
+def _negatives(
+    series: Callable[[int, int], Series], t_values: Iterable[int], order: int
+) -> list[tuple[int, int, int]]:
+    """(t, n, c) for each negative coefficient c of series(t, order), t by t in n order."""
+    return [(t, n, c) for t in t_values for n, c in enumerate(series(t, order).coeffs) if c < 0]
+
+
 def thm12_bound(t: int) -> int:
     """The n from which 2-hooks are asserted to dominate 1-hooks."""
     return o5_weight_bound(t) + 1
@@ -65,8 +74,8 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
     negative coefficient anywhere in range is recorded.
     """
     bound = thm12_bound(t)
-    negatives = [(n, c) for n, c in enumerate(diff_bt2_bt1(t, order).coeffs) if c < 0]
-    witnesses = [(t, n, c) for n, c in negatives if n >= bound]
+    negatives = _negatives(diff_bt2_bt1, (t,), order)
+    witnesses = [(t, n, c) for t, n, c in negatives if n >= bound]
     return TheoremCheck(
         which="thm12",
         params={"t": t, "order": order},
@@ -75,7 +84,7 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
         info={
             "bound": bound,
             "asserted_range": [bound, order] if bound <= order else None,
-            "largest_negative_n": negatives[-1][0] if negatives else None,
+            "largest_negative_n": negatives[-1][1] if negatives else None,
         },
     )
 
@@ -89,19 +98,15 @@ def run_thm13(t_max: int, n_max: int) -> TheoremCheck:
     """
     if t_max < 2 or n_max < 3:
         raise ValueError("need t_max >= 2 and n_max >= 3")
-    failures = []
-    mismatches = []
     enum_to = min(ENUM_LIMIT, n_max)
-    for t in range(2, t_max + 1):
-        diff = diff_bt2_bt3(t, n_max)
-        failures.extend((t, n, diff[n]) for n in range(n_max + 1) if diff[n] < 0)
-        mismatches.extend(_oracle_mismatches(t, enum_to, (2, 3)))
+    failures = _negatives(diff_bt2_bt3, range(2, t_max + 1), n_max)
+    mismatches = [m for t in range(2, t_max + 1) for m in _oracle_mismatches(t, enum_to, (2, 3))]
     expected = {(t, 3) for t in range(3, t_max + 1)}
     return TheoremCheck(
         which="thm13",
         params={"t_max": t_max, "n_max": n_max, "enum_limit": enum_to},
         passed={(t, n) for t, n, _ in failures} == expected and not mismatches,
-        witnesses=sorted(failures),
+        witnesses=failures,
         info={
             "expected_failures": sorted(expected),
             "oracle_mismatches": mismatches,
@@ -124,16 +129,9 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
         raise ValueError("need at least one t to scan")
     t_values = tuple(dict.fromkeys(t_values))
     min_n, declared = SIGN_STATEMENTS[name]
-    witnesses = []
-    below = []
-    for t in t_values:
-        s = decomposition_series(name, t, order)
-        for n, c in enumerate(s.coeffs):
-            if c < 0:
-                if n >= min_n:
-                    witnesses.append((t, n, c))
-                else:
-                    below.append((t, n, c))
+    negatives = _negatives(partial(decomposition_series, name), t_values, order)
+    witnesses = [(t, n, c) for t, n, c in negatives if n >= min_n]
+    below = [(t, n, c) for t, n, c in negatives if n < min_n]
     expected = {(t, n) for t, n in declared if t in t_values and min_n <= n <= order}
     return TheoremCheck(
         which=f"sign_{name}",
@@ -151,7 +149,8 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     """Coefficient-wise identity between a decomposition and a hook difference.
 
     'abc' checks -A + B + C against the 2-hook minus 1-hook series, 'def'
-    checks D + E + F against the 2-hook minus 3-hook series.
+    checks D + E + F against the 2-hook minus 3-hook series.  The witnesses
+    are the nonzero coefficients of the difference of the two sides.
     """
     if which not in ("abc", "def"):
         raise ValueError(f"identity checks are 'abc' or 'def', not {which!r}")
@@ -160,23 +159,12 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     t_values = tuple(dict.fromkeys(t_values))
     witnesses = []
     for t in t_values:
+        a, b, c = (decomposition_series(name, t, order) for name in which.upper())
         if which == "abc":
-            lhs = (
-                -decomposition_series("A", t, order)
-                + decomposition_series("B", t, order)
-                + decomposition_series("C", t, order)
-            )
-            rhs = diff_bt2_bt1(t, order)
+            diff = -a + b + c - diff_bt2_bt1(t, order)
         else:
-            lhs = (
-                decomposition_series("D", t, order)
-                + decomposition_series("E", t, order)
-                + decomposition_series("F", t, order)
-            )
-            rhs = diff_bt2_bt3(t, order)
-        witnesses.extend(
-            (t, n, lhs[n] - rhs[n]) for n in range(order + 1) if lhs[n] != rhs[n]
-        )
+            diff = a + b + c - diff_bt2_bt3(t, order)
+        witnesses.extend((t, n, d) for n, d in enumerate(diff.coeffs) if d)
     return TheoremCheck(
         which=f"identity_{which}",
         params={"t_values": list(t_values), "order": order},

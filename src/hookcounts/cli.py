@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--name", choices=SERIES_NAMES, required=True)
     p_series.add_argument("--t", type=int, required=True)
     p_series.add_argument("--order", type=int, required=True)
-    p_series.add_argument("--format", choices=("csv",), default="csv")
     p_series.set_defaults(run=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

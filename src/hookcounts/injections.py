@@ -122,7 +122,7 @@ class Family:
         if self.needs is None:
             return partitions_of(n, parts, ones)
         x = self.needs(t)
-        if n < x:
+        if 0 <= n < x:
             return iter(())
         return (p.trade((), (x,)) for p in partitions_of(n - x, parts, ones))
 
@@ -358,48 +358,37 @@ def _tau_case4_pattern(n: int, t: int) -> Partition:
     return Partition.from_parts([5] + [2] * (3 * k - 2) + [1, 1])
 
 
-def tau_case(p: Partition, t: int) -> int:
-    if p.frequency(2) >= 1:
-        return 1
-    lam1 = p.largest()
-    if lam1 >= 2 and lam1 % t != t - 1:
-        return 2
-    if lam1 >= 2:
-        return 3
-    return 4
-
-
 def tau(p: Partition, t: int) -> Partition:
-    """Move the 1-count from 3 mod 6 to 2 or 5 mod 6 by a four-case rewrite."""
-    case = tau_case(p, t)
+    """Move the 1-count from 3 mod 6 to 2 or 5 mod 6, in four cases.
+
+    With a 2, trade it for two 1s; else with a top part l >= 2, merge a 1
+    into l when l is not t-1 mod t, or trade l and a 1 for l-1 and a 2
+    when it is; the all-ones column 1^n becomes a fixed pattern whose top
+    part is 3 (t >= 5) or 5 (t = 3, 4) over 2s and two 1s.
+    """
     lam1 = p.largest()
-    if case == 1:
+    if p.frequency(2) >= 1:
         return p.trade((2,), (1, 1))
-    if case == 2:
+    if lam1 >= 2 and lam1 % t != t - 1:
         return p.trade((lam1, 1), (lam1 + 1,))
-    if case == 3:
+    if lam1 >= 2:
         return p.trade((lam1, 1), (lam1 - 1, 2))
     return _tau_case4_pattern(p.weight, t)
 
 
-def _is_tau_case4_image(p: Partition, t: int) -> bool:
-    items = p.items()
-    if len(items) != 3 or items[1][0] != 2 or items[2] != (1, 2):
-        return False
-    top, m = items[0], items[1][1]
-    if t >= 5:
-        return top == (3, 1) and m >= 2 and m % 3 == 2
-    return top == (5, 1) and m >= 1 and m % 3 == 1
-
-
 def eta(p: Partition, t: int) -> Partition:
-    """Inverse of tau on its image, dispatched by 1-count residue and 2-parts."""
+    """Inverse of tau on its image, dispatched by 1-count residue and 2-parts.
+
+    1-count 5 mod 6 undoes the first case and no 2 the second.  An image
+    holding a 2 is the all-ones column's exactly when it equals the pattern
+    tau builds at its weight; any other undoes the third case.
+    """
     if p.frequency(1) % 6 == 5:
         return p.trade((1, 1), (2,))
     if p.frequency(2) == 0:
         lam1 = p.largest()
         return p.trade((lam1,), (lam1 - 1, 1))
-    if _is_tau_case4_image(p, t):
+    if p.weight % 6 == 3 and p == _tau_case4_pattern(p.weight, t):
         return Partition({1: p.weight})
     v = max(v for v, _ in p.items() if v % t == t - 2)
     return p.trade((v, 2), (v + 1, 1))

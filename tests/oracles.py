@@ -365,3 +365,18 @@ def t2_remainder_chain(order: int) -> Series:
     """(q^2 - q^3)(1 - q)(q^2;q^2)_inf / (q;q)_inf."""
     U = parts_ge2_gf(2, order)
     return U.shift(2) - U.shift(3)
+
+
+def is_tau_case4_image_by_shape(p: Partition, t: int) -> bool:
+    """Whether p is tau's image of an all-ones column, read off its shape.
+
+    The image is 3, 2^m, 1^2 with m = 2 mod 3 for t >= 5, and 5, 2^m, 1^2
+    with m = 1 mod 3 for t = 3, 4.
+    """
+    items = p.items()
+    if len(items) != 3 or items[1][0] != 2 or items[2] != (1, 2):
+        return False
+    top, m = items[0], items[1][1]
+    if t >= 5:
+        return top == (3, 1) and m >= 2 and m % 3 == 2
+    return top == (5, 1) and m >= 1 and m % 3 == 1

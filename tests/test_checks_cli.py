@@ -226,10 +226,13 @@ class TestCli:
         assert payload["info"]["asserted_range"] == [2990, 3090]
 
     def test_usage_error_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["count", "--bogus-flag", "1"])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+        # series writes CSV only and takes no --format
+        for argv in ("count --bogus-flag 1", "series --name bt1 --t 2 --order 5 --format csv"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv.split())
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "usage" in captured.err
 
     @pytest.mark.parametrize("argv", [
         "verify injection --map tau --t 3 --n-max 3",

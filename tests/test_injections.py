@@ -26,12 +26,13 @@ from hookcounts.injections import (
     psi3,
     psi4,
     tau,
-    tau_case,
     verify_injection,
     verify_injection_range,
 )
 from hookcounts.partitions import Partition, partitions_of
 from hookcounts.series import t_regular_gf
+
+from oracles import is_tau_case4_image_by_shape
 
 P = Partition.parse
 O, R, A, S, B, C, D1, D2 = (FAMILIES[k] for k in ("O", "R", "A", "S", "B", "C", "D1", "D2"))
@@ -59,6 +60,12 @@ class TestFamilies:
             O.contains(P("1"), 1)
         with pytest.raises(ValueError):
             R.members(5, 1)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_negative_weight_is_rejected(self, name):
+        # R's needed-part shortcut must not turn n = -1 into an empty walk
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            FAMILIES[name].members(-1, 3)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_r_starts_at_its_needed_part(self, t):
@@ -395,6 +402,18 @@ class TestEpsilon:
                 seen[mu] = lam
 
 
+def tau_case(p: Partition, t: int) -> int:
+    """Which of tau's four cases p falls in, in the order tau tests them."""
+    if p.frequency(2) >= 1:
+        return 1
+    lam1 = p.largest()
+    if lam1 >= 2 and lam1 % t != t - 1:
+        return 2
+    if lam1 >= 2:
+        return 3
+    return 4
+
+
 class TestTauEta:
     @staticmethod
     def _tau(lam, t, case):
@@ -449,6 +468,21 @@ class TestTauEta:
                     mu = tau(lam, t)
                     assert mu.weight == n and B.contains(mu, t)
                     assert eta(mu, t) == lam
+
+    def test_case4_recognizer_matches_the_shape_test(self):
+        # eta takes an image holding a 2 for the all-ones column's exactly
+        # when it equals tau(1^n); the reference reads the shape off the parts
+        checked = matched = 0
+        for t in (3, 4, 5, 6):
+            for n in range(37):
+                case4 = tau(Partition({1: n}), t) if n else None
+                for p in partitions_of(n):
+                    if not p.frequency(2):
+                        continue
+                    checked += 1
+                    matched += p == case4
+                    assert (p == case4) == is_tau_case4_image_by_shape(p, t)
+        assert (checked, matched) == (265092, 20)
 
     def test_case_images_pairwise_disjoint(self):
         for t in (3, 4, 5):
