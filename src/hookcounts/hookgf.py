@@ -9,7 +9,7 @@ Two independent routes to the same numbers:
 
 They deliberately share no code, so agreement of the two routes is a real
 cross-check.  Every series here is a numerator table: T, the t-regular
-series (the one memoized build), times a sum of polynomials over 1 - q^m,
+series (the one stored build), times a sum of polynomials over 1 - q^m,
 which one pass loop, :func:`_combination`, evaluates in one O(order) pass
 per term.  The k-hook tables are derived on each call, up to the order
 only; the family counts and the pieces B and F are typed by hand.  Piece
@@ -272,7 +272,4 @@ def distinct_partition_count(n: int) -> int:
     """Q(n): partitions of n into distinct parts, via the 2-regular series."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    order = 64
-    while order < n:
-        order *= 2
-    return t_regular_gf(2, order)[n]
+    return t_regular_gf(2, n)[n]

@@ -7,15 +7,15 @@ across threads and to cache.
 
 The Euler products ``(q^s;q^s)_inf`` are written down term by term from
 Euler's pentagonal number theorem, in O(order) time.  Only the t-regular
-counting series :func:`t_regular_gf` is memoized per argument tuple: its
-unit division makes O(order * sqrt(order)) big-integer additions, gathered
-and summed in C a group of divisor offsets at a time.  Everything built
-from it is a few O(order) passes and is recomputed on each call.
+counting series :func:`t_regular_gf` is kept, one series per t that serves
+every smaller order as a slice: its unit division makes
+O(order * sqrt(order)) big-integer additions, gathered and summed in C a
+group of divisor offsets at a time.  Everything built from it is a few
+O(order) passes and is recomputed on each call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -185,12 +185,30 @@ def divide_unit(num: Series, den: Series) -> Series:
     return Series(q[1:], n)
 
 
-@lru_cache(maxsize=None)
+# t -> the t-regular series at the largest order built for that t
+_T_STORE: dict[int, Series] = {}
+
+
 def t_regular_gf(t: int, order: int) -> Series:
-    """(q^t;q^t)_inf / (q;q)_inf: coefficient of q^n counts t-regular partitions."""
+    """(q^t;q^t)_inf / (q;q)_inf: coefficient of q^n counts t-regular partitions.
+
+    Served from one stored series per t.  A truncated quotient is
+    prefix-stable, so an order below the stored one is an exact slice of
+    it, equal to a fresh build; the stored order returns the stored object.
+    An order past it rebuilds at ``max(order, 2 * stored order)``, and the
+    first request for a t builds at exactly its order.  Memory stays at one
+    series per t, below twice the largest order asked.  The store takes no
+    lock: concurrent callers may build the same series twice, and every
+    result is still exact.
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
-    return divide_unit(pochhammer_inf(t, order), pochhammer_inf(1, order))
+    held = _T_STORE.get(t)
+    if held is None or held.order < order:
+        grown = order if held is None else max(order, 2 * held.order)
+        held = divide_unit(pochhammer_inf(t, grown), pochhammer_inf(1, grown))
+        _T_STORE[t] = held
+    return held if held.order == order else Series(held.coeffs, order)
 
 
 def csv_lines(s: Series) -> Iterator[str]:

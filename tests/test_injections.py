@@ -518,6 +518,19 @@ class TestDriver:
             report = verify_injection("gamma", 2, 12)
         assert report.domain_size >= 0
 
+    @pytest.mark.parametrize("run", [
+        lambda: verify_injection_range("gamma", 3, 20),  # 21 cells
+        lambda: verify_injection("gamma", 3, 9),
+    ], ids=["range", "lone-cell"])
+    def test_gamma_warns_once_per_map_and_t(self, run):
+        # the warning belongs to the (map, t) pair, not to a cell
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "gamma images need not stay 3-regular for t < 4")
+        ]
+
     def test_report_serialization_shape(self):
         report = verify_injection("epsilon", 2, 18)
         payload = report.to_dict()

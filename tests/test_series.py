@@ -3,6 +3,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import gappy_unit_series, small_series, unit_series
+from hookcounts import series
+from hookcounts.injections import verify_injection_range
 from hookcounts.series import Series, csv_lines, divide_unit, pochhammer_inf, t_regular_gf
 from oracles import (
     divide_unit_by_offsets,
@@ -175,6 +177,55 @@ class TestTRegularSeries:
     def test_rejects_t_below_two(self):
         with pytest.raises(ValueError):
             t_regular_gf(1, 5)
+
+
+# ascending, descending, repeated and zero orders, past and below the stored one
+STORE_ORDERS = (7, 30, 30, 12, 0, 31, 61, 200, 199, 5, 0, 401, 401, 3, 450)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    monkeypatch.setattr(series, "_T_STORE", {})
+    return series._T_STORE
+
+
+class TestTRegularStore:
+    """One stored series per t serves every order exactly as a fresh build."""
+
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_mixed_orders_match_fresh_builds(self, empty_store, t):
+        largest = 0
+        for o in STORE_ORDERS:
+            fresh = divide_unit(pochhammer_inf(t, o), pochhammer_inf(1, o))
+            got = t_regular_gf(t, o)
+            assert got == fresh and got.order == o
+            largest = max(largest, o)
+            assert list(empty_store) == [t]
+            assert largest <= empty_store[t].order <= max(2 * largest - 1, 0)
+
+    def test_growth_and_reuse(self, empty_store):
+        held = t_regular_gf(3, 50)  # a first request builds at exactly its order
+        assert empty_store[3] is held and held.order == 50
+        assert t_regular_gf(3, 50) is held
+        assert t_regular_gf(3, 20) == Series(held.coeffs[:21])
+        assert t_regular_gf(3, 51).order == 51 and empty_store[3].order == 100
+        assert t_regular_gf(3, 260).order == 260 and empty_store[3].order == 260
+        assert t_regular_gf(4, 10).order == 10
+        assert sorted(empty_store) == [3, 4]
+
+    def test_bad_orders_are_rejected_warm_or_cold(self, empty_store):
+        with pytest.raises(ValueError):
+            t_regular_gf(2, -1)
+        t_regular_gf(2, 8)
+        with pytest.raises(ValueError):
+            t_regular_gf(2, -1)
+        assert empty_store[2].order == 8
+
+    def test_injection_range_holds_one_series(self, empty_store):
+        # one counting series per cell, at orders 0..40: one T for t = 2
+        verify_injection_range("phi", 2, 40)
+        assert list(empty_store) == [2]
+        assert 40 <= empty_store[2].order < 80
 
 
 class TestCsv:
