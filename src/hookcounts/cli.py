@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.set_defaults(run=_cmd_verify_identity)
 
     p_inj = vsub.add_parser("injection", help="certify an injection exhaustively")
-    # the live dict, so that a map added after the parser is built is accepted
-    p_inj.add_argument("--map", choices=injections.MAPS, required=True)
+    p_inj.add_argument("--map", choices=tuple(injections.MAPS), required=True)
     p_inj.add_argument("--t", type=int, required=True)
     p_inj.add_argument("--n-max", type=int, required=True)
     p_inj.add_argument("--format", choices=("json", "csv", "human"), default="human")
@@ -154,19 +153,9 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if check.passed else 1
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every :func:`main` call in this process reuses, built on the first."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -17,7 +17,6 @@ from hookcounts.checks import (
     run_thm12,
     run_thm13,
 )
-from hookcounts.hookgf import btk_enum
 from hookcounts.injections import verify_injection
 
 
@@ -326,37 +325,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert [r["n"] for r in payload] == list(range(4, 10))
         assert not all(r["passed"] for r in payload)
-
-    def test_map_added_after_the_first_call_is_accepted(self, capsys, monkeypatch):
-        # the parser built by the first call reads --map's choices from MAPS itself
-        monkeypatch.setattr(cli, "_parser", None)
-        assert cli.main(["count", "--t", "2", "--k", "1", "--n", "6"]) == 0
-        spec = dataclasses.replace(
-            injections.MAPS["tau"], forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
-        )
-        monkeypatch.setitem(injections.MAPS, "broken", spec)
-        capsys.readouterr()
-        assert cli.main("verify injection --map broken --t 3 --n-max 6 --format csv".split()) == 1
-        captured = capsys.readouterr()
-        assert captured.out.startswith("map,t,n,domain_size,image_size,passed\nbroken,3,4,")
-        assert captured.err == ""
-
-    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        built = []
-
-        def counting_build_parser():
-            built.append(cli_build_parser())
-            return built[-1]
-
-        cli_build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        for n in (5, 6, 7):
-            assert cli.main(["count", "--t", "2", "--k", "1", "--n", str(n)]) == 0
-        assert capsys.readouterr().out == "".join(f"{btk_enum(2, 1, n)}\n" for n in (5, 6, 7))
-        assert len(built) == 1 and cli._parser is built[0]
-        # build_parser itself stays a plain function: a fresh tree per call
-        assert cli_build_parser() is not cli_build_parser()
 
     def test_write_error_exits_2(self, capsys, monkeypatch):
         class BrokenPipe(io.StringIO):

@@ -61,22 +61,6 @@ def test_verify_injection_stdout_is_pinned(capsys, line, code, digest):
     assert captured.err == STDERR.get(line, "")
 
 
-def test_usage_error_leaves_the_reused_parser_sound(capsys, monkeypatch):
-    # main builds its parser on the first call of the process; a usage error
-    # on that call must not change what the next command prints
-    monkeypatch.setattr(cli, "_parser", None)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "injection", "--map", "phi", "--t", "x", "--n-max", "5"])
-    assert exc.value.code == 2
-    first = capsys.readouterr()
-    assert first.out == "" and first.err.startswith("usage: hooks verify injection")
-    line, code, digest = GOLDENS[6]  # gamma at t = 2: exit 1 and a warning line
-    assert cli.main(["verify", "injection", *line.split()]) == code
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-    assert captured.err == STDERR[line]
-
-
 SERIES_GOLDENS = [
     ("count --t 2 --k 1 --n 14 --method enum", 0, "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362"),
     ("count --t 2 --k 1 --n 14 --method gf", 0, "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362"),
