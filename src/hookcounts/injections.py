@@ -87,25 +87,25 @@ class Family:
     """A family of partitions: a part rule, a 1-count rule and a needed part.
 
     ``parts(v, t)`` is the rule every part value v obeys and ``ones(f1, t)``
-    the rule on the number of 1s (``None``: any number); :meth:`members`
+    the rule on the number of 1s (by default any number); :meth:`members`
     hands both to :func:`partitions_of`, which asks each once per value, so
     partitions breaking either are never built.  ``needs(t)``, if set, is a
     part >= 2 of the part rule that every member holds at least once.
     ``subsets(p, t)``, called on members only, lists the indices of the
-    named subsets whose defining condition p satisfies.
+    named subsets whose defining condition p satisfies (by default none).
     """
 
     name: str
     parts: Callable[[int, int], bool]
-    ones: Callable[[int, int], bool] | None = None
+    ones: Callable[[int, int], bool] = lambda f1, t: True
     needs: Callable[[int], int] | None = None
-    subsets: Callable[[Partition, int], list[int]] | None = None
+    subsets: Callable[[Partition, int], list[int]] = lambda p, t: []
 
     def contains(self, p: Partition, t: int) -> bool:
         _check_t(t)
         return (
             all(self.parts(v, t) for v, _ in p.items())
-            and (self.ones is None or self.ones(p.frequency(1), t))
+            and self.ones(p.frequency(1), t)
             and (self.needs is None or p.frequency(self.needs(t)) >= 1)
         )
 
@@ -118,7 +118,7 @@ class Family:
         """
         _check_t(t)
         parts = lambda v: self.parts(v, t)  # noqa: E731
-        ones = None if self.ones is None else (lambda r: self.ones(r, t))
+        ones = lambda r: self.ones(r, t)  # noqa: E731
         if self.needs is None:
             return partitions_of(n, parts, ones)
         x = self.needs(t)
@@ -130,7 +130,7 @@ class Family:
         """The first subset p falls in; None outside the family."""
         if not self.contains(p, t):
             return None
-        ms = self.subsets(p, t) if self.subsets is not None else []
+        ms = self.subsets(p, t)
         return SubsetLabel(self.name, ms[0] if ms else None)
 
 
@@ -331,8 +331,7 @@ def delta3(p: Partition, t: int) -> Partition:
     return p.trade((2,), (1, 1))
 
 
-# gamma: the identity on the first two A-subsets, two 1s traded for a 2 on the third;
-# the images stay t-regular only for t >= 4, and smaller t runs with a warning
+# gamma: the identity on the first two A-subsets, two 1s traded for a 2 on the third
 _GAMMA_FORWARD: dict[int, RawMap] = {1: _keep, 2: _keep, 3: _two_ones_to_two}
 _GAMMA_INVERSE: dict[int, RawMap] = {1: _keep, 2: _keep, 3: delta3}
 
@@ -403,34 +402,36 @@ def eta(p: Partition, t: int) -> Partition:
 class MapSpec:
     """One injection: domain and codomain families, and its maps per class.
 
-    ``classes`` are the domain subsets the map covers (``(None,)`` for an
-    undivided domain).  ``forward`` and ``inverse`` map a class to a raw
-    formula ``f(p, t)``; a class absent from ``inverse`` has no declared
-    inverse.  A raw formula checks nothing and is right only on its class
-    (the inverse on the forward images), so only :func:`verify_injection`
-    calls one, on the domain members it has classified.  The map is verified
-    for ``n >= min_n`` and the t for which ``t_ok(t)`` holds; ``t_error``
-    says which those are.
+    ``forward`` and ``inverse`` map a class to a raw formula ``f(p, t)``:
+    the keys of ``forward`` are the domain subsets the map covers (``None``
+    for the members in no subset, so for all of an undivided domain), and a
+    class absent from ``inverse`` has no declared inverse.  A raw formula
+    checks nothing and is right only on its class (the inverse on the
+    forward images), so only :func:`verify_injection` calls one, on the
+    domain members it has classified.  The map is verified for
+    ``n >= min_n`` and the t for which ``t_ok(t)`` holds; ``t_error`` says
+    which those are.  The paper proves the images t-regular for
+    ``t >= regular_from`` only; a smaller allowed t runs with a warning.
     """
 
     domain: str
     codomain: str
     forward: Mapping[int | None, RawMap]
     inverse: Mapping[int | None, RawMap]
-    classes: tuple[int | None, ...] = (None,)
     min_n: int = 0
     t_ok: Callable[[int], bool] = lambda t: t >= 2
     t_error: str = "t must be at least 2"
+    regular_from: int = 2
 
 
-# phi1..phi4 and phi hold the _PHI_* tables themselves, not copies
+# phi holds the _PHI_* tables themselves, not copies: bench/tracer.py rebinds them in place
 MAPS: dict[str, MapSpec] = {
     **{
-        f"phi{k}": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE, classes=(k,))
+        f"phi{k}": MapSpec("O", "R", {k: _PHI_FORWARD[k]}, {k: _PHI_INVERSE[k]})
         for k in (1, 2, 3, 4)
     },
-    "phi": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE, classes=(1, 2, 3, 4)),
-    "gamma": MapSpec("A", "S", _GAMMA_FORWARD, _GAMMA_INVERSE, classes=(1, 2, 3)),
+    "phi": MapSpec("O", "R", _PHI_FORWARD, _PHI_INVERSE),
+    "gamma": MapSpec("A", "S", _GAMMA_FORWARD, _GAMMA_INVERSE, regular_from=4),
     "epsilon": MapSpec(
         "D2", "D1", {None: epsilon}, {}, min_n=7,
         t_ok=lambda t: t == 2, t_error="epsilon is a t=2 map",
@@ -445,14 +446,18 @@ MAPS: dict[str, MapSpec] = {
 MAP_MIN_N = {map_id: spec.min_n for map_id, spec in MAPS.items()}
 
 
-def _spec(map_id: str, t: int, warn: bool) -> MapSpec:
+def _spec(map_id: str, t: int, n: int, warn: bool, suffix: str = "") -> MapSpec:
+    """Check (map, t, n), then warn below ``regular_from``; ``suffix`` ends the n error."""
     spec = MAPS.get(map_id)
     if spec is None:
         raise ValueError(f"unknown map {map_id!r}")
     if not spec.t_ok(t):
         raise ValueError(spec.t_error)
-    if warn and map_id == "gamma" and t < 4:
-        warnings.warn(f"gamma images need not stay {t}-regular for t < 4", RuntimeWarning)
+    if n < spec.min_n:
+        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}{suffix}")
+    if warn and t < spec.regular_from:
+        message = f"{map_id} images need not stay {t}-regular for t < {spec.regular_from}"
+        warnings.warn(message, RuntimeWarning)
     return spec
 
 
@@ -464,15 +469,13 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
     number of domain members walked is checked against the family's
     counting series, an independent route (DomainIncomplete).
     Single-threaded; violations are sorted by canonical input text, so
-    reports are deterministic.  ``warn=False`` leaves out gamma's t < 4
-    warning, which belongs to the (map, t) pair: a caller running many
-    cells of one pair warns once itself.
+    reports are deterministic.  ``warn=False`` leaves out the warning of
+    a t below the entry's ``regular_from``, which belongs to the (map, t)
+    pair: a caller running many cells of one pair warns once itself.
     """
-    spec = _spec(map_id, t, warn)
-    if n < spec.min_n:
-        raise ValueError(f"{map_id} is verified for n >= {spec.min_n}")
+    spec = _spec(map_id, t, n, warn)
     domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
-    several = len(spec.classes) > 1
+    several = len(spec.forward) > 1
     violations: list[Violation] = []
 
     def violate(p: Partition, kind: str, detail: str) -> None:
@@ -482,18 +485,16 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
     domain_size = walked = 0
     for lam in domain.members(n, t):
         walked += 1
-        cls = None
-        if domain.subsets is not None:
-            ms = domain.subsets(lam, t)
-            if several and not ms:
-                violate(lam, "ClassificationGap", f"no {domain.name}-subset condition holds")
-                continue
-            if several and len(ms) > 1:
-                violate(lam, "ClassificationOverlap", f"{domain.name}-subsets {ms} all hold")
-                continue
-            if not ms or ms[0] not in spec.classes:
-                continue
-            cls = ms[0]
+        ms = domain.subsets(lam, t)
+        if several and not ms:
+            violate(lam, "ClassificationGap", f"no {domain.name}-subset condition holds")
+            continue
+        if several and len(ms) > 1:
+            violate(lam, "ClassificationOverlap", f"{domain.name}-subsets {ms} all hold")
+            continue
+        cls = ms[0] if ms else None
+        if cls not in spec.forward:
+            continue
         domain_size += 1
         mu = spec.forward[cls](lam, t)
         if mu.weight != n:
@@ -515,7 +516,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
         detail = f"walked {walked} members, the counting series has {counted}"
         violations.append(Violation(domain.name, "DomainIncomplete", detail))
 
-    if several and codomain.subsets is not None:
+    if several:
         for mu in codomain.members(n, t):
             ms = codomain.subsets(mu, t)
             if len(ms) > 1:
@@ -536,9 +537,8 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
 def verify_injection_range(map_id: str, t: int, n_max: int) -> list[VerificationReport]:
     """Reports for every n from the map's smallest verified n up to n_max.
 
-    Gamma's t < 4 warning is raised once for the range, not once per cell.
+    A t below the entry's ``regular_from`` warns once for the range, not
+    once per cell.
     """
-    start = _spec(map_id, t, warn=True).min_n
-    if n_max < start:
-        raise ValueError(f"{map_id} is verified for n >= {start}; n_max={n_max} scans nothing")
+    start = _spec(map_id, t, n_max, True, f"; n_max={n_max} scans nothing").min_n
     return [verify_injection(map_id, t, n, warn=False) for n in range(start, n_max + 1)]

@@ -362,6 +362,14 @@ class TestCli:
             assert done.stdout.startswith("map,t,n,domain_size,image_size,passed\n")
             assert done.stderr == f"warning: gamma images need not stay {t}-regular for t < 4\n"
 
+    def test_rejected_range_prints_no_warning(self, capsys):
+        # gamma at t = 3 warns only for a range it runs
+        argv = "verify injection --map gamma --t 3 --n-max -1"
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma is verified for n >= 0; n_max=-1 scans nothing\n"
+
     def test_reruns_are_byte_identical(self, capsys):
         args = ["verify", "theorem", "--which", "thm13", "--t-max", "4", "--n-max", "15", "--format", "json"]
         cli.main(args)

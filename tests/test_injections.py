@@ -283,7 +283,7 @@ class TestPhiTotal:
 
     def test_dispatches_by_class(self):
         spec = MAPS["phi"]
-        assert spec.classes == (1, 2, 3, 4)
+        assert list(spec.forward) == [1, 2, 3, 4]
         for lam, mu in (
             (P("17,15,13,10,5,3,2,1^3"), P("15,13,10,9,8,5,3,2,1^3")),
             (P("13,7,6,2^2,1^55"), P("33,13,9^2,7,6,2^2,1^4")),
@@ -531,6 +531,42 @@ class TestDriver:
             (RuntimeWarning, "gamma images need not stay 3-regular for t < 4")
         ]
 
+    @pytest.mark.parametrize("run", [
+        lambda: verify_injection("gamma", 3, -1),
+        lambda: verify_injection_range("gamma", 3, -1),
+    ], ids=["lone-cell", "range"])
+    def test_rejected_cell_emits_no_warning(self, run):
+        # n is checked before the caveat, so an error comes alone
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="is verified for n >= 0"):
+                run()
+        assert caught == []
+
+    @pytest.mark.parametrize("run", [
+        lambda: verify_injection_range("broken", 3, 12),
+        lambda: verify_injection("broken", 3, 9),
+    ], ids=["range", "lone-cell"])
+    def test_warning_comes_from_the_entry(self, monkeypatch, run):
+        spec = dataclasses.replace(MAPS["tau"], regular_from=5)
+        monkeypatch.setitem(injections.MAPS, "broken", spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "broken images need not stay 3-regular for t < 5")
+        ]
+
+    def test_only_gamma_warns(self):
+        for map_id, spec in MAPS.items():
+            if map_id == "gamma":
+                continue
+            for t in range(2, 6):
+                if spec.t_ok(t):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        verify_injection_range(map_id, t, spec.min_n + 2)
+
     def test_report_serialization_shape(self):
         report = verify_injection("epsilon", 2, 18)
         payload = report.to_dict()
@@ -653,7 +689,7 @@ class TestDriverFailures:
             subsets=lambda p, t: [] if p.frequency(1) % 2 else [1, 2],
         )
         keep = lambda p, t: p  # noqa: E731
-        spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {}, classes=(1, 2))
+        spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {})
         # X is the t-regular partitions, so its counting series is T
         monkeypatch.setattr(
             hookgf, "set_cardinality_series", lambda name, t, order: t_regular_gf(t, order)
@@ -704,6 +740,12 @@ class TestRawFormulas:
             for f in table.values():
                 assert not f.__name__.startswith("_")
                 assert getattr(injections, f.__name__) is f
+        # so the combined map must hold the tables themselves, not copies
+        assert MAPS["phi"].forward is injections._PHI_FORWARD
+        assert MAPS["phi"].inverse is injections._PHI_INVERSE
+        for k in (1, 2, 3, 4):
+            assert MAPS[f"phi{k}"].forward == {k: injections._PHI_FORWARD[k]}
+            assert MAPS[f"phi{k}"].inverse == {k: injections._PHI_INVERSE[k]}
 
     def test_min_n_table_follows_maps(self):
         assert MAP_MIN_N == {k: s.min_n for k, s in MAPS.items()}
