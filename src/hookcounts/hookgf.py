@@ -3,7 +3,9 @@
 Two independent routes to the same numbers:
 
 * :func:`btk_enum` walks every t-regular partition of n and counts cells of
-  the requested hook length on the diagram's boundary path.
+  the requested hook length on the diagram's boundary path;
+  :func:`btk_enum_table` reads every n <= n_max off one walk of the
+  partitions of n_max, each standing for its parts >= 2 with any fewer 1s.
 * :func:`btk_series` expands, in exact truncated arithmetic, a generating
   function derived for each (t, k) from the arm and leg of a diagram cell.
 
@@ -20,6 +22,7 @@ tables first, so cancelling terms cost nothing.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, sub
 
 from .partitions import boundary_masks, t_regular_partitions
@@ -43,10 +46,23 @@ def btk_enum(t: int, k: int, n: int) -> int:
 
 
 def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """Hook counts for all (k, n) with k in ks and n <= n_max, one sweep per n.
+    """Hook counts for all (k, n) with k in ks and n <= n_max, from one walk of n_max.
 
-    A partition costs a pass over its distinct parts and a mask AND per
-    distinct k; a repeated k is counted once.
+    A t-regular partition p of n_max is mu + 1^r, mu its parts >= 2 of
+    weight w = n_max - r, and it stands for mu + 1^r' at every n = w + r'
+    with r' <= r: the part 1 is t-regular, so each t-regular partition of
+    n <= n_max is read exactly once.  Adding r' rows of length 1 to mu
+    keeps the hooks of the columns >= 2, adds one hook of each length
+    1..r' in the new rows, and lifts mu's first-column hooks
+    h_i = mu_i + (l(mu) - i) to h_i + r'.  So at n = w + r' the k-hooks of
+    mu + 1^r' are the k-hooks of p outside column 1 (read off p's rim
+    once), plus 1 when k <= r', plus one per h_i = k - r': over n, a
+    constant from w on, a unit step from w + k on and a point at
+    w + k - h_i for each h_i <= k.  The constants are filed by w and
+    prefix-summed at the end.  The steps and points are filed once for
+    every k, by w and by (h_i, w - h_i), and read at n - k.  A partition
+    costs its rim masks, a mask AND per distinct k and a step per
+    first-column hook up to max(ks); a repeated k is counted once.
     """
     ks = tuple(dict.fromkeys(ks))
     if not ks:
@@ -54,12 +70,33 @@ def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, i
     _check_tk(t, min(ks))
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    table = {(k, n): 0 for k in ks for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        for p in t_regular_partitions(n, t):
-            east, north = boundary_masks(p)
-            for k in ks:
-                table[k, n] += (east & (north >> k)).bit_count()
+    reach = min(max(ks), n_max)  # no longer first-column hook is read
+    rows = (1 << (reach + 1)) - 2  # bits 1..reach; bit 0 ends the top row of 1s
+    outside = {k: [0] * (n_max + 1) for k in ks}  # by w: k-hooks of mu off column 1
+    mus = [0] * (n_max + 1)  # by w: how many mu
+    column = [[0] * (n_max + 1) for _ in range(reach + 1)]  # [h][w - h]: mu with an h_i = h
+    for p in t_regular_partitions(n_max, t):
+        east, north = boundary_masks(p)
+        items = p.items()
+        r = items[-1][1] if items and items[-1][0] == 1 else 0
+        w = n_max - r
+        mus[w] += 1
+        east >>= 1  # step 0 runs under column 1
+        for k in ks:
+            outside[k][w] += (east & (north >> (k + 1))).bit_count()
+        # north step r + h ends the row whose first cell has hook h in mu
+        first = (north >> r) & rows
+        while first:
+            h = first.bit_length() - 1
+            column[h][w - h] += 1
+            first ^= 1 << h
+    table = {}
+    for k in ks:
+        shifted = list(accumulate(mus))  # at n - k: the step, then the points
+        for h in range(2, min(k, reach) + 1):
+            shifted = list(map(add, shifted, column[h]))
+        for n, c in enumerate(accumulate(outside[k])):
+            table[k, n] = c + shifted[n - k] if n >= k else c
     return table
 
 

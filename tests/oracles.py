@@ -2,14 +2,21 @@
 
 They are built from the library's ``Series`` ring (and, for the hand-typed
 hook forms and the series chains, its t-regular series) or its ``Partition``
-type alone, so a test that compares them with a production builder checks
-the builder against an independent derivation.
+type alone (and, for the per-n hook table, its walker and rim masks), so a
+test that compares them with a production builder checks the builder
+against an independent derivation.
 """
 
 from bisect import bisect_right
 from typing import Callable, Iterator
 
-from hookcounts.partitions import HookMultiset, Partition
+from hookcounts.hookgf import _check_tk
+from hookcounts.partitions import (
+    HookMultiset,
+    Partition,
+    boundary_masks,
+    t_regular_partitions,
+)
 from hookcounts.series import Series, divide_unit, t_regular_gf
 
 
@@ -204,6 +211,30 @@ def hook_multiset_by_heights(p: Partition) -> HookMultiset:
             h = (row - j) + (heights[j] - i) - 1
             counts[h] = counts.get(h, 0) + 1
     return counts
+
+
+def btk_enum_table_by_walks(
+    t: int, n_max: int, ks: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """Hook counts for all (k, n) with k in ks and n <= n_max, one walk per n.
+
+    Each t-regular partition of each n costs its rim masks and a mask AND
+    per distinct k.  The differential oracle for ``btk_enum_table``, which
+    reads every n off one walk of the partitions of n_max.
+    """
+    ks = tuple(dict.fromkeys(ks))
+    if not ks:
+        raise ValueError("need at least one k")
+    _check_tk(t, min(ks))
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    table = {(k, n): 0 for k in ks for n in range(n_max + 1)}
+    for n in range(n_max + 1):
+        for p in t_regular_partitions(n, t):
+            east, north = boundary_masks(p)
+            for k in ks:
+                table[k, n] += (east & (north >> k)).bit_count()
+    return table
 
 
 def partition_gf(order: int) -> Series:

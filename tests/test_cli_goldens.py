@@ -7,8 +7,9 @@ for, and the usage errors; ``STDERR`` pins the stderr of each of its lines
 that writes any (gamma's ``warning:`` line below t = 4, the usage errors),
 and every other line writes none.  ``SERIES_GOLDENS`` covers the series route:
 ``count`` by both methods, ``series`` for every name, ``verify identity``
-(def at t = 2 fails), every ``verify theorem`` check in each format, and
-the complete t = 3 ``thm12 --full`` run to 100 past the bound.
+(def at t = 2 fails), every ``verify theorem`` check in each format, the
+oracle and thm13 checks at their default windows, and the complete t = 3
+``thm12 --full`` run to 100 past the bound.
 """
 
 import hashlib
@@ -107,6 +108,10 @@ SERIES_GOLDENS = [
     ("verify theorem --which oracle --t-max 3 --n-max 14 --format json", 0, "283248926962f5afa03871cf7ce8291e4c127b69b48302f6b2fb1c9b3a8e94af"),
     ("verify theorem --which oracle --t-max 2 --n-max 16 --k-max 2 --format csv", 0, "bdf526b670612bc2adc2f44a235cd48ce19bebf468b86de426e4e2427e824615"),
     ("verify theorem --which oracle --t-max 4 --n-max 12 --k-max 1 --format human", 0, "99f7ec0030e7b3caef4b7b954c9a606e6462a23fa3bcc7c1d68e02d4ac746ad9"),
+    # the defaults: t <= 6, n <= 40 and t <= 10, n <= 60 (enumerated to 40),
+    # where one walk of the partitions of n_max reads many smaller n
+    ("verify theorem --which oracle --format json", 0, "b1d10efebe471468aed9d2109a51e0e10796f1952ea8d22e18b36e3bedf168f1"),
+    ("verify theorem --which thm13 --format human", 0, "532b3fe9f05404cd167abe76ecfec38a21e68d44d8bf66f6508f35cfb6921fd0"),
 ]
 
 

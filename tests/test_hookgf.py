@@ -1,8 +1,11 @@
 import ast
 import inspect
 import types
+from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from hookcounts import hookgf, partitions
 from hookcounts.hookgf import (
@@ -19,13 +22,14 @@ from hookcounts.hookgf import (
     t2_remainder_series,
 )
 from hookcounts.injections import FAMILIES
-from hookcounts.partitions import hook_multiset, t_regular_partitions
+from hookcounts.partitions import Partition, hook_multiset, t_regular_partitions
 from hookcounts.series import t_regular_gf
 from oracles import (
     bt1_form,
     bt2_form,
     bt3_four_term_form,
     bt3_t2_form,
+    btk_enum_table_by_walks,
     decomposition_chain,
     hook3_marker_by_runs,
     hook_multiset_by_heights,
@@ -90,6 +94,32 @@ class TestEnumOracle:
         table = btk_enum_table(2, 6, (2, 3, 2))
         assert table[2, 6] == btk_enum(2, 2, 6) == 6
         assert table == btk_enum_table(2, 6, (2, 3))
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 11, 26])
+    def test_one_walk_matches_walk_per_n(self, t, n_max):
+        # k = 1..9, one k past n_max and a repeat of k = 3
+        ks = (*range(1, 10), n_max + 2, 3)
+        table = btk_enum_table(t, n_max, ks)
+        expected = btk_enum_table_by_walks(t, n_max, ks)
+        assert table == expected
+        assert list(table) == list(expected)
+
+
+class TestFirstColumnLemma:
+    """Rows of 1s under mu: the diagram fact the one-walk hook table reads."""
+
+    @given(
+        st.lists(st.integers(2, 12), max_size=8).map(lambda ps: sorted(ps, reverse=True)),
+        st.integers(0, 12),
+    )
+    def test_hooks_of_mu_plus_ones(self, mu, r):
+        # mu's cells off column 1 are the diagram of the parts mu_i - 1
+        outside = Counter(hook_multiset_by_heights(Partition.from_parts(v - 1 for v in mu)))
+        first = Counter(v + (len(mu) - i) + r for i, v in enumerate(mu, start=1))
+        ones = Counter(range(1, r + 1))
+        lifted = Partition.from_parts([*mu, *[1] * r])
+        assert Counter(hook_multiset_by_heights(lifted)) == outside + ones + first
 
 
 class TestSeriesBuilders:
@@ -353,6 +383,21 @@ def _code_names(code: types.CodeType) -> set[str]:
     return names
 
 
+def _names_with_helpers(f) -> set[str]:
+    """The names in f's code and in that of every hookgf function it reaches by name."""
+    own = {
+        name: value
+        for name, value in vars(hookgf).items()
+        if inspect.isfunction(value) and value.__module__ == hookgf.__name__
+    }
+    names, todo = set(), [f]
+    while todo:
+        found = _code_names(todo.pop().__code__) - names
+        names |= found
+        todo += [own[name] for name in found if name in own]
+    return names
+
+
 class TestRouteIndependence:
     """The series route shares no logic with the enumeration route."""
 
@@ -396,8 +441,11 @@ class TestRouteIndependence:
             "_family_table",
             "_piece_table",
         }
+        # the scan follows helpers: btk_series names t_regular_gf only through one
+        assert "t_regular_gf" not in _code_names(btk_series.__code__)
+        assert "t_regular_gf" in _names_with_helpers(btk_series)
         for f in (btk_enum, btk_enum_table):
-            names = _code_names(f.__code__)
+            names = _names_with_helpers(f)
             assert "t_regular_partitions" in names  # the scan sees the walk
             assert not names & series_names, f.__name__
         # the module's code object holds every function, method and closure in it
