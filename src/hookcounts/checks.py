@@ -100,7 +100,7 @@ def run_thm13(t_max: int, n_max: int) -> TheoremCheck:
         raise ValueError("need t_max >= 2 and n_max >= 3")
     enum_to = min(ENUM_LIMIT, n_max)
     failures = _negatives(diff_bt2_bt3, range(2, t_max + 1), n_max)
-    mismatches = [m for t in range(2, t_max + 1) for m in _oracle_mismatches(t, enum_to, (2, 3))]
+    mismatches = _oracle_mismatches(tuple(range(2, t_max + 1)), enum_to, (2, 3))
     expected = {(t, 3) for t in range(3, t_max + 1)}
     return TheoremCheck(
         which="thm13",
@@ -173,15 +173,19 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     )
 
 
-def _oracle_mismatches(t: int, n_max: int, ks: tuple[int, ...]) -> list[tuple]:
-    """(t, k, n, enumerated, series) for each cell where the two routes disagree."""
-    table = btk_enum_table(t, n_max, ks)
+def _oracle_mismatches(ts: tuple[int, ...], n_max: int, ks: tuple[int, ...]) -> list[tuple]:
+    """(t, k, n, enumerated, series) for each cell where the two routes disagree.
+
+    One walk of the partitions of n_max gives the enumerated counts of every
+    t; the cells come t by t, then k by k, in n order.
+    """
     mismatches = []
-    for k in ks:
-        s = btk_series(t, k, n_max)
-        mismatches.extend(
-            (t, k, n, table[(k, n)], s[n]) for n in range(n_max + 1) if table[(k, n)] != s[n]
-        )
+    for t, table in btk_enum_table(ts, n_max, ks).items():
+        for k in ks:
+            s = btk_series(t, k, n_max)
+            mismatches.extend(
+                (t, k, n, table[(k, n)], s[n]) for n in range(n_max + 1) if table[(k, n)] != s[n]
+            )
     return mismatches
 
 
@@ -192,7 +196,7 @@ def run_oracle_crosscheck(
     if t_max < 2 or n_max < 0 or not ks:
         raise ValueError("need t_max >= 2, n_max >= 0 and at least one k")
     ks = tuple(dict.fromkeys(ks))
-    witnesses = [w for t in range(2, t_max + 1) for w in _oracle_mismatches(t, n_max, ks)]
+    witnesses = _oracle_mismatches(tuple(range(2, t_max + 1)), n_max, ks)
     return TheoremCheck(
         which="oracle",
         params={"t_max": t_max, "n_max": n_max, "ks": list(ks)},

@@ -4,8 +4,9 @@ Two independent routes to the same numbers:
 
 * :func:`btk_enum` walks every t-regular partition of n and counts cells of
   the requested hook length on the diagram's boundary path;
-  :func:`btk_enum_table` reads every n <= n_max off one walk of the
-  partitions of n_max, each standing for its parts >= 2 with any fewer 1s.
+  :func:`btk_enum_table` reads every n <= n_max and every t of a set off one
+  walk of the partitions of n_max, each standing for its parts >= 2 with
+  any fewer 1s and counting for each t that divides none of its parts.
 * :func:`btk_series` expands, in exact truncated arithmetic, a generating
   function derived for each (t, k) from the arm and leg of a diagram cell.
 
@@ -22,10 +23,11 @@ tables first, so cancelling terms cost nothing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate
 from operator import add, sub
 
-from .partitions import boundary_masks, t_regular_partitions
+from .partitions import boundary_masks, partitions_of, t_regular_partitions
 from .series import Series, t_regular_gf
 
 
@@ -45,8 +47,10 @@ def btk_enum(t: int, k: int, n: int) -> int:
     return sum((east & (north >> k)).bit_count() for east, north in masks)
 
 
-def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """Hook counts for all (k, n) with k in ks and n <= n_max, from one walk of n_max.
+def btk_enum_table(
+    ts: tuple[int, ...], n_max: int, ks: tuple[int, ...]
+) -> dict[int, dict[tuple[int, int], int]]:
+    """Hook counts ``{t: {(k, n): count}}`` for t in ts, k in ks and n <= n_max, from one walk.
 
     A t-regular partition p of n_max is mu + 1^r, mu its parts >= 2 of
     weight w = n_max - r, and it stands for mu + 1^r' at every n = w + r'
@@ -58,46 +62,89 @@ def btk_enum_table(t: int, n_max: int, ks: tuple[int, ...]) -> dict[tuple[int, i
     mu + 1^r' are the k-hooks of p outside column 1 (read off p's rim
     once), plus 1 when k <= r', plus one per h_i = k - r': over n, a
     constant from w on, a unit step from w + k on and a point at
-    w + k - h_i for each h_i <= k.  The constants are filed by w and
-    prefix-summed at the end.  The steps and points are filed once for
-    every k, by w and by (h_i, w - h_i), and read at n - k.  A partition
-    costs its rim masks, a mask AND per distinct k and a step per
-    first-column hook up to max(ks); a repeated k is counted once.
+    w + k - h_i for each h_i <= k.
+
+    One walk serves every t: it keeps the parts regular for some t in ts,
+    and a partition's kill mask, OR-ed from a table by part value, has bit
+    j set when ts[j] divides one of its parts.  A partition whose mask is
+    full is regular for no t and is skipped; the others file their
+    contributions once, under their mask: the constants by w, the steps
+    by w, the points by (h_i, w - h_i).  The table for t is the sum over
+    the masks whose bit for t is clear, taken as the sum over all masks
+    less the masks with that bit set, which are the fewer when ts is wide;
+    it prefix-sums the constants and reads the steps and points at n - k.
+    A partition costs its kill mask, its rim masks, a mask AND per
+    distinct k and a step per first-column hook up to max(ks).  A repeated
+    t or k is counted once; the tables come in the order ts first names
+    each t.
     """
+    ts = tuple(dict.fromkeys(ts))
+    if not ts:
+        raise ValueError("need at least one t")
     ks = tuple(dict.fromkeys(ks))
     if not ks:
         raise ValueError("need at least one k")
-    _check_tk(t, min(ks))
+    _check_tk(min(ts), min(ks))
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    size = n_max + 1
     reach = min(max(ks), n_max)  # no longer first-column hook is read
     rows = (1 << (reach + 1)) - 2  # bits 1..reach; bit 0 ends the top row of 1s
-    outside = {k: [0] * (n_max + 1) for k in ks}  # by w: k-hooks of mu off column 1
-    mus = [0] * (n_max + 1)  # by w: how many mu
-    column = [[0] * (n_max + 1) for _ in range(reach + 1)]  # [h][w - h]: mu with an h_i = h
-    for p in t_regular_partitions(n_max, t):
-        east, north = boundary_masks(p)
+    kill = [0] * size  # by part value: bit j when ts[j] divides it
+    for j, t in enumerate(ts):
+        for v in range(t, size, t):
+            kill[v] |= 1 << j
+    full = (1 << len(ts)) - 1
+    # by mask, one flat record: mu by w, then the k-hooks of mu off column 1 by
+    # w for each k, then for h = 0..reach the mu with a first-column hook h by w - h
+    outside = [(i + 1) * size for i in range(len(ks))]
+    shifts = [(k + 1, at) for k, at in zip(ks, outside)]
+    column = (len(ks) + 1) * size
+    width = column + (reach + 1) * size
+    records: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
+    for p in partitions_of(n_max, lambda v: kill[v] != full):
         items = p.items()
+        mask = 0
+        for v, _ in items:
+            mask |= kill[v]
+        if mask == full:
+            continue
+        record = records[mask]
+        east, north = boundary_masks(p)
         r = items[-1][1] if items and items[-1][0] == 1 else 0
         w = n_max - r
-        mus[w] += 1
+        record[w] += 1
         east >>= 1  # step 0 runs under column 1
-        for k in ks:
-            outside[k][w] += (east & (north >> (k + 1))).bit_count()
-        # north step r + h ends the row whose first cell has hook h in mu
+        for shift, at in shifts:
+            record[at + w] += (east & (north >> shift)).bit_count()
+        # north step r + h ends the row whose first cell has hook h in mu,
+        # filed at column + h * size + w - h = base + h * n_max
         first = (north >> r) & rows
+        base = column + w
         while first:
             h = first.bit_length() - 1
-            column[h][w - h] += 1
+            record[base + h * n_max] += 1
             first ^= 1 << h
-    table = {}
-    for k in ks:
-        shifted = list(accumulate(mus))  # at n - k: the step, then the points
-        for h in range(2, min(k, reach) + 1):
-            shifted = list(map(add, shifted, column[h]))
-        for n, c in enumerate(accumulate(outside[k])):
-            table[k, n] = c + shifted[n - k] if n >= k else c
-    return table
+    every = [0] * width
+    for record in records.values():
+        every = list(map(add, every, record))
+    tables = {}
+    for j, t in enumerate(ts):
+        total = every
+        for mask, record in records.items():
+            if mask >> j & 1:
+                total = list(map(sub, total, record))
+        mus = total[:size]
+        table = {}
+        for k, at in zip(ks, outside):
+            shifted = list(accumulate(mus))  # at n - k: the step, then the points
+            for h in range(2, min(k, reach) + 1):
+                points = total[column + h * size : column + (h + 1) * size]
+                shifted = list(map(add, shifted, points))
+            for n, c in enumerate(accumulate(total[at : at + size])):
+                table[k, n] = c + shifted[n - k] if n >= k else c
+        tables[t] = table
+    return tables
 
 
 # {m: {e: x}} stands for T * sum_m (sum_e x q^e) / (1 - q^m), T = t_regular_gf(t);

@@ -112,9 +112,9 @@ class Family:
     def members(self, n: int, t: int) -> Iterator[Partition]:
         """The members of weight n, in the order of :func:`partitions_of`.
 
-        With a needed part x, the walk runs over n - x and puts one x back
-        into each partition; adding the same part to all of them keeps
-        their order.
+        With a needed part x, the walk runs over n - x and splices one x
+        back into each partition's descending items; adding the same part
+        to all of them keeps their order.
         """
         _check_t(t)
         parts = lambda v: self.parts(v, t)  # noqa: E731
@@ -124,7 +124,7 @@ class Family:
         x = self.needs(t)
         if 0 <= n < x:
             return iter(())
-        return (p.trade((), (x,)) for p in partitions_of(n - x, parts, ones))
+        return (_with_part(p, x) for p in partitions_of(n - x, parts, ones))
 
     def label(self, p: Partition, t: int) -> SubsetLabel | None:
         """The first subset p falls in; None outside the family."""
@@ -132,6 +132,19 @@ class Family:
             return None
         ms = self.subsets(p, t)
         return SubsetLabel(self.name, ms[0] if ms else None)
+
+
+def _with_part(p: Partition, x: int) -> Partition:
+    """p with one more part x: x's multiplicity up by one, or (x, 1) in its place."""
+    items = p.items()
+    i = 0
+    while i < len(items) and items[i][0] > x:
+        i += 1
+    if i < len(items) and items[i][0] == x:
+        items = (*items[:i], (x, items[i][1] + 1), *items[i + 1 :])
+    else:
+        items = (*items[:i], (x, 1), *items[i:])
+    return Partition._from_sorted_items(items, p.weight + x)
 
 
 def _one_mod_ks(p: Partition, t: int) -> list[int]:

@@ -2,12 +2,13 @@
 
 They are built from the library's ``Series`` ring (and, for the hand-typed
 hook forms and the series chains, its t-regular series) or its ``Partition``
-type alone (and, for the per-n hook table, its walker and rim masks), so a
-test that compares them with a production builder checks the builder
-against an independent derivation.
+type alone (and, for the per-n and per-t hook tables, its walker and rim
+masks), so a test that compares them with a production builder checks the
+builder against an independent derivation.
 """
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from hookcounts.hookgf import _check_tk
@@ -213,6 +214,55 @@ def hook_multiset_by_heights(p: Partition) -> HookMultiset:
     return counts
 
 
+def btk_enum_table_for_one_t(
+    t: int, n_max: int, ks: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """Hook counts for all (k, n) with k in ks and n <= n_max, one walk for this t.
+
+    Each t-regular partition p of n_max is mu + 1^r, mu its parts >= 2 of
+    weight w, and stands for mu + 1^r' at every n = w + r' <= n_max: its
+    k-hooks off column 1 are filed as a constant from w on, and each
+    first-column hook h of mu, lifted by r', as a point at w + k - h, with
+    the new rows of 1s a unit step from w + k on.  The differential oracle
+    for ``btk_enum_table``, which files the same contributions for every t
+    of a set from one walk, under each partition's kill mask.
+    """
+    ks = tuple(dict.fromkeys(ks))
+    if not ks:
+        raise ValueError("need at least one k")
+    _check_tk(t, min(ks))
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    reach = min(max(ks), n_max)  # no longer first-column hook is read
+    rows = (1 << (reach + 1)) - 2  # bits 1..reach; bit 0 ends the top row of 1s
+    outside = {k: [0] * (n_max + 1) for k in ks}  # by w: k-hooks of mu off column 1
+    mus = [0] * (n_max + 1)  # by w: how many mu
+    column = [[0] * (n_max + 1) for _ in range(reach + 1)]  # [h][w - h]: mu with an h_i = h
+    for p in t_regular_partitions(n_max, t):
+        east, north = boundary_masks(p)
+        items = p.items()
+        r = items[-1][1] if items and items[-1][0] == 1 else 0
+        w = n_max - r
+        mus[w] += 1
+        east >>= 1  # step 0 runs under column 1
+        for k in ks:
+            outside[k][w] += (east & (north >> (k + 1))).bit_count()
+        # north step r + h ends the row whose first cell has hook h in mu
+        first = (north >> r) & rows
+        while first:
+            h = first.bit_length() - 1
+            column[h][w - h] += 1
+            first ^= 1 << h
+    table = {}
+    for k in ks:
+        shifted = list(accumulate(mus))  # at n - k: the step, then the points
+        for h in range(2, min(k, reach) + 1):
+            shifted = [a + b for a, b in zip(shifted, column[h])]
+        for n, c in enumerate(accumulate(outside[k])):
+            table[k, n] = c + shifted[n - k] if n >= k else c
+    return table
+
+
 def btk_enum_table_by_walks(
     t: int, n_max: int, ks: tuple[int, ...]
 ) -> dict[tuple[int, int], int]:
@@ -220,7 +270,7 @@ def btk_enum_table_by_walks(
 
     Each t-regular partition of each n costs its rim masks and a mask AND
     per distinct k.  The differential oracle for ``btk_enum_table``, which
-    reads every n off one walk of the partitions of n_max.
+    reads every n and every t of a set off one walk of the partitions of n_max.
     """
     ks = tuple(dict.fromkeys(ks))
     if not ks:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hookcounts
-from hookcounts import cli, injections
+from hookcounts import checks, cli, hookgf, injections
 from hookcounts.checks import (
     emit,
     run_identity_check,
@@ -18,6 +18,9 @@ from hookcounts.checks import (
     run_thm13,
 )
 from hookcounts.injections import verify_injection
+from hookcounts.series import Series
+
+from oracles import btk_enum_table_for_one_t
 
 
 class TestThm12:
@@ -56,6 +59,76 @@ class TestThm13:
             run_thm13(1, 25)
         with pytest.raises(ValueError):
             run_thm13(4, 2)
+
+
+class TestOracleWalk:
+    """One enumeration walk serves every t; each mismatch stays under its own t."""
+
+    @staticmethod
+    def _series_off_by_one(monkeypatch, cells):
+        # the series route reads one more than it should at each (t, k, n) cell
+        real = checks.btk_series
+
+        def patched(t, k, order):
+            s = real(t, k, order)
+            wrong = {n for ct, ck, n in cells if (ct, ck) == (t, k) and n <= order}
+            return Series([s[n] + (n in wrong) for n in range(order + 1)], order)
+
+        monkeypatch.setattr(checks, "btk_series", patched)
+
+    @staticmethod
+    def _per_t_mismatches(ts, n_max, ks):
+        # the scan as it ran before, one table per t
+        found = []
+        for t in ts:
+            table = btk_enum_table_for_one_t(t, n_max, ks)
+            for k in ks:
+                s = checks.btk_series(t, k, n_max)
+                found += [
+                    (t, k, n, table[k, n], s[n]) for n in range(n_max + 1) if table[k, n] != s[n]
+                ]
+        return found
+
+    @pytest.mark.parametrize("cell", [(2, 3, 7), (4, 2, 12), (6, 3, 20)])
+    def test_one_wrong_cell_is_reported_under_its_t(self, monkeypatch, cell):
+        t, k, n = cell
+        self._series_off_by_one(monkeypatch, [cell])
+        count = btk_enum_table_for_one_t(t, n, (k,))[k, n]
+        oracle = run_oracle_crosscheck(6, 20)
+        assert not oracle.passed
+        assert oracle.witnesses == [(t, k, n, count, count + 1)]
+        thm13 = run_thm13(6, 30)
+        assert not thm13.passed
+        assert thm13.witnesses == [(3, 3, -1), (4, 3, -1), (5, 3, -1), (6, 3, -1)]
+        assert thm13.info["oracle_mismatches"] == [(t, k, n, count, count + 1)]
+
+    def test_mismatches_keep_the_per_t_order(self, monkeypatch):
+        cells = [(5, 2, 9), (2, 3, 14), (3, 2, 4), (2, 2, 17), (3, 3, 11), (2, 1, 5)]
+        self._series_off_by_one(monkeypatch, cells)
+        expected = self._per_t_mismatches(range(2, 7), 20, (2, 3))
+        assert [m[:3] for m in expected] == sorted(c for c in cells if c[1] > 1)
+        assert run_thm13(6, 20).info["oracle_mismatches"] == expected
+        expected = self._per_t_mismatches(range(2, 7), 20, (3, 1, 2))
+        assert len(expected) == len(cells)
+        assert run_oracle_crosscheck(6, 20, (3, 1, 2)).witnesses == sorted(expected)
+
+    @pytest.mark.parametrize("run, n_max", [
+        (lambda: run_oracle_crosscheck(6, 20), 20),
+        (lambda: run_oracle_crosscheck(21, 20), 20),
+        (lambda: run_thm13(5, 30), 30),
+        (lambda: run_thm13(12, 60), 40),  # enumerated up to ENUM_LIMIT
+    ], ids=["oracle-6", "oracle-21", "thm13-5", "thm13-12"])
+    def test_each_run_walks_once(self, monkeypatch, run, n_max):
+        walks = []
+        real = hookgf.partitions_of
+
+        def counted(n, *rules):
+            walks.append(n)
+            return real(n, *rules)
+
+        monkeypatch.setattr(hookgf, "partitions_of", counted)
+        assert run().passed
+        assert walks == [n_max]
 
 
 class TestSignChecks:

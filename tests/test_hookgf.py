@@ -30,6 +30,7 @@ from oracles import (
     bt3_four_term_form,
     bt3_t2_form,
     btk_enum_table_by_walks,
+    btk_enum_table_for_one_t,
     decomposition_chain,
     hook3_marker_by_runs,
     hook_multiset_by_heights,
@@ -60,10 +61,16 @@ class TestEnumOracle:
             btk_enum(2, 0, 5)
         with pytest.raises(ValueError):
             btk_enum(2, 1, -1)
+        with pytest.raises(ValueError, match="need at least one t"):
+            btk_enum_table((), 5, (1,))
         with pytest.raises(ValueError, match="need at least one k"):
-            btk_enum_table(2, 5, ())
+            btk_enum_table((2,), 5, ())
+        with pytest.raises(ValueError, match="t must be at least 2"):
+            btk_enum_table((3, 1), 5, (1,))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            btk_enum_table((2,), 5, (2, 0))
         with pytest.raises(ValueError, match="n_max must be nonnegative"):
-            btk_enum_table(2, -1, (1,))
+            btk_enum_table((2,), -1, (1,))
 
     def test_any_hook_length_supported(self):
         # no closed form needed: enumeration handles k = 7 too
@@ -80,30 +87,54 @@ class TestEnumOracle:
                 for h, c in hook_multiset_by_heights(p).items():
                     if h in ks:
                         expected[(h, n)] += c
-        assert btk_enum_table(t, 24, ks) == expected
+        assert btk_enum_table((t,), 24, ks) == {t: expected}
         for (k, n), count in expected.items():
             assert btk_enum(t, k, n) == count
 
     def test_table_matches_pointwise(self):
-        table = btk_enum_table(3, 12, (1, 2, 3))
+        table = btk_enum_table((3,), 12, (1, 2, 3))[3]
         for k in (1, 2, 3):
             for n in range(13):
                 assert table[(k, n)] == btk_enum(3, k, n)
 
     def test_repeated_k_is_counted_once(self):
-        table = btk_enum_table(2, 6, (2, 3, 2))
+        table = btk_enum_table((2,), 6, (2, 3, 2))[2]
         assert table[2, 6] == btk_enum(2, 2, 6) == 6
-        assert table == btk_enum_table(2, 6, (2, 3))
+        assert table == btk_enum_table((2,), 6, (2, 3))[2]
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 11, 26])
     def test_one_walk_matches_walk_per_n(self, t, n_max):
         # k = 1..9, one k past n_max and a repeat of k = 3
         ks = (*range(1, 10), n_max + 2, 3)
-        table = btk_enum_table(t, n_max, ks)
+        table = btk_enum_table((t,), n_max, ks)[t]
         expected = btk_enum_table_by_walks(t, n_max, ks)
         assert table == expected
         assert list(table) == list(expected)
+        assert btk_enum_table_for_one_t(t, n_max, ks) == expected
+
+
+class TestAllTTable:
+    """One walk for a set of t against the per-t walk and the walk per n, t by t."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 5, 8, 13, 18])
+    @pytest.mark.parametrize(
+        "ts",
+        [(2,), (9,), (5, 2, 7, 2, 3), (4, 3, 4, 11), (3, 2), "past n_max", "every t"],
+    )
+    def test_matches_per_t_references(self, ts, n_max):
+        if ts == "past n_max":  # every partition is regular for both
+            ts = (n_max + 3, n_max + 2)
+        elif ts == "every t":  # t = 2..n_max+1 covers every t >= 2 for n <= n_max
+            ts = tuple(range(2, n_max + 2)) or (2,)
+        # (3, 2): a part 6 leaves a partition regular for neither t
+        ks = (3, 1, 3, 2, n_max + 2, 5)  # unsorted, a repeat, one k past n_max
+        tables = btk_enum_table(ts, n_max, ks)
+        assert list(tables) == list(dict.fromkeys(ts))
+        for t, table in tables.items():
+            expected = btk_enum_table_by_walks(t, n_max, ks)
+            assert table == expected == btk_enum_table_for_one_t(t, n_max, ks)
+            assert list(table) == list(expected)
 
 
 class TestFirstColumnLemma:
@@ -154,7 +185,7 @@ class TestSeriesBuilders:
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_oracle_equivalence_small_grid(self, t):
-        table = btk_enum_table(t, 25, (1, 2, 3))
+        table = btk_enum_table((t,), 25, (1, 2, 3))[t]
         for k in (1, 2, 3):
             s = btk_series(t, k, 25)
             for n in range(26):
@@ -167,7 +198,7 @@ class TestDerivedSeries:
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_matches_enumeration_up_to_k8(self, t):
         ks = tuple(range(1, 9))
-        table = btk_enum_table(t, 30, ks)
+        table = btk_enum_table((t,), 30, ks)[t]
         for k in ks:
             assert btk_series(t, k, 30).coeffs == tuple(table[(k, n)] for n in range(31))
 
@@ -444,9 +475,9 @@ class TestRouteIndependence:
         # the scan follows helpers: btk_series names t_regular_gf only through one
         assert "t_regular_gf" not in _code_names(btk_series.__code__)
         assert "t_regular_gf" in _names_with_helpers(btk_series)
-        for f in (btk_enum, btk_enum_table):
+        for f, walk in ((btk_enum, "t_regular_partitions"), (btk_enum_table, "partitions_of")):
             names = _names_with_helpers(f)
-            assert "t_regular_partitions" in names  # the scan sees the walk
+            assert walk in names  # the scan sees the walk
             assert not names & series_names, f.__name__
         # the module's code object holds every function, method and closure in it
         module_code = compile(inspect.getsource(partitions), partitions.__file__, "exec")

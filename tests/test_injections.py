@@ -67,6 +67,17 @@ class TestFamilies:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             FAMILIES[name].members(-1, 3)
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_r_members_splice_the_needed_part(self, t):
+        # the splice gives the members the trade gave, in the same order
+        x = 2 * t + 1
+        parts = lambda v: R.parts(v, t)  # noqa: E731
+        for n in range(31):
+            expected = [p.trade((), (x,)) for p in partitions_of(n - x, parts)] if n >= x else []
+            members = list(R.members(n, t))
+            assert [p.items() for p in members] == [p.items() for p in expected]
+            assert all(p.weight == n for p in members)
+
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_r_starts_at_its_needed_part(self, t):
         # every member of R holds the part 2t+1, so none weighs less
