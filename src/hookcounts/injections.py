@@ -13,7 +13,10 @@ cell, that the map is well defined into its codomain, weight preserving,
 collision free, inverted by its declared inverse, that the relevant subset
 classifications partition / stay disjoint, and that the walk met as many
 domain members as the family's counting series counts.  Failures become
-report entries, never exceptions.
+report entries, never exceptions.  Per cell, the driver tabulates the
+codomain's rules once (:meth:`Family.membership`) and reads each image's
+membership in one loop over its items; the O- and R-classifiers read a
+partition in one loop too.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ class Family:
     hands both to :func:`partitions_of`, which asks each once per value, so
     partitions breaking either are never built.  ``needs(t)``, if set, is a
     part >= 2 of the part rule that every member holds at least once.
+    :meth:`membership` reads the same three rules, tabulated once up to a
+    weight n, and is the one membership test: :meth:`contains` builds it
+    at p's weight, the driver once per cell for the images of weight n.
     ``subsets(p, t)``, called on members only, lists the indices of the
     named subsets whose defining condition p satisfies (by default none).
     """
@@ -101,13 +107,33 @@ class Family:
     needs: Callable[[int], int] | None = None
     subsets: Callable[[Partition, int], list[int]] = lambda p, t: []
 
-    def contains(self, p: Partition, t: int) -> bool:
+    def membership(self, n: int, t: int) -> Callable[[Partition], bool]:
+        """The membership test for partitions of weight at most n.
+
+        The part rule is tabulated for v <= n and the 1-count rule for
+        r <= n once, as :func:`partitions_of` tabulates them; the test
+        then reads a partition in one loop over its items.
+        """
         _check_t(t)
-        return (
-            all(self.parts(v, t) for v, _ in p.items())
-            and self.ones(p.frequency(1), t)
-            and (self.needs is None or p.frequency(self.needs(t)) >= 1)
-        )
+        part_ok = [False] + [self.parts(v, t) for v in range(1, n + 1)]
+        ones_ok = [self.ones(r, t) for r in range(n + 1)]
+        x = 0 if self.needs is None else self.needs(t)  # 0 is no part, so never missing
+
+        def holds(p: Partition) -> bool:
+            f1, has_x = 0, x == 0
+            for v, m in p.items():
+                if not part_ok[v]:
+                    return False
+                if v == x:
+                    has_x = True
+                elif v == 1:
+                    f1 = m
+            return has_x and ones_ok[f1]
+
+        return holds
+
+    def contains(self, p: Partition, t: int) -> bool:
+        return self.membership(p.weight, t)(p)
 
     def members(self, n: int, t: int) -> Iterator[Partition]:
         """The members of weight n, in the order of :func:`partitions_of`.
@@ -147,34 +173,38 @@ def _with_part(p: Partition, x: int) -> Partition:
     return Partition._from_sorted_items(items, p.weight + x)
 
 
-def _one_mod_ks(p: Partition, t: int) -> list[int]:
-    """All k >= 1 such that 2kt+1 appears as a part."""
-    step = 2 * t
-    return sorted((v - 1) // step for v, _ in p.items() if v > 1 and v % step == 1)
-
-
 def _o_subsets(p: Partition, t: int) -> list[int]:
     """The one O-subset p falls in: each condition holds only where those before it fail."""
-    if _one_mod_ks(p, t):
-        return [1]
+    step, heavy_at = 2 * t, 6 * t + 1
+    f1, heavy = 0, False
+    for v, m in p.items():
+        if v == 1:
+            f1 = m
+        elif v % step == 1:
+            return [1]
+        elif m >= heavy_at:
+            heavy = True
     if p.largest() >= 8 * t * t + 1:
         return [2]
-    if any(v >= 2 and m >= 6 * t + 1 for v, m in p.items()):
+    if heavy:
         return [3]
-    return [4] if p.frequency(1) >= 12 * t + 3 else [5]
+    return [4] if f1 >= 12 * t + 3 else [5]
 
 
 def _r_subsets(p: Partition, t: int) -> list[int]:
-    if p.frequency(1) % 2 == 1:
+    step = 2 * t
+    ks: dict[int, int] = {}  # k -> multiplicity of the part 2kt+1; k = 0 holds the 1-count
+    for v, m in p.items():
+        if v % step == 1:
+            ks[v // step] = m
+    if ks.pop(0, 0) % 2 == 1:
         return [1]
     out = []
-    ks = set(_one_mod_ks(p, t))
-    f = p.frequency
-    if f(4 * t + 1) + f(2 * t + 1) >= 2 and ks <= {1, 2}:
+    if ks.get(1, 0) + ks.get(2, 0) >= 2 and ks.keys() <= {1, 2}:
         out.append(2)
-    if f(6 * t + 1) > 0 and ks <= {1, 3}:
+    if 3 in ks and ks.keys() <= {1, 3}:
         out.append(3)
-    if f(8 * t + 1) > 0 and ks <= {1, 4}:
+    if 4 in ks and ks.keys() <= {1, 4}:
         out.append(4)
     return out
 
@@ -237,8 +267,9 @@ RawMap = Callable[[Partition, int], Partition]
 
 def phi1(p: Partition, t: int) -> Partition:
     """Trade the smallest part of shape 2kt+1 for one 2t+1 and (k-1) parts 2t."""
-    k = _one_mod_ks(p, t)[0]
-    return p.trade((2 * k * t + 1,), [2 * t + 1] + [2 * t] * (k - 1))
+    step = 2 * t
+    v = next(v for v, _ in reversed(p.items()) if v > 1 and v % step == 1)
+    return p.trade((v,), [2 * t + 1] + [2 * t] * (v // step - 1))
 
 
 def phi1_inv(p: Partition, t: int) -> Partition:
@@ -488,6 +519,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
     """
     spec = _spec(map_id, t, n, warn)
     domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
+    in_codomain = codomain.membership(n, t)
     several = len(spec.forward) > 1
     violations: list[Violation] = []
 
@@ -512,12 +544,12 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
         mu = spec.forward[cls](lam, t)
         if mu.weight != n:
             violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
-        elif (label := codomain.label(mu, t)) is None or label.index != cls:
+        elif not in_codomain(mu) or (codomain.subsets(mu, t) or [None])[0] != cls:
+            # outside the codomain, or its first subset (as Family.label reads it) is not cls
             violate(lam, "NotInCodomain", f"image {mu} outside target subset")
-        if mu in images:
-            violate(lam, "Collision", f"image {mu} already produced by {images[mu]}")
-        else:
-            images[mu] = lam
+        first = images.setdefault(mu, lam)
+        if first is not lam:
+            violate(lam, "Collision", f"image {mu} already produced by {first}")
         inverse = spec.inverse.get(cls)
         if inverse is not None:
             back = inverse(mu, t)

@@ -3,8 +3,9 @@
 They are built from the library's ``Series`` ring (and, for the hand-typed
 hook forms and the series chains, its t-regular series) or its ``Partition``
 type alone (and, for the per-n and per-t hook tables, its walker and rim
-masks), so a test that compares them with a production builder checks the
-builder against an independent derivation.
+masks, and for family membership, a ``Family`` record's rules), so a test
+that compares them with a production builder checks the builder against an
+independent derivation.
 """
 
 from bisect import bisect_right
@@ -12,6 +13,7 @@ from itertools import accumulate
 from typing import Callable, Iterator
 
 from hookcounts.hookgf import _check_tk
+from hookcounts.injections import Family
 from hookcounts.partitions import (
     HookMultiset,
     Partition,
@@ -461,3 +463,54 @@ def is_tau_case4_image_by_shape(p: Partition, t: int) -> bool:
     if t >= 5:
         return top == (3, 1) and m >= 2 and m % 3 == 2
     return top == (5, 1) and m >= 1 and m % 3 == 1
+
+
+def contains_by_rules(family: Family, p: Partition, t: int) -> bool:
+    """Family membership asked of the rules directly, one call per distinct part.
+
+    The reference for ``Family.membership``, which tabulates the rules.
+    """
+    return (
+        all(family.parts(v, t) for v, _ in p.items())
+        and family.ones(p.frequency(1), t)
+        and (family.needs is None or p.frequency(family.needs(t)) >= 1)
+    )
+
+
+def _one_mod_ks(p: Partition, t: int) -> list[int]:
+    """All k >= 1 such that 2kt+1 appears as a part."""
+    step = 2 * t
+    return sorted((v - 1) // step for v, _ in p.items() if v > 1 and v % step == 1)
+
+
+def o_subsets_by_passes(p: Partition, t: int) -> list[int]:
+    """The O-subset of p, one pass over the items per condition.
+
+    The reference for the one-scan ``injections._o_subsets``.
+    """
+    if _one_mod_ks(p, t):
+        return [1]
+    if p.largest() >= 8 * t * t + 1:
+        return [2]
+    if any(v >= 2 and m >= 6 * t + 1 for v, m in p.items()):
+        return [3]
+    return [4] if p.frequency(1) >= 12 * t + 3 else [5]
+
+
+def r_subsets_by_passes(p: Partition, t: int) -> list[int]:
+    """The R-subsets of p, each read by its own frequency lookups.
+
+    The reference for the one-scan ``injections._r_subsets``.
+    """
+    if p.frequency(1) % 2 == 1:
+        return [1]
+    out = []
+    ks = set(_one_mod_ks(p, t))
+    f = p.frequency
+    if f(4 * t + 1) + f(2 * t + 1) >= 2 and ks <= {1, 2}:
+        out.append(2)
+    if f(6 * t + 1) > 0 and ks <= {1, 3}:
+        out.append(3)
+    if f(8 * t + 1) > 0 and ks <= {1, 4}:
+        out.append(4)
+    return out

@@ -32,7 +32,12 @@ from hookcounts.injections import (
 from hookcounts.partitions import Partition, partitions_of
 from hookcounts.series import t_regular_gf
 
-from oracles import is_tau_case4_image_by_shape
+from oracles import (
+    contains_by_rules,
+    is_tau_case4_image_by_shape,
+    o_subsets_by_passes,
+    r_subsets_by_passes,
+)
 
 P = Partition.parse
 O, R, A, S, B, C, D1, D2 = (FAMILIES[k] for k in ("O", "R", "A", "S", "B", "C", "D1", "D2"))
@@ -78,6 +83,17 @@ class TestFamilies:
             assert [p.items() for p in members] == [p.items() for p in expected]
             assert all(p.weight == n for p in members)
 
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_membership_tables_match_the_rules(self, name):
+        # tables built at the weight, as the driver builds them, and past it
+        family = FAMILIES[name]
+        for t in range(2, 6):
+            for n in range(21):
+                at_n, past_n = family.membership(n, t), family.membership(n + 3, t)
+                for p in partitions_of(n):
+                    expected = contains_by_rules(family, p, t)
+                    assert at_n(p) == past_n(p) == family.contains(p, t) == expected, (t, p)
+
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_r_starts_at_its_needed_part(self, t):
         # every member of R holds the part 2t+1, so none weighs less
@@ -118,6 +134,12 @@ class TestClassifyO:
                 for lam in O.members(n, t):
                     assert len(O.subsets(lam, t)) == 1
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_one_scan_matches_the_passes(self, t):
+        for n in range(31):
+            for lam in O.members(n, t):
+                assert O.subsets(lam, t) == o_subsets_by_passes(lam, t), lam
+
 
 class TestClassifyR:
     def test_odd_ones_subset(self):
@@ -146,6 +168,12 @@ class TestClassifyR:
             for n in range(26):
                 for mu in R.members(n, t):
                     assert len(R.subsets(mu, t)) <= 1
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_one_scan_matches_the_passes(self, t):
+        for n in range(31):
+            for mu in R.members(n, t):
+                assert R.subsets(mu, t) == r_subsets_by_passes(mu, t), mu
 
 
 class TestPhi1:
@@ -673,6 +701,49 @@ class TestDriverFailures:
         kinds, report = self._kinds(monkeypatch, spec, 3, 9)
         assert kinds and set(kinds) == {"NotInCodomain"}
         assert all(v.detail == "weight changed to 10" for v in report.violations)
+
+    def _images_outside(self, monkeypatch, spec, t, n):
+        """Every image of the one class of ``spec`` is reported outside its target subset."""
+        kinds, report = self._kinds(monkeypatch, spec, t, n)
+        assert len(kinds) == report.domain_size > 0 and set(kinds) == {"NotInCodomain"}
+        ((cls, image),) = spec.forward.items()
+        images = [image(P(v.input), t) for v in report.violations]
+        for v, mu in zip(report.violations, images):
+            assert v.detail == f"image {mu} outside target subset"
+        return cls, images
+
+    # At t = 2 the fourth-subset members of O hold no part 1 mod 4 but 1,
+    # and at least 27 ones, which phi4 trades for 17, 5, 5.  Each broken
+    # image below misses R by one rule: with that rule relaxed it lies in
+    # the fourth R-subset.
+
+    def test_image_with_a_forbidden_part(self, monkeypatch):
+        spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 5, 3, 2))}, {})
+        cls, images = self._images_outside(monkeypatch, spec, 2, 37)
+        relaxed = dataclasses.replace(R, parts=lambda v, t: True)
+        for mu in images:
+            assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
+
+    def test_image_without_the_needed_part(self, monkeypatch):
+        spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 7, 3))}, {})
+        cls, images = self._images_outside(monkeypatch, spec, 2, 37)
+        relaxed = dataclasses.replace(R, needs=None)
+        for mu in images:
+            assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
+
+    def test_image_with_a_rejected_one_count(self, monkeypatch):
+        # tau left as the identity keeps the 1-count at 3 mod 6
+        spec = dataclasses.replace(MAPS["tau"], forward={None: lambda p, t: p}, inverse={})
+        _, images = self._images_outside(monkeypatch, spec, 3, 9)
+        relaxed = dataclasses.replace(B, ones=lambda f1, t: True)
+        for mu in images:
+            assert B.label(mu, 3) is None and relaxed.label(mu, 3) == SubsetLabel("B", None)
+
+    def test_image_in_the_wrong_subset(self, monkeypatch):
+        # one 1 fewer traded leaves the 1-count odd: every image lies in R's first subset
+        spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 26, (17, 5, 4))}, {})
+        _, images = self._images_outside(monkeypatch, spec, 2, 37)
+        assert all(R.label(mu, 2) == SubsetLabel("R", 1) for mu in images)
 
     def test_collision(self, monkeypatch):
         spec = dataclasses.replace(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -125,6 +126,44 @@ class TestMultisetAlgebra:
             P("2").trade((1,), ())
         with pytest.raises(ValueError):
             P("2,1").trade((1, 1), (2,))
+
+    def test_trade_error_contract(self):
+        # removal is checked against the partition itself, before any part comes back
+        for text, removed, added, part in (
+            ("3,1", (2,), (2,), 2),
+            ("3^2,1", (3, 3, 3), (), 3),
+            ("3^2,1", (3, 1, 3, 3), (3,), 3),
+            ("5,1^2", (1, 1, 1), (1, 1), 1),
+        ):
+            message = f"cannot remove {part} from {text}: no copy left"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                P(text).trade(removed, added)
+
+    def test_trade_matches_union_of_diff_on_random_triples(self):
+        rng = random.Random(21)
+        raised = 0
+        for _ in range(3000):
+            lam = Partition.from_parts(rng.randint(1, 9) for _ in range(rng.randint(0, 8)))
+            pool = list(lam) + [rng.randint(1, 9) for _ in range(rng.randint(0, 2))]
+            removed = rng.sample(pool, rng.randint(0, len(pool)))
+            added = [
+                rng.choice(removed) if removed and rng.random() < 0.5 else rng.randint(1, 9)
+                for _ in range(rng.randint(0, 4))
+            ]
+            try:
+                expected = union(
+                    diff(lam, Partition.from_parts(removed)), Partition.from_parts(added)
+                )
+            except ValueError:
+                raised += 1
+                message = rf"^cannot remove \d+ from {re.escape(str(lam))}: no copy left$"
+                with pytest.raises(ValueError, match=message):
+                    lam.trade(removed, added)
+                continue
+            mu = lam.trade(removed, added)
+            assert mu.items() == expected.items()
+            assert mu.weight == lam.weight - sum(removed) + sum(added)
+        assert 300 < raised < 2700
 
     @given(partitions(), partitions())
     def test_union_then_diff_round_trips(self, a, b):
