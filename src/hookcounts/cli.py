@@ -31,64 +31,108 @@ THEOREM_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose commands get their flags only when argv names them.
+
+    ``add_commands`` registers each command's sub-parser, with its name and
+    help, up front, so help screens and invalid-choice errors list every
+    command.  The function that adds a command's flags runs as the parse
+    starts, once one of its words equals the command's name.  That is exact:
+    argparse hands words to a sub-parser only when a word equals its name, so
+    a command that argv does not name is never parsed and needs no flags.
+    Sub-parsers are of this class too, so ``verify`` adds the flags of its
+    own commands as its own parse starts.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._unbuilt = {}  # command name -> (its sub-parser, the function adding its flags)
+
+    def add_commands(self, dest, commands) -> None:
+        """Register ``commands``, (name, help text, add_flags) triples, under ``dest``."""
+        sub = self.add_subparsers(dest=dest, required=True)
+        for name, summary, add_flags in commands:
+            self._unbuilt[name] = (sub.add_parser(name, help=summary), add_flags)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        for name in [name for name in self._unbuilt if name in args]:
+            parser, add_flags = self._unbuilt.pop(name)
+            add_flags(parser)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hooks",
         description="Hook-length counts over t-regular partitions, two ways, "
         "with mechanical verification of the related identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_commands("command", (
+        ("count", "one hook count b(t, k, n)", _count_flags),
+        ("series", "emit a named series as CSV", _series_flags),
+        ("verify", "run a verification suite", _verify_flags),
+    ))
+    return parser
 
-    p_count = sub.add_parser("count", help="one hook count b(t, k, n)")
-    p_count.add_argument("--t", type=int, required=True)
-    p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--method", choices=("enum", "gf"), default="enum")
-    p_count.set_defaults(run=_cmd_count)
 
-    p_series = sub.add_parser("series", help="emit a named series as CSV")
-    p_series.add_argument("--name", choices=SERIES_NAMES, required=True)
-    p_series.add_argument("--t", type=int, required=True)
-    p_series.add_argument("--order", type=int, required=True)
-    p_series.set_defaults(run=_cmd_series)
+def _count_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--method", choices=("enum", "gf"), default="enum")
+    p.set_defaults(run=_cmd_count)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = p_verify.add_subparsers(dest="verify_what", required=True)
 
-    p_ident = vsub.add_parser("identity", help="decomposition identities")
-    p_ident.add_argument("--which", choices=("abc", "def"), required=True)
-    p_ident.add_argument("--t", type=int, required=True)
-    p_ident.add_argument("--order", type=int, default=200)
-    p_ident.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p_ident.set_defaults(run=_cmd_verify_identity)
+def _series_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", choices=SERIES_NAMES, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_cmd_series)
 
-    p_inj = vsub.add_parser("injection", help="certify an injection exhaustively")
-    p_inj.add_argument("--map", choices=tuple(injections.MAPS), required=True)
-    p_inj.add_argument("--t", type=int, required=True)
-    p_inj.add_argument("--n-max", type=int, required=True)
-    p_inj.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p_inj.set_defaults(run=_cmd_verify_injection)
 
-    p_thm = vsub.add_parser("theorem", help="theorem-level sign checks")
-    p_thm.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
-    p_thm.add_argument("--t", type=int, help=f"for thm12 (default {THEOREM_FLAGS['thm12']['t']})")
-    p_thm.add_argument("--order", type=int)
-    p_thm.add_argument("--t-max", type=int)
-    p_thm.add_argument("--n-max", type=int)
-    p_thm.add_argument(
+def _verify_flags(p: _Parser) -> None:
+    p.add_commands("verify_what", (
+        ("identity", "decomposition identities", _identity_flags),
+        ("injection", "certify an injection exhaustively", _injection_flags),
+        ("theorem", "theorem-level sign checks", _theorem_flags),
+    ))
+
+
+def _identity_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--which", choices=("abc", "def"), required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--order", type=int, default=200)
+    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.set_defaults(run=_cmd_verify_identity)
+
+
+def _injection_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--map", choices=tuple(injections.MAPS), required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.set_defaults(run=_cmd_verify_injection)
+
+
+def _theorem_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
+    p.add_argument("--t", type=int, help=f"for thm12 (default {THEOREM_FLAGS['thm12']['t']})")
+    p.add_argument("--order", type=int)
+    p.add_argument("--t-max", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument(
         "--k-max", type=int, help=f"for oracle (default {THEOREM_FLAGS['oracle']['k_max']})"
     )
-    p_thm.add_argument(
+    p.add_argument(
         "--full",
         action="store_true",
         default=None,
         help="for thm12: extend the order to 100 past the theorem bound "
         "(under 1 s at t=2 and t=3, 6 s at t=4, 70 s at t=5, 8 min and 1.8 GiB at t=6)",
     )
-    p_thm.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p_thm.set_defaults(run=_cmd_verify_theorem)
-
-    return parser
+    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.set_defaults(run=_cmd_verify_theorem)
 
 
 def _cmd_count(args) -> int:

@@ -209,8 +209,11 @@ def _r_subsets(p: Partition, t: int) -> list[int]:
     return out
 
 
+_A_SUBSET = {2: 1, 4: 2, 0: 3}  # A's subset by the 1-count mod 6
+
+
 def _a_subsets(p: Partition, t: int) -> list[int]:
-    return [{2: 1, 4: 2, 0: 3}[p.frequency(1) % 6]]
+    return [_A_SUBSET[p.frequency(1) % 6]]
 
 
 def _s_subsets(p: Partition, t: int) -> list[int]:

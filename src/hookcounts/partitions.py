@@ -86,11 +86,15 @@ class Partition:
         return self._items
 
     def frequency(self, k: int) -> int:
-        """Multiplicity of the part value k; 0 for any value not present."""
-        for part, mult in self._items:
+        """Multiplicity of the part value k; 0 for any value not present.
+
+        The scan starts at the smallest part, where the 1- and 2-counts the
+        injections read sit.
+        """
+        for part, mult in reversed(self._items):
             if part == k:
                 return mult
-            if part < k:
+            if part > k:
                 break
         return 0
 
@@ -163,7 +167,10 @@ def partitions_of(
     >= 2 fills the weight left greedily, takes one copy off the last item
     and fills again from the values below it.  What no part >= 2 fills is
     the 1-count: a fill end is yielded with that many 1s if the table of
-    allowed 1-counts holds it, and is never built otherwise.
+    allowed 1-counts holds it, and is never built otherwise.  Once only the
+    smallest allowed value v >= 2 still fits, the fill ends in one loop over
+    its m copies, from as many as fit down to 1 and then none, each with the
+    1s left over.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -171,6 +178,7 @@ def partitions_of(
     values = [v for v in range(2, n + 1) if part_filter is None or part_filter(v)]
     one_ok = n >= 1 and (part_filter is None or part_filter(1))
     allowed = [(r == 0 or one_ok) and (ones is None or ones(r)) for r in range(n + 1)]
+    low = values[0] if values else 0
 
     def walk() -> Iterator[Partition]:
         idx: list[int] = []  # index into values of each item's part
@@ -178,16 +186,24 @@ def partitions_of(
         rest, below = n, len(values)
         while True:
             i = bisect_right(values, rest, 0, below) - 1
-            while i >= 0:
+            while i > 0:
                 v = values[i]
                 m, rest = divmod(rest, v)
                 idx.append(i)
                 items.append((v, m))
                 i = bisect_right(values, rest, 0, i) - 1
+            head = tuple(items)
+            if i == 0:  # only low fits: as many copies as fit, down to 1
+                m, r = divmod(rest, low)
+                while m:
+                    if allowed[r]:
+                        yield Partition._from_sorted_items(
+                            head + ((low, m), (1, r)) if r else head + ((low, m),), n
+                        )
+                    m -= 1
+                    r += low
             if allowed[rest]:
-                yield Partition._from_sorted_items(
-                    tuple(items) + ((1, rest),) if rest else tuple(items), n
-                )
+                yield Partition._from_sorted_items(head + ((1, rest),) if rest else head, n)
             if not idx:
                 return
             below = idx.pop()

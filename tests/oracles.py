@@ -140,6 +140,49 @@ def partitions_by_frames(
             frames.append([remaining, min(v, remaining)])
 
 
+def partitions_by_items_stack(
+    n: int,
+    part_filter: Callable[[int], bool] | None = None,
+    ones: Callable[[int], bool] | None = None,
+) -> Iterator[Partition]:
+    """Partitions of n with allowed parts and 1-count, by one loop over a stack of items.
+
+    One loop over (part, multiplicity) items of the parts >= 2 fills the
+    weight left greedily, takes one copy off the last item and fills again
+    from the values below it, one push, pop and bisect per leaf; the weight
+    no part >= 2 fills is the 1-count, checked against a table before the
+    partition is built.  The differential oracle for ``partitions_of``, whose
+    fill ends in one loop over the copies of the smallest allowed value: same
+    partitions, same descending-lex order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    values = [v for v in range(2, n + 1) if part_filter is None or part_filter(v)]
+    one_ok = n >= 1 and (part_filter is None or part_filter(1))
+    allowed = [(r == 0 or one_ok) and (ones is None or ones(r)) for r in range(n + 1)]
+    idx: list[int] = []  # index into values of each item's part
+    items: list[tuple[int, int]] = []
+    rest, below = n, len(values)
+    while True:
+        i = bisect_right(values, rest, 0, below) - 1
+        while i >= 0:
+            v = values[i]
+            m, rest = divmod(rest, v)
+            idx.append(i)
+            items.append((v, m))
+            i = bisect_right(values, rest, 0, i) - 1
+        if allowed[rest]:
+            yield Partition(dict(items + [(1, rest)] if rest else items))
+        if not idx:
+            return
+        below = idx.pop()
+        v, m = items.pop()
+        rest += v
+        if m > 1:
+            idx.append(below)
+            items.append((v, m - 1))
+
+
 def partitions_by_recursion(
     n: int, part_filter: Callable[[int], bool] | None = None
 ) -> Iterator[Partition]:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -420,6 +421,22 @@ class TestCli:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "34\n", "")
 
+    def test_python_m_help_reads_sys_argv(self, capsys, monkeypatch):
+        # with no argv given, main parses sys.argv[1:]: the nested command's
+        # flags are built from it as from an explicit list
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        done = subprocess.run(
+            [sys.executable, "-m", "hookcounts", "verify", "theorem", "-h"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "--k-max K_MAX" in done.stdout and "--format {json,csv,human}" in done.stdout
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "theorem", "-h"])
+        assert capsys.readouterr().out == done.stdout
+
     def test_warning_is_a_stderr_line_under_w_error(self):
         # a warning filter set to error neither raises out of main nor
         # changes the exit code, which stays the check's
@@ -449,3 +466,84 @@ class TestCli:
         first = capsys.readouterr().out
         cli.main(args)
         assert capsys.readouterr().out == first
+
+
+def _commands(parser):
+    """The sub-parsers of ``parser`` by command name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(parser):
+    return [a.option_strings for a in parser._actions]
+
+
+ONE_OF_EACH = {
+    "count --t 2 --k 1 --n 14 --method gf": {
+        "command": "count", "t": 2, "k": 1, "n": 14, "method": "gf", "run": cli._cmd_count,
+    },
+    "series --name A --t 3 --order 40": {
+        "command": "series", "name": "A", "t": 3, "order": 40, "run": cli._cmd_series,
+    },
+    "verify identity --which abc --t 2 --order 60 --format json": {
+        "command": "verify", "verify_what": "identity", "which": "abc", "t": 2, "order": 60,
+        "format": "json", "run": cli._cmd_verify_identity,
+    },
+    "verify injection --map tau --t 3 --n-max 16": {
+        "command": "verify", "verify_what": "injection", "map": "tau", "t": 3, "n_max": 16,
+        "format": "human", "run": cli._cmd_verify_injection,
+    },
+    "verify theorem --which d --t-max 3 --order 60": {
+        "command": "verify", "verify_what": "theorem", "which": "d", "t": None, "order": 60,
+        "t_max": 3, "n_max": None, "k_max": None, "full": None, "format": "human",
+        "run": cli._cmd_verify_theorem,
+    },
+}
+
+
+class TestParser:
+    def test_commands_argv_does_not_name_hold_only_help(self):
+        parser = cli.build_parser()
+        parser.parse_args("count --t 2 --k 1 --n 5".split())
+        commands = _commands(parser)
+        assert list(commands) == ["count", "series", "verify"]
+        assert _flags(commands["count"]) == [["-h", "--help"], ["--t"], ["--k"], ["--n"], ["--method"]]
+        assert _flags(commands["series"]) == [["-h", "--help"]]
+        assert _flags(commands["verify"]) == [["-h", "--help"]]
+
+    def test_verify_builds_only_the_command_named(self):
+        parser = cli.build_parser()
+        parser.parse_args("verify theorem --which d".split())
+        commands = _commands(parser)
+        assert _flags(commands["count"]) == _flags(commands["series"]) == [["-h", "--help"]]
+        nested = _commands(commands["verify"])
+        assert list(nested) == ["identity", "injection", "theorem"]
+        assert _flags(nested["identity"]) == _flags(nested["injection"]) == [["-h", "--help"]]
+        assert ["--k-max"] in _flags(nested["theorem"])
+
+    def test_one_parser_parses_several_command_lines(self):
+        parser = cli.build_parser()
+        for line, expected in ONE_OF_EACH.items():
+            assert vars(parser.parse_args(line.split())) == expected
+
+    @pytest.mark.parametrize("line", ONE_OF_EACH)
+    def test_main_through_a_substituted_build_parser(self, capsys, monkeypatch, line):
+        # the benchmark's tracer swaps build_parser for a zero-argument
+        # wrapper and rebinds parse_args on the parser it returns
+        build_parser, parsed = cli.build_parser, []
+
+        def traced_build_parser():
+            parser = build_parser()
+            parse_args = parser.parse_args
+
+            def traced_parse_args(argv):
+                parsed.append(parse_args(argv))
+                return parsed[-1]
+
+            parser.parse_args = traced_parse_args
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", traced_build_parser)
+        assert cli.main(line.split()) == 0
+        capsys.readouterr()
+        assert [vars(args) for args in parsed] == [ONE_OF_EACH[line]]

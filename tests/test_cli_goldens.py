@@ -9,7 +9,9 @@ and every other line writes none.  ``SERIES_GOLDENS`` covers the series route:
 ``count`` by both methods, ``series`` for every name, ``verify identity``
 (def at t = 2 fails), every ``verify theorem`` check in each format, the
 oracle and thm13 checks at their default windows, and the complete t = 3
-``thm12 --full`` run to 100 past the bound.
+``thm12 --full`` run to 100 past the bound.  ``USAGE_GOLDENS`` pins what
+argparse itself writes, at a fixed wrap width: the help screen of every
+command level and the usage error of each kind of bad command line.
 """
 
 import hashlib
@@ -120,3 +122,46 @@ def test_series_route_stdout_is_pinned(capsys, line, code, digest):
     assert cli.main(line.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# argparse's own screens, as Python 3.11 writes them at 80 columns: the sha256
+# of stdout for a help screen (exit 0) and of stderr for a usage error (exit 2);
+# the other stream stays empty
+USAGE_GOLDENS = [
+    ("-h", 0, "5cc69b705432cc504c9592420bdcd9cd95060ad617b885fecd365c39623ac0fd"),
+    ("count -h", 0, "e41f866484e497cd79fcd33879cc9762826dac08812a14c6f5f8ec2ef1e18dcf"),
+    ("series -h", 0, "77f34aed2dd1c528e8cad7e547dcad69d885b540bd1dd37ef8fe8899392f263e"),
+    ("verify -h", 0, "e251f86a1a32679686389463f8c7375a044c9ec4a1b535e537b439dce3f543be"),
+    ("verify identity -h", 0, "0c65a4378dfc21c99b6fbe03e424001faba695f6b73dfd3a4bb6a4aac85e16eb"),
+    ("verify injection -h", 0, "465a10324da99a7e3b0b1b695d08d70745efd30689889ebe4400a5652ef6b72b"),
+    ("verify theorem -h", 0, "914e1128c2a3d84bb99fbc962691fe488dc6e77dac7da5956ca2f4b80294b277"),
+    ("", 2, "a03d347c9c9c7fcbe349ab2dd4c41fad95c9d537cdcae8eae58189449e7733ed"),
+    ("bogus", 2, "78dbdeaa71fbb83e20f4e093879b7ab0b7b5f2474f46a2cfaec0856cdac77562"),
+    # a prefix of a command name is no command
+    ("cou", 2, "95583a88a10231c32a3096101537665dbe96ee840dc3bce71fa01fb196531e64"),
+    ("verify", 2, "ffd7e16831e8e7d350778a194c7681763952b72af04964ee65efa834aa68343f"),
+    ("verify bogus", 2, "c7348827873cfe138a64fbdb26402303aeab8067401fa5ffa0f46d76364ec53b"),
+    ("count --t 2 --k 1", 2, "acf2f01a5aa515ab1384606dde2a33555007bff73aeca36c8461474977da6ba8"),
+    ("verify theorem", 2, "2cbdb7baf4da086058bd4f5a59091a595c0b3cd2d5e7e599827a9b09978a388f"),
+    ("series --name Z --t 2 --order 5", 2, "4fdcb3441e6fed7c0f8f14b4017ad84491a8181c7ddcbe3e660b4323f772f139"),
+    ("verify injection --map bogus --t 2 --n-max 5", 2, "378cd04af74316d5d550b5b0074353ba6f5c60a7f9b1eacd5d1ad6c4fd2b96e4"),
+    ("verify theorem --which d --format xml", 2, "3101df759aa440a6078ac56b517581393407f3af8ed10b44f78c29608ebfd1ff"),
+    ("count --t x --k 1 --n 5", 2, "3163b4a98a672a63f2f06e2e1bc79864ffa2a6b5e9ad7ec8977b53e101be622b"),
+    ("count --t 2 --k 1 --n 5 --bogus", 2, "2f8fd5cc8551c485e6bdff86b76b9c89eeb641701b36299ecbc1b9b0cc87b213"),
+    ("count --t 2 --k 1 --n 5 extra", 2, "e209eecebf7c14c6125513d19e2b10e25dc082a97e147f529e636c3affe8a2c2"),
+    # command names where no command is parsed: a stray word, a flag's value
+    ("count --t 2 --k 1 --n 5 verify", 2, "59469f27ec530f3ea94a8b2df683fc6b13310f17bfa429365fd7cea6a234e8a2"),
+    ("series --name count --t 2 --order 5", 2, "d383816a70ec1a4609400d23c3bc3855e4f3ddc0622676b6ec447873675a6f06"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", USAGE_GOLDENS, ids=[g[0] or "(none)" for g in USAGE_GOLDENS])
+def test_argparse_output_is_pinned(capsys, monkeypatch, line, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(line.split())
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    written, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert hashlib.sha256(written.encode()).hexdigest() == digest
+    assert silent == ""

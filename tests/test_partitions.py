@@ -18,6 +18,7 @@ from oracles import (
     hook_multiset_by_heights,
     partition_gf,
     partitions_by_frames,
+    partitions_by_items_stack,
     partitions_by_recursion,
     union,
 )
@@ -84,6 +85,13 @@ class TestPartitionBasics:
         assert p.frequency(4) == 0
         assert Partition().frequency(1) == 0
         assert p.frequency(0) == 0  # total: anything absent counts zero
+
+    def test_frequency_matches_the_items_on_every_small_partition(self):
+        # every value from 0 to one past the weight, present or not
+        for n in range(15):
+            for p in partitions_of(n):
+                freq = dict(p.items())
+                assert [p.frequency(k) for k in range(n + 2)] == [freq.get(k, 0) for k in range(n + 2)]
 
     def test_iteration_descends(self):
         assert list(P("5,3^2,1^3")) == [5, 3, 3, 1, 1, 1]
@@ -295,6 +303,10 @@ def _family_rule(family, t):
     return lambda v: family.parts(v, t)
 
 
+def _family_ones(family, t):
+    return lambda r: family.ones(r, t)
+
+
 WALK_FILTERS = (
     [pytest.param(None, id="all")]
     + [pytest.param(_regular(t), id=f"{t}-regular") for t in range(2, 7)]
@@ -345,3 +357,25 @@ def test_walk_matches_recursive_oracle(part_filter):
     # same partitions in the same order as the recursive walk it replaced
     for n in range(29):
         assert list(partitions_of(n, part_filter)) == list(partitions_by_recursion(n, part_filter))
+
+
+# no part rule; t-regular with any 1-count; each family's part and 1-count rules
+ITEMS_STACK_RULES = (
+    [pytest.param(None, None, id="all")]
+    + [pytest.param(_regular(t), None, id=f"{t}-regular") for t in range(2, 7)]
+    + [
+        pytest.param(_family_rule(family, t), _family_ones(family, t), id=f"{name}-t{t}")
+        for name, family in FAMILIES.items()
+        for t in range(2, 7)
+    ]
+)
+
+
+@pytest.mark.parametrize("part_filter,ones", ITEMS_STACK_RULES)
+def test_walk_matches_items_stack_oracle(part_filter, ones):
+    # the fill that ends in one loop over the smallest value's copies gives
+    # the same items, weights and order as the walk with one leaf per step
+    for n in range(31):
+        walked = [(p.items(), p.weight) for p in partitions_of(n, part_filter, ones)]
+        oracle = partitions_by_items_stack(n, part_filter, ones)
+        assert walked == [(p.items(), p.weight) for p in oracle]
