@@ -32,34 +32,47 @@ THEOREM_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose commands get their flags only when argv names them.
+    """An argument parser whose commands are built only when argparse selects them.
 
-    ``add_commands`` registers each command's sub-parser, with its name and
-    help, up front, so help screens and invalid-choice errors list every
-    command.  The function that adds a command's flags runs as the parse
-    starts, once one of its words equals the command's name.  That is exact:
-    argparse hands words to a sub-parser only when a word equals its name, so
-    a command that argv does not name is never parsed and needs no flags.
-    Sub-parsers are of this class too, so ``verify`` adds the flags of its
-    own commands as its own parse starts.
+    ``add_commands`` registers each command's name and help up front, which is
+    all that help screens, usage lines and invalid-choice errors read, so they
+    list every command.  A command's sub-parser, flags included, is built the
+    first time argparse looks its name up to hand it words.  That is exact:
+    argparse looks a sub-parser up only when a word equals its name, so a
+    command that argv does not name is never built.  Sub-parsers are of this
+    class too, so ``verify`` builds only the one of its own commands it hands
+    words to.
     """
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._unbuilt = {}  # command name -> (its sub-parser, the function adding its flags)
-
     def add_commands(self, dest, commands) -> None:
-        """Register ``commands``, (name, help text, add_flags) triples, under ``dest``."""
-        sub = self.add_subparsers(dest=dest, required=True)
-        for name, summary, add_flags in commands:
-            self._unbuilt[name] = (sub.add_parser(name, help=summary), add_flags)
+        """Register ``commands``, (name, help text, add_flags) triples, under ``dest``.
 
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        for name in [name for name in self._unbuilt if name in args]:
-            parser, add_flags = self._unbuilt.pop(name)
-            add_flags(parser)
-        return super().parse_known_args(args, namespace)
+        Each name and help go in as argparse's help pseudo-action; the action's
+        name map, which is also its ``choices``, becomes a :class:`_Commands`.
+        """
+        sub = self.add_subparsers(dest=dest, required=True)
+        sub._name_parser_map = sub.choices = _Commands(sub._prog_prefix)
+        for name, summary, add_flags in commands:
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), summary))
+            sub.choices[name] = add_flags
+
+
+class _Commands(dict):
+    """Command name -> the function adding its flags, replaced by the command's
+    sub-parser the first time the name is looked up; ``in``, iteration and
+    ``dict.get`` build nothing."""
+
+    def __init__(self, prog_prefix: str):
+        super().__init__()
+        self.prog_prefix = prog_prefix
+
+    def __getitem__(self, name):
+        command = super().__getitem__(name)
+        if not isinstance(command, _Parser):
+            add_flags, command = command, _Parser(prog=f"{self.prog_prefix} {name}")
+            add_flags(command)
+            self[name] = command
+        return command
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -88,14 +88,20 @@ class Partition:
     def frequency(self, k: int) -> int:
         """Multiplicity of the part value k; 0 for any value not present.
 
-        The scan starts at the smallest part, where the 1- and 2-counts the
-        injections read sit.
+        The scan starts at the end of the items nearer k, picked by comparing
+        k with the middle item's part.  A k of at most 2, like the 1- and
+        2-counts the injections read most, sits among the last two items, so
+        it is read from the smallest part without that comparison.
         """
-        for part, mult in reversed(self._items):
-            if part == k:
-                return mult
-            if part > k:
-                break
+        items = self._items
+        if k > 2 and items and k > items[len(items) >> 1][0]:
+            for part, mult in items:
+                if part <= k:
+                    return mult if part == k else 0
+        else:
+            for part, mult in reversed(items):
+                if part >= k:
+                    return mult if part == k else 0
         return 0
 
     def length(self) -> int:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -468,10 +469,17 @@ class TestCli:
         assert capsys.readouterr().out == first
 
 
-def _commands(parser):
-    """The sub-parsers of ``parser`` by command name."""
+def _built(parser):
+    """Each command of ``parser`` by name: its sub-parser, or None if not built yet.
+
+    Reads argparse's name map through the dict base class, which builds nothing.
+    """
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+    assert action.choices is action._name_parser_map
+    return {
+        name: command if isinstance(command, argparse.ArgumentParser) else None
+        for name, command in dict.items(action.choices)
+    }
 
 
 def _flags(parser):
@@ -502,24 +510,48 @@ ONE_OF_EACH = {
 
 
 class TestParser:
-    def test_commands_argv_does_not_name_hold_only_help(self):
+    def test_commands_argv_does_not_name_are_not_built(self):
         parser = cli.build_parser()
         parser.parse_args("count --t 2 --k 1 --n 5".split())
-        commands = _commands(parser)
+        commands = _built(parser)
         assert list(commands) == ["count", "series", "verify"]
         assert _flags(commands["count"]) == [["-h", "--help"], ["--t"], ["--k"], ["--n"], ["--method"]]
-        assert _flags(commands["series"]) == [["-h", "--help"]]
-        assert _flags(commands["verify"]) == [["-h", "--help"]]
+        assert commands["series"] is commands["verify"] is None
 
     def test_verify_builds_only_the_command_named(self):
         parser = cli.build_parser()
         parser.parse_args("verify theorem --which d".split())
-        commands = _commands(parser)
-        assert _flags(commands["count"]) == _flags(commands["series"]) == [["-h", "--help"]]
-        nested = _commands(commands["verify"])
+        commands = _built(parser)
+        assert commands["count"] is commands["series"] is None
+        nested = _built(commands["verify"])
         assert list(nested) == ["identity", "injection", "theorem"]
-        assert _flags(nested["identity"]) == _flags(nested["injection"]) == [["-h", "--help"]]
+        assert nested["identity"] is nested["injection"] is None
         assert ["--k-max"] in _flags(nested["theorem"])
+
+    @pytest.mark.parametrize("line,progs", [
+        ("-h", ["hooks"]),
+        ("verify -h", ["hooks", "hooks verify"]),
+        ("count --t 2 --k 1 --n 5", ["hooks", "hooks count"]),
+        ("verify theorem --which d --t-max 3 --order 30", ["hooks", "hooks verify", "hooks verify theorem"]),
+        ("verify bogus", ["hooks", "hooks verify"]),
+        ("bogus", ["hooks"]),
+    ])
+    def test_parsers_built_per_command_line(self, capsys, monkeypatch, line, progs):
+        # one parser per level of the command line, and none for a command
+        # argv does not name: listing a command reads only its name and help
+        init, built = cli._Parser.__init__, []
+
+        def counting_init(self, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        try:
+            cli.main(line.split())
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert built == progs
 
     def test_one_parser_parses_several_command_lines(self):
         parser = cli.build_parser()
@@ -547,3 +579,44 @@ class TestParser:
         assert cli.main(line.split()) == 0
         capsys.readouterr()
         assert [vars(args) for args in parsed] == [ONE_OF_EACH[line]]
+
+
+# run the hooks command line in a fresh interpreter that imports hookcounts
+# from this checkout (``-I`` drops PYTHONPATH, so the path goes in by hand)
+RUN_HOOKS = "import sys; sys.path.insert(0, sys.argv.pop(1)); from hookcounts.cli import run; run()"
+
+
+def _interpreter(name):
+    """The interpreter ``name`` (``python3.X``) on PATH if it runs and is that version, else None."""
+    exe = shutil.which(name)
+    if exe is None:
+        return None
+    probe = subprocess.run(
+        [exe, "-I", "-c", "import sys; print('python%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    return exe if probe.returncode == 0 and probe.stdout.strip() == name else None
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
+def test_every_supported_interpreter_runs_each_command(capsys, name):
+    # the lazy sub-parsers rely on argparse internals (_name_parser_map,
+    # _choices_actions, _ChoicesPseudoAction, _prog_prefix); each interpreter
+    # must give the exit code and stdout of the in-process main.  Help and
+    # error text differ between Python versions, so only command output is
+    # compared.
+    exe = _interpreter(name)
+    if exe is None:
+        pytest.skip(f"no runnable {name} on PATH")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
+    for line in [*ONE_OF_EACH, "verify bogus"]:
+        try:
+            code = cli.main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+        expected = capsys.readouterr().out
+        done = subprocess.run(
+            [exe, "-I", "-c", RUN_HOOKS, src, *line.split()],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (code, expected), line

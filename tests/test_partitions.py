@@ -87,11 +87,16 @@ class TestPartitionBasics:
         assert p.frequency(0) == 0  # total: anything absent counts zero
 
     def test_frequency_matches_the_items_on_every_small_partition(self):
-        # every value from 0 to one past the weight, present or not
-        for n in range(15):
-            for p in partitions_of(n):
-                freq = dict(p.items())
-                assert [p.frequency(k) for k in range(n + 2)] == [freq.get(k, 0) for k in range(n + 2)]
+        # every value from 0 to one past the weight, present or not, on every
+        # partition of n <= 14 and on partitions with 10 to 15 distinct parts,
+        # spaced and repeated in several ways, where the scan's two ends differ
+        spread = [
+            Partition({first + gap * i: 1 + i % 3 for i in range(d)})
+            for d in range(10, 16) for gap in (1, 2, 3) for first in (1, 2, 5)
+        ]
+        for p in [*(p for n in range(15) for p in partitions_of(n)), *spread]:
+            freq, ks = dict(p.items()), range(p.weight + 2)
+            assert [p.frequency(k) for k in ks] == [freq.get(k, 0) for k in ks]
 
     def test_iteration_descends(self):
         assert list(P("5,3^2,1^3")) == [5, 3, 3, 1, 1, 1]
