@@ -150,7 +150,11 @@ def _theorem_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_count(args) -> int:
     if args.method == "enum":
-        print(hookgf.btk_enum(args.t, args.k, args.n))
+        # the table checks t and k; a negative n is named as n, not as its n_max
+        table = hookgf.btk_enum_table((args.t,), max(args.n, 0), (args.k,))[args.t]
+        if args.n < 0:
+            raise ValueError("n must be nonnegative")
+        print(table[args.k, args.n])
     else:
         print(hookgf.btk_gf(args.t, args.k, args.n))
     return 0

@@ -2,11 +2,14 @@
 
 Two independent routes to the same numbers:
 
-* :func:`btk_enum` walks every t-regular partition of n and counts cells of
-  the requested hook length on the diagram's boundary path;
-  :func:`btk_enum_table` reads every n <= n_max and every t of a set off one
+* :func:`btk_enum_table` counts cells by hook length on the diagrams'
+  boundary paths.  It reads every n <= n_max and every t of a set off one
   walk of the partitions of n_max, each standing for its parts >= 2 with
   any fewer 1s and counting for each t that divides none of its parts.
+  The walk yields heads (:func:`partition_heads`), each followed by a run
+  of copies of the smallest allowed part and 1s: a head's mask and rim are
+  read once, and each partition of its run costs a constant number of
+  big-int operations besides its hook reads.
 * :func:`btk_series` expands, in exact truncated arithmetic, a generating
   function derived for each (t, k) from the arm and leg of a diagram cell.
 
@@ -27,7 +30,7 @@ from collections import defaultdict
 from itertools import accumulate
 from operator import add, sub
 
-from .partitions import boundary_masks, partitions_of, t_regular_partitions
+from .partitions import partition_heads
 from .series import Series, t_regular_gf
 
 
@@ -36,15 +39,6 @@ def _check_tk(t: int, k: int) -> None:
         raise ValueError("t must be at least 2")
     if k < 1:
         raise ValueError("k must be at least 1")
-
-
-def btk_enum(t: int, k: int, n: int) -> int:
-    """Ground-truth hook count: cells of hook length k over all t-regular partitions of n."""
-    _check_tk(t, k)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    masks = map(boundary_masks, t_regular_partitions(n, t))
-    return sum((east & (north >> k)).bit_count() for east, north in masks)
 
 
 def btk_enum_table(
@@ -59,7 +53,7 @@ def btk_enum_table(
     keeps the hooks of the columns >= 2, adds one hook of each length
     1..r' in the new rows, and lifts mu's first-column hooks
     h_i = mu_i + (l(mu) - i) to h_i + r'.  So at n = w + r' the k-hooks of
-    mu + 1^r' are the k-hooks of p outside column 1 (read off p's rim
+    mu + 1^r' are the k-hooks of mu outside column 1 (read off mu's rim
     once), plus 1 when k <= r', plus one per h_i = k - r': over n, a
     constant from w on, a unit step from w + k on and a point at
     w + k - h_i for each h_i <= k.
@@ -73,10 +67,17 @@ def btk_enum_table(
     the masks whose bit for t is clear, taken as the sum over all masks
     less the masks with that bit set, which are the fewer when ts is wide;
     it prefix-sums the constants and reads the steps and points at n - k.
-    A partition costs its kill mask, its rim masks, a mask AND per
-    distinct k and a step per first-column hook up to max(ks).  A repeated
-    t or k is counted once; the tables come in the order ts first names
-    each t.
+
+    The walk is :func:`partition_heads`: a head's fill ends are its items
+    above the smallest allowed part v, then c = 0, 1, ... copies of v and
+    1s.  A head costs its kill mask, its rim and its row count, read off
+    its items once; its fill ends share them.  Each c puts one more row
+    of length v under mu, so mu's rim takes one more north step at v with
+    the head's steps shifted up by one, and one more step in all, and the
+    mask takes v's kill bits from c = 1 on.  A fill end costs that shift,
+    a mask AND per distinct k and a step per first-column hook up to
+    max(ks).  A repeated t or k is counted once; the tables come in the
+    order ts first names each t.
     """
     ts = tuple(dict.fromkeys(ts))
     if not ts:
@@ -89,42 +90,58 @@ def btk_enum_table(
         raise ValueError("n_max must be nonnegative")
     size = n_max + 1
     reach = min(max(ks), n_max)  # no longer first-column hook is read
-    rows = (1 << (reach + 1)) - 2  # bits 1..reach; bit 0 ends the top row of 1s
+    rows = (1 << (reach + 1)) - 2  # north steps 1..reach: first-column hooks of mu
+    # by step count s: steps 1..s-1 of a rim; XOR with its north steps leaves
+    # the east steps but step 0, which runs under column 1
+    rim = [((1 << s) - 1) & -2 for s in range(size + 1)]
     kill = [0] * size  # by part value: bit j when ts[j] divides it
     for j, t in enumerate(ts):
         for v in range(t, size, t):
             kill[v] |= 1 << j
     full = (1 << len(ts)) - 1
+    values = [v for v in range(2, size) if kill[v] != full]
+    low = values[0] if values else 0
     # by mask, one flat record: mu by w, then the k-hooks of mu off column 1 by
     # w for each k, then for h = 0..reach the mu with a first-column hook h by w - h
     outside = [(i + 1) * size for i in range(len(ks))]
-    shifts = [(k + 1, at) for k, at in zip(ks, outside)]
+    shifts = list(zip(ks, outside))
     column = (len(ks) + 1) * size
     width = column + (reach + 1) * size
     records: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
-    for p in partitions_of(n_max, lambda v: kill[v] != full):
-        items = p.items()
-        mask = 0
-        for v, _ in items:
+    for items, rest in partition_heads(n_max, values):
+        mask = north = span = 0
+        for v, m in reversed(items):  # the north steps of the rows of length v
             mask |= kill[v]
+            north |= ((1 << m) - 1) << (v + span)
+            span += m
         if mask == full:
             continue
+        # an empty head's fill ends start at the empty mu, whose rim reads no hook
+        span += items[0][0] if items else low
+        w = n_max - rest
         record = records[mask]
-        east, north = boundary_masks(p)
-        r = items[-1][1] if items and items[-1][0] == 1 else 0
-        w = n_max - r
-        record[w] += 1
-        east >>= 1  # step 0 runs under column 1
-        for shift, at in shifts:
-            record[at + w] += (east & (north >> shift)).bit_count()
-        # north step r + h ends the row whose first cell has hook h in mu,
-        # filed at column + h * size + w - h = base + h * n_max
-        first = (north >> r) & rows
-        base = column + w
-        while first:
-            h = first.bit_length() - 1
-            record[base + h * n_max] += 1
-            first ^= 1 << h
+        for c in range(rest // low + 1 if low else 1):
+            if c:  # one more row of length low under mu
+                if c == 1:
+                    mask |= kill[low]
+                    if mask == full:
+                        break
+                    record = records[mask]
+                north = north << 1 | 1 << low
+                span += 1
+                w += low
+            record[w] += 1
+            east = rim[span] ^ north
+            for shift, at in shifts:
+                record[at + w] += (east & (north >> shift)).bit_count()
+            # north step h ends the row whose first cell has hook h in mu,
+            # filed at column + h * size + w - h = base + h * n_max
+            first = north & rows
+            base = column + w
+            while first:
+                h = first.bit_length() - 1
+                record[base + h * n_max] += 1
+                first ^= 1 << h
     every = [0] * width
     for record in records.values():
         every = list(map(add, every, record))

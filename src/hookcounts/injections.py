@@ -90,10 +90,11 @@ class Family:
     """A family of partitions: a part rule, a 1-count rule and a needed part.
 
     ``parts(v, t)`` is the rule every part value v obeys and ``ones(f1, t)``
-    the rule on the number of 1s (by default any number); :meth:`members`
-    hands both to :func:`partitions_of`, which asks each once per value, so
-    partitions breaking either are never built.  ``needs(t)``, if set, is a
-    part >= 2 of the part rule that every member holds at least once.
+    the rule on the number of 1s (by default any number).  ``needs(t)``, if
+    set, is a part >= 2 of the part rule that every member holds at least
+    once.  :meth:`members` hands all three to :func:`partitions_of`, which
+    asks each rule once per value and splices the needed part into each
+    walk head once, so partitions breaking a rule are never built.
     :meth:`membership` reads the same three rules, tabulated once up to a
     weight n, and is the one membership test: :meth:`contains` builds it
     at p's weight, the driver once per cell for the images of weight n.
@@ -136,21 +137,10 @@ class Family:
         return self.membership(p.weight, t)(p)
 
     def members(self, n: int, t: int) -> Iterator[Partition]:
-        """The members of weight n, in the order of :func:`partitions_of`.
-
-        With a needed part x, the walk runs over n - x and splices one x
-        back into each partition's descending items; adding the same part
-        to all of them keeps their order.
-        """
+        """The members of weight n, in the order of :func:`partitions_of`."""
         _check_t(t)
-        parts = lambda v: self.parts(v, t)  # noqa: E731
-        ones = lambda r: self.ones(r, t)  # noqa: E731
-        if self.needs is None:
-            return partitions_of(n, parts, ones)
-        x = self.needs(t)
-        if 0 <= n < x:
-            return iter(())
-        return (_with_part(p, x) for p in partitions_of(n - x, parts, ones))
+        needs = 0 if self.needs is None else self.needs(t)
+        return partitions_of(n, lambda v: self.parts(v, t), lambda r: self.ones(r, t), needs)
 
     def label(self, p: Partition, t: int) -> SubsetLabel | None:
         """The first subset p falls in; None outside the family."""
@@ -158,19 +148,6 @@ class Family:
             return None
         ms = self.subsets(p, t)
         return SubsetLabel(self.name, ms[0] if ms else None)
-
-
-def _with_part(p: Partition, x: int) -> Partition:
-    """p with one more part x: x's multiplicity up by one, or (x, 1) in its place."""
-    items = p.items()
-    i = 0
-    while i < len(items) and items[i][0] > x:
-        i += 1
-    if i < len(items) and items[i][0] == x:
-        items = (*items[:i], (x, items[i][1] + 1), *items[i + 1 :])
-    else:
-        items = (*items[:i], (x, 1), *items[i:])
-    return Partition._from_sorted_items(items, p.weight + x)
 
 
 def _o_subsets(p: Partition, t: int) -> list[int]:
@@ -529,11 +506,13 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
     def violate(p: Partition, kind: str, detail: str) -> None:
         violations.append(Violation(str(p), kind, detail))
 
+    forward, inverses = spec.forward, spec.inverse
+    domain_subsets, codomain_subsets = domain.subsets, codomain.subsets
     images: dict[Partition, Partition] = {}
     domain_size = walked = 0
     for lam in domain.members(n, t):
         walked += 1
-        ms = domain.subsets(lam, t)
+        ms = domain_subsets(lam, t)
         if several and not ms:
             violate(lam, "ClassificationGap", f"no {domain.name}-subset condition holds")
             continue
@@ -541,19 +520,20 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
             violate(lam, "ClassificationOverlap", f"{domain.name}-subsets {ms} all hold")
             continue
         cls = ms[0] if ms else None
-        if cls not in spec.forward:
+        f = forward.get(cls)
+        if f is None:  # the map does not cover cls
             continue
         domain_size += 1
-        mu = spec.forward[cls](lam, t)
+        mu = f(lam, t)
         if mu.weight != n:
             violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
-        elif not in_codomain(mu) or (codomain.subsets(mu, t) or [None])[0] != cls:
+        elif not in_codomain(mu) or (codomain_subsets(mu, t) or [None])[0] != cls:
             # outside the codomain, or its first subset (as Family.label reads it) is not cls
             violate(lam, "NotInCodomain", f"image {mu} outside target subset")
         first = images.setdefault(mu, lam)
         if first is not lam:
             violate(lam, "Collision", f"image {mu} already produced by {first}")
-        inverse = spec.inverse.get(cls)
+        inverse = inverses.get(cls)
         if inverse is not None:
             back = inverse(mu, t)
             if back != lam:
@@ -566,7 +546,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
 
     if several:
         for mu in codomain.members(n, t):
-            ms = codomain.subsets(mu, t)
+            ms = codomain_subsets(mu, t)
             if len(ms) > 1:
                 violate(mu, "ClassificationOverlap", f"{codomain.name}-subsets {ms} all hold")
 

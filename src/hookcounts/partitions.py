@@ -157,76 +157,109 @@ class Partition:
         return f"Partition.parse({str(self)!r})"
 
 
+def partition_heads(n: int, values: list[int]) -> Iterator[Tuple[list[Tuple[int, int]], int]]:
+    """Yield the heads of the partitions of n into 1s and the parts ``values``.
+
+    ``values`` are the allowed parts >= 2, ascending; low is the first.  A
+    head is the items (part, multiplicity), descending, of the parts above
+    low, and the weight ``rest`` they leave.  It stands for its fill ends:
+    the head, m copies of low and rest - m low 1s, for m from rest // low
+    down to 0, which is the order of :func:`partitions_of`.  The walk
+    yields its own items list and keeps changing it: a consumer copies
+    what it keeps.  One loop over the items fills the weight left greedily
+    with the largest value above low that fits, then takes one copy off
+    the last item and fills again from the values below it.
+    """
+    idx: list[int] = []  # index into values of each item's part
+    items: list[Tuple[int, int]] = []
+    rest, below = n, len(values)
+    while True:
+        i = bisect_right(values, rest, 0, below) - 1
+        while i > 0:
+            v = values[i]
+            m, rest = divmod(rest, v)
+            idx.append(i)
+            items.append((v, m))
+            i = bisect_right(values, rest, 0, i) - 1
+        yield items, rest
+        if not idx:
+            return
+        below = idx.pop()
+        v, m = items.pop()
+        rest += v
+        if m > 1:
+            idx.append(below)
+            items.append((v, m - 1))
+
+
 def partitions_of(
     n: int,
     part_filter: Callable[[int], bool] | None = None,
     ones: Callable[[int], bool] | None = None,
+    needs: int = 0,
 ) -> Iterator[Partition]:
     """Yield the partitions of n whose parts satisfy ``part_filter`` and 1-count ``ones``.
 
     ``None`` allows any part, resp. any number of 1s.  Order is descending
     lexicographic on the expanded part list, e.g. for n=4: (4), (3,1),
     (2,2), (2,1,1), (1,1,1,1); golden tests rely on it.  n=0 yields exactly
-    the empty partition if ``ones(0)`` holds.  ``part_filter`` is called
-    once for each v from 1 to n and ``ones`` once for each r from 0 to n,
-    before the walk.  One loop over (part, multiplicity) items of the parts
-    >= 2 fills the weight left greedily, takes one copy off the last item
-    and fills again from the values below it.  What no part >= 2 fills is
-    the 1-count: a fill end is yielded with that many 1s if the table of
-    allowed 1-counts holds it, and is never built otherwise.  Once only the
-    smallest allowed value v >= 2 still fits, the fill ends in one loop over
-    its m copies, from as many as fit down to 1 and then none, each with the
-    1s left over.
+    the empty partition if ``ones(0)`` holds.  A ``needs`` part x >= 2,
+    which ``part_filter`` must allow, is held at least once: the partitions
+    of n - x, in their order, with one more x each, so an n below x yields
+    nothing.  ``part_filter`` is called once for each v from 1 to n - x
+    (and on x) and ``ones`` once for each r from 0 to n - x, before the walk.
+
+    The partitions are the fill ends of :func:`partition_heads`: a head
+    with weight rest left ends in m copies of the smallest allowed value
+    v >= 2 and rest - m v 1s, m from as many as fit down to none.  The
+    allowed 1-counts are listed once per residue mod v, so a head reads
+    the list of rest's residue up to rest and builds only the fill ends
+    whose 1-count is allowed, and none at all if there is no such end.
+    x is spliced into each head once, or, when it is v, every fill end
+    holds one more copy of v.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # ascending, so bisect finds the largest allowed value that still fits
-    values = [v for v in range(2, n + 1) if part_filter is None or part_filter(v)]
-    one_ok = n >= 1 and (part_filter is None or part_filter(1))
-    allowed = [(r == 0 or one_ok) and (ones is None or ones(r)) for r in range(n + 1)]
+    if needs and (needs < 2 or not (part_filter is None or part_filter(needs))):
+        raise ValueError(f"the needed part must be an allowed part >= 2, got {needs}")
+    w = n - needs  # the weight the heads are walked at
+    if w < 0:
+        return iter(())
+    # ascending, as partition_heads reads them
+    values = [v for v in range(2, w + 1) if part_filter is None or part_filter(v)]
+    one_ok = w >= 1 and (part_filter is None or part_filter(1))
     low = values[0] if values else 0
+    step = low or w + 1  # with no value >= 2 a head's one fill end has rest 1s
+    # by rest mod step, ascending: the allowed 1-counts of the fill ends of a head
+    # are those in rest's class up to rest, one per number of copies of low
+    counts = [
+        [r for r in range(c, w + 1, step) if (r == 0 or one_ok) and (ones is None or ones(r))]
+        for c in range(step)
+    ]
+    extra = int(needs == low > 0)  # the needed part is low: one more copy in every fill end
 
     def walk() -> Iterator[Partition]:
-        idx: list[int] = []  # index into values of each item's part
-        items: list[Tuple[int, int]] = []
-        rest, below = n, len(values)
-        while True:
-            i = bisect_right(values, rest, 0, below) - 1
-            while i > 0:
-                v = values[i]
-                m, rest = divmod(rest, v)
-                idx.append(i)
-                items.append((v, m))
-                i = bisect_right(values, rest, 0, i) - 1
-            head = tuple(items)
-            if i == 0:  # only low fits: as many copies as fit, down to 1
-                m, r = divmod(rest, low)
-                while m:
-                    if allowed[r]:
-                        yield Partition._from_sorted_items(
-                            head + ((low, m), (1, r)) if r else head + ((low, m),), n
-                        )
-                    m -= 1
-                    r += low
-            if allowed[rest]:
-                yield Partition._from_sorted_items(head + ((1, rest),) if rest else head, n)
-            if not idx:
-                return
-            below = idx.pop()
-            v, m = items.pop()
-            rest += v
-            if m > 1:
-                idx.append(below)
-                items.append((v, m - 1))
+        for items, rest in partition_heads(w, values):
+            rs = counts[rest % step]
+            if not rs or rs[0] > rest:
+                continue
+            if needs > low:  # once per head: one more copy of x among the head's parts
+                freq = dict(items)
+                freq[needs] = freq.get(needs, 0) + 1
+                head = tuple(sorted(freq.items(), reverse=True))
+            else:
+                head = tuple(items)
+            for r in rs:
+                if r > rest:
+                    break
+                m = (rest - r) // step + extra
+                if m:
+                    end = head + ((low, m), (1, r)) if r else head + ((low, m),)
+                else:
+                    end = head + ((1, r),) if r else head
+                yield Partition._from_sorted_items(end, n)
 
     return walk()
-
-
-def t_regular_partitions(n: int, t: int) -> Iterator[Partition]:
-    """Yield the partitions of n with no part divisible by t."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    return partitions_of(n, lambda v: v % t != 0)
 
 
 def boundary_masks(p: Partition) -> Tuple[int, int]:

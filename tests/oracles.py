@@ -9,7 +9,9 @@ independent derivation.
 """
 
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import accumulate
+from operator import add, sub
 from typing import Callable, Iterator
 
 from hookcounts.hookgf import _check_tk
@@ -18,7 +20,7 @@ from hookcounts.partitions import (
     HookMultiset,
     Partition,
     boundary_masks,
-    t_regular_partitions,
+    partitions_of,
 )
 from hookcounts.series import Series, divide_unit, t_regular_gf
 
@@ -221,6 +223,23 @@ def union(a: Partition, b: Partition) -> Partition:
     return Partition(freq)
 
 
+def with_part(p: Partition, x: int) -> Partition:
+    """p with one more part x: x's multiplicity up by one, or (x, 1) in its place.
+
+    The splice into every member that ``partitions_of``'s ``needs`` makes
+    once per walk head; its reference.
+    """
+    items = p.items()
+    i = 0
+    while i < len(items) and items[i][0] > x:
+        i += 1
+    if i < len(items) and items[i][0] == x:
+        items = (*items[:i], (x, items[i][1] + 1), *items[i + 1 :])
+    else:
+        items = (*items[:i], (x, 1), *items[i:])
+    return Partition._from_sorted_items(items, p.weight + x)
+
+
 def diff(a: Partition, b: Partition) -> Partition:
     """Multiset difference; every part of b must fit inside a."""
     freq = dict(a.items())
@@ -257,6 +276,108 @@ def hook_multiset_by_heights(p: Partition) -> HookMultiset:
             h = (row - j) + (heights[j] - i) - 1
             counts[h] = counts.get(h, 0) + 1
     return counts
+
+
+def t_regular_partitions(n: int, t: int) -> Iterator[Partition]:
+    """Yield the partitions of n with no part divisible by t."""
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    return partitions_of(n, lambda v: v % t != 0)
+
+
+def btk_enum(t: int, k: int, n: int) -> int:
+    """Cells of hook length k over all t-regular partitions of n, one rim per partition.
+
+    The reference for ``btk_enum_table``'s entry (t, k, n), which the
+    ``hooks count --method enum`` command reads.
+    """
+    _check_tk(t, k)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    masks = map(boundary_masks, t_regular_partitions(n, t))
+    return sum((east & (north >> k)).bit_count() for east, north in masks)
+
+
+def btk_enum_table_by_partitions(
+    ts: tuple[int, ...], n_max: int, ks: tuple[int, ...]
+) -> dict[int, dict[tuple[int, int], int]]:
+    """Hook counts ``{t: {(k, n): count}}`` from one walk, each partition's rim read whole.
+
+    Every partition of n_max into parts regular for some t in ts is mu + 1^r
+    and files, under its kill mask (bit j when ts[j] divides a part), the
+    contributions of mu + 1^r' for r' <= r: its k-hooks off column 1 by
+    w = n_max - r, and its first-column hooks h as points by (h, w - h).
+    It rebuilds its kill mask and rim masks from all of its items.  The
+    differential oracle for ``btk_enum_table``, which reads each walk head's
+    mask and rim once and derives those of its fill ends.
+    """
+    ts = tuple(dict.fromkeys(ts))
+    if not ts:
+        raise ValueError("need at least one t")
+    ks = tuple(dict.fromkeys(ks))
+    if not ks:
+        raise ValueError("need at least one k")
+    _check_tk(min(ts), min(ks))
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    size = n_max + 1
+    reach = min(max(ks), n_max)  # no longer first-column hook is read
+    rows = (1 << (reach + 1)) - 2  # bits 1..reach; bit 0 ends the top row of 1s
+    kill = [0] * size  # by part value: bit j when ts[j] divides it
+    for j, t in enumerate(ts):
+        for v in range(t, size, t):
+            kill[v] |= 1 << j
+    full = (1 << len(ts)) - 1
+    # by mask, one flat record: mu by w, then the k-hooks of mu off column 1 by
+    # w for each k, then for h = 0..reach the mu with a first-column hook h by w - h
+    outside = [(i + 1) * size for i in range(len(ks))]
+    shifts = [(k + 1, at) for k, at in zip(ks, outside)]
+    column = (len(ks) + 1) * size
+    width = column + (reach + 1) * size
+    records: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
+    for p in partitions_of(n_max, lambda v: kill[v] != full):
+        items = p.items()
+        mask = 0
+        for v, _ in items:
+            mask |= kill[v]
+        if mask == full:
+            continue
+        record = records[mask]
+        east, north = boundary_masks(p)
+        r = items[-1][1] if items and items[-1][0] == 1 else 0
+        w = n_max - r
+        record[w] += 1
+        east >>= 1  # step 0 runs under column 1
+        for shift, at in shifts:
+            record[at + w] += (east & (north >> shift)).bit_count()
+        # north step r + h ends the row whose first cell has hook h in mu,
+        # filed at column + h * size + w - h = base + h * n_max
+        first = (north >> r) & rows
+        base = column + w
+        while first:
+            h = first.bit_length() - 1
+            record[base + h * n_max] += 1
+            first ^= 1 << h
+    every = [0] * width
+    for record in records.values():
+        every = list(map(add, every, record))
+    tables = {}
+    for j, t in enumerate(ts):
+        total = every
+        for mask, record in records.items():
+            if mask >> j & 1:
+                total = list(map(sub, total, record))
+        mus = total[:size]
+        table = {}
+        for k, at in zip(ks, outside):
+            shifted = list(accumulate(mus))  # at n - k: the step, then the points
+            for h in range(2, min(k, reach) + 1):
+                points = total[column + h * size : column + (h + 1) * size]
+                shifted = list(map(add, shifted, points))
+            for n, c in enumerate(accumulate(total[at : at + size])):
+                table[k, n] = c + shifted[n - k] if n >= k else c
+        tables[t] = table
+    return tables
 
 
 def btk_enum_table_for_one_t(

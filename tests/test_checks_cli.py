@@ -22,7 +22,7 @@ from hookcounts.checks import (
 from hookcounts.injections import verify_injection
 from hookcounts.series import Series
 
-from oracles import btk_enum_table_for_one_t
+from oracles import btk_enum, btk_enum_table_for_one_t
 
 
 class TestThm12:
@@ -122,13 +122,13 @@ class TestOracleWalk:
     ], ids=["oracle-6", "oracle-21", "thm13-5", "thm13-12"])
     def test_each_run_walks_once(self, monkeypatch, run, n_max):
         walks = []
-        real = hookgf.partitions_of
+        real = hookgf.partition_heads
 
-        def counted(n, *rules):
+        def counted(n, values):
             walks.append(n)
-            return real(n, *rules)
+            return real(n, values)
 
-        monkeypatch.setattr(hookgf, "partitions_of", counted)
+        monkeypatch.setattr(hookgf, "partition_heads", counted)
         assert run().passed
         assert walks == [n_max]
 
@@ -382,6 +382,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        ("count --t 2 --k 2 --n -1 --method enum", "n must be nonnegative"),
+        ("count --t 2 --k 0 --n -1 --method enum", "k must be at least 1"),
+        ("count --t 1 --k 0 --n -1 --method enum", "t must be at least 2"),
+    ])
+    def test_count_enum_bad_input_exits_2(self, capsys, argv, message):
+        # the table names a negative n as its n_max; the command names it as n
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_count_enum_matches_the_per_partition_count(self, capsys):
+        for t in (2, 3, 5):
+            for k in (1, 2, 3, 7, 20):
+                for n in (0, 1, 5, 12, 19):
+                    argv = f"count --t {t} --k {k} --n {n} --method enum"
+                    assert cli.main(argv.split()) == 0
+                    assert capsys.readouterr() == (f"{btk_enum(t, k, n)}\n", "")
 
     def test_oracle_reaches_k8(self, capsys):
         argv = "verify theorem --which oracle --t-max 6 --n-max 30 --k-max 8 --format json"

@@ -10,7 +10,6 @@ from hypothesis import given
 from hookcounts import hookgf, partitions
 from hookcounts.hookgf import (
     _hook_terms,
-    btk_enum,
     btk_enum_table,
     btk_gf,
     btk_series,
@@ -22,13 +21,15 @@ from hookcounts.hookgf import (
     t2_remainder_series,
 )
 from hookcounts.injections import FAMILIES
-from hookcounts.partitions import Partition, hook_multiset, t_regular_partitions
+from hookcounts.partitions import Partition, hook_multiset
 from hookcounts.series import t_regular_gf
 from oracles import (
     bt1_form,
     bt2_form,
     bt3_four_term_form,
     bt3_t2_form,
+    btk_enum,
+    btk_enum_table_by_partitions,
     btk_enum_table_by_walks,
     btk_enum_table_for_one_t,
     decomposition_chain,
@@ -38,6 +39,7 @@ from oracles import (
     parts_ge2_gf,
     set_cardinality_chain,
     t2_remainder_chain,
+    t_regular_partitions,
 )
 
 # above every exponent of the k <= 8 tables, so that nothing is pruned
@@ -135,6 +137,27 @@ class TestAllTTable:
             expected = btk_enum_table_by_walks(t, n_max, ks)
             assert table == expected == btk_enum_table_for_one_t(t, n_max, ks)
             assert list(table) == list(expected)
+
+
+class TestHeadTable:
+    """The table read off walk heads against the table that reads each partition whole."""
+
+    @pytest.mark.parametrize(
+        "ts",
+        [(2,), (3, 7), (2, 3, 4, 5, 6), "every t", (5, 3, 5)],
+        ids=["t2-low-3", "t3-t7", "t2-to-t6", "every-t", "repeated-t"],
+    )
+    def test_matches_per_partition_table(self, ts):
+        for n_max in range(31):
+            # t = 2..n_max+1 covers every t >= 2 for n <= n_max
+            cur = (tuple(range(2, n_max + 2)) or (2,)) if ts == "every t" else ts
+            for ks in ((1, 2, 3), (2, n_max + 1), (n_max + 4, 1)):
+                # same t, (k, n) and counts, in the same order
+                got, expected = (
+                    [(t, list(table.items())) for t, table in f(cur, n_max, ks).items()]
+                    for f in (btk_enum_table, btk_enum_table_by_partitions)
+                )
+                assert got == expected, (cur, n_max, ks)
 
 
 class TestFirstColumnLemma:
@@ -448,7 +471,7 @@ class TestRouteIndependence:
             for name, value in vars(partitions).items()
             if getattr(value, "__module__", None) == partitions.__name__
         }
-        assert {"Partition", "partitions_of", "hook_multiset"} <= bound
+        assert {"Partition", "partitions_of", "partition_heads", "hook_multiset"} <= bound
         bound.add("partitions")
         builders = (
             hookgf._combination,
@@ -475,10 +498,9 @@ class TestRouteIndependence:
         # the scan follows helpers: btk_series names t_regular_gf only through one
         assert "t_regular_gf" not in _code_names(btk_series.__code__)
         assert "t_regular_gf" in _names_with_helpers(btk_series)
-        for f, walk in ((btk_enum, "t_regular_partitions"), (btk_enum_table, "partitions_of")):
-            names = _names_with_helpers(f)
-            assert walk in names  # the scan sees the walk
-            assert not names & series_names, f.__name__
+        names = _names_with_helpers(btk_enum_table)
+        assert "partition_heads" in names  # the scan sees the walk
+        assert not names & series_names
         # the module's code object holds every function, method and closure in it
         module_code = compile(inspect.getsource(partitions), partitions.__file__, "exec")
         names = _code_names(module_code)

@@ -9,6 +9,7 @@ import pytest
 from hookcounts import hookgf, injections
 from hookcounts.injections import (
     FAMILIES,
+    Family,
     MAP_MIN_N,
     MAPS,
     SubsetLabel,
@@ -37,6 +38,7 @@ from oracles import (
     is_tau_case4_image_by_shape,
     o_subsets_by_passes,
     r_subsets_by_passes,
+    with_part,
 )
 
 P = Partition.parse
@@ -74,14 +76,29 @@ class TestFamilies:
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_r_members_splice_the_needed_part(self, t):
-        # the splice gives the members the trade gave, in the same order
+        # the splice into each walk head gives the members that the trade and
+        # the splice into each member of the walk over n - x gave, in the same order
         x = 2 * t + 1
         parts = lambda v: R.parts(v, t)  # noqa: E731
         for n in range(31):
-            expected = [p.trade((), (x,)) for p in partitions_of(n - x, parts)] if n >= x else []
+            walk = list(partitions_of(n - x, parts)) if n >= x else []
             members = list(R.members(n, t))
-            assert [p.items() for p in members] == [p.items() for p in expected]
+            for expected in ([p.trade((), (x,)) for p in walk], [with_part(p, x) for p in walk]):
+                assert [p.items() for p in members] == [p.items() for p in expected]
             assert all(p.weight == n for p in members)
+
+    @pytest.mark.parametrize("t,x", [(2, 3), (3, 2), (4, 2), (5, 2)])
+    def test_needed_smallest_part_raises_its_count(self, t, x):
+        # x is the smallest allowed part >= 2: every fill end holds one more copy
+        family = Family("X", lambda v, t: v % t != 0, lambda r, t: r % 2 == 1, lambda t: x)
+        parts = lambda v: family.parts(v, t)  # noqa: E731
+        ones = lambda r: family.ones(r, t)  # noqa: E731
+        for n in range(31):
+            walk = list(partitions_of(n - x, parts, ones)) if n >= x else []
+            members = list(family.members(n, t))
+            assert [p.items() for p in members] == [with_part(p, x).items() for p in walk]
+            assert all(p.weight == n for p in members)
+            assert members == [p for p in partitions_of(n) if family.contains(p, t)]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_membership_tables_match_the_rules(self, name):

@@ -9,8 +9,8 @@ from hookcounts.injections import FAMILIES
 from hookcounts.partitions import (
     Partition,
     hook_multiset,
+    partition_heads,
     partitions_of,
-    t_regular_partitions,
 )
 from hookcounts.series import t_regular_gf
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     partitions_by_frames,
     partitions_by_items_stack,
     partitions_by_recursion,
+    t_regular_partitions,
     union,
 )
 
@@ -220,6 +221,18 @@ class TestEnumeration:
         assert sorted(ones_calls) == list(range(n + 1))
         assert len(walked) == sum(1 for _ in t_regular_partitions(n, 3))
 
+    def test_needed_part(self):
+        assert [str(p) for p in partitions_of(7, lambda v: v % 2 == 1, needs=3)] == [
+            "3^2,1", "3,1^4",
+        ]
+        assert list(partitions_of(4, needs=5)) == []
+        assert list(partitions_of(5, needs=5)) == [Partition({5: 1})]
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            partitions_of(-1, needs=5)
+        for needs, part_filter in ((1, None), (3, lambda v: v % 3 != 0)):
+            with pytest.raises(ValueError, match="the needed part must be an allowed part"):
+                partitions_of(9, part_filter, needs=needs)
+
     def test_t_regular_small_cases(self):
         assert {str(p) for p in t_regular_partitions(3, 2)} == {"3", "1^3"}
         assert {str(p) for p in t_regular_partitions(3, 4)} == {"3", "2,1", "1^3"}
@@ -384,3 +397,25 @@ def test_walk_matches_items_stack_oracle(part_filter, ones):
         walked = [(p.items(), p.weight) for p in partitions_of(n, part_filter, ones)]
         oracle = partitions_by_items_stack(n, part_filter, ones)
         assert walked == [(p.items(), p.weight) for p in oracle]
+
+
+@pytest.mark.parametrize("part_filter", WALK_FILTERS)
+def test_heads_expand_to_the_walk(part_filter):
+    # each head's fill ends, with low's copies descending and then none, are
+    # the walk's partitions in its order; the heads share one changing list
+    for n in range(29):
+        values = [v for v in range(2, n + 1) if part_filter is None or part_filter(v)]
+        low = values[0] if values else 0
+        one_ok = part_filter is None or part_filter(1)
+        ends, lists = [], set()
+        for items, rest in partition_heads(n, values):
+            lists.add(id(items))
+            assert all(v in values and v > low and m >= 1 for v, m in items)
+            assert [v for v, _ in items] == sorted({v for v, _ in items}, reverse=True)
+            assert sum(v * m for v, m in items) + rest == n
+            for m in range(rest // low if low else 0, -1, -1):
+                r = rest - m * low
+                if r == 0 or one_ok:
+                    ends.append((*items, *([(low, m)] if m else []), *([(1, r)] if r else [])))
+        assert len(lists) == 1
+        assert ends == [p.items() for p in partitions_by_recursion(n, part_filter)]
