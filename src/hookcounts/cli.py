@@ -31,57 +31,45 @@ THEOREM_FLAGS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose commands are built only when argparse selects them.
+class _Command:
+    """One command of a ``hooks`` line, whose parser is built only when argparse selects it.
 
-    ``add_commands`` registers each command's name and help up front, which is
-    all that help screens, usage lines and invalid-choice errors read, so they
-    list every command.  A command's sub-parser, flags included, is built the
-    first time argparse looks its name up to hand it words.  That is exact:
-    argparse looks a sub-parser up only when a word equals its name, so a
-    command that argv does not name is never built.  Sub-parsers are of this
-    class too, so ``verify`` builds only the one of its own commands it hands
-    words to.
+    ``_add_commands`` hands this class to ``add_subparsers`` as its public
+    ``parser_class`` hook, so each ``add_parser`` call makes a ``_Command`` from
+    the keyword arguments it would give a parser (``prog`` included) and the
+    command's ``add_flags``.  The real parser, flags included, is built on the
+    first ``parse_known_args`` call.  That is exact: argparse calls
+    ``parse_known_args`` only on the sub-parser a word of argv selects, and
+    help screens, usage lines and invalid-choice errors read only the help and
+    the names that ``add_parser`` files itself.  So a command that argv does
+    not name is never built, and ``verify`` builds only the one of its own
+    commands it hands words to.
     """
 
-    def add_commands(self, dest, commands) -> None:
-        """Register ``commands``, (name, help text, add_flags) triples, under ``dest``.
+    def __init__(self, add_flags, **kwargs):
+        self.add_flags, self.kwargs, self.parser = add_flags, kwargs, None
 
-        Each name and help go in as argparse's help pseudo-action; the action's
-        name map, which is also its ``choices``, becomes a :class:`_Commands`.
-        """
-        sub = self.add_subparsers(dest=dest, required=True)
-        sub._name_parser_map = sub.choices = _Commands(sub._prog_prefix)
-        for name, summary, add_flags in commands:
-            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), summary))
-            sub.choices[name] = add_flags
+    def parse_known_args(self, args, namespace):
+        if self.parser is None:
+            self.parser = argparse.ArgumentParser(**self.kwargs)
+            self.add_flags(self.parser)
+        return self.parser.parse_known_args(args, namespace)
 
 
-class _Commands(dict):
-    """Command name -> the function adding its flags, replaced by the command's
-    sub-parser the first time the name is looked up; ``in``, iteration and
-    ``dict.get`` build nothing."""
-
-    def __init__(self, prog_prefix: str):
-        super().__init__()
-        self.prog_prefix = prog_prefix
-
-    def __getitem__(self, name):
-        command = super().__getitem__(name)
-        if not isinstance(command, _Parser):
-            add_flags, command = command, _Parser(prog=f"{self.prog_prefix} {name}")
-            add_flags(command)
-            self[name] = command
-        return command
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands) -> None:
+    """Register ``commands``, (name, help text, add_flags) triples, under ``dest`` of ``parser``."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Command)
+    for name, summary, add_flags in commands:
+        sub.add_parser(name, help=summary, add_flags=add_flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="hooks",
         description="Hook-length counts over t-regular partitions, two ways, "
         "with mechanical verification of the related identities.",
     )
-    parser.add_commands("command", (
+    _add_commands(parser, "command", (
         ("count", "one hook count b(t, k, n)", _count_flags),
         ("series", "emit a named series as CSV", _series_flags),
         ("verify", "run a verification suite", _verify_flags),
@@ -104,8 +92,8 @@ def _series_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_series)
 
 
-def _verify_flags(p: _Parser) -> None:
-    p.add_commands("verify_what", (
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    _add_commands(p, "verify_what", (
         ("identity", "decomposition identities", _identity_flags),
         ("injection", "certify an injection exhaustively", _injection_flags),
         ("theorem", "theorem-level sign checks", _theorem_flags),

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -490,16 +492,9 @@ class TestCli:
 
 
 def _built(parser):
-    """Each command of ``parser`` by name: its sub-parser, or None if not built yet.
-
-    Reads argparse's name map through the dict base class, which builds nothing.
-    """
+    """Each command of ``parser`` by name: its built parser, or None if not built yet."""
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert action.choices is action._name_parser_map
-    return {
-        name: command if isinstance(command, argparse.ArgumentParser) else None
-        for name, command in dict.items(action.choices)
-    }
+    return {name: command.parser for name, command in action.choices.items()}
 
 
 def _flags(parser):
@@ -559,19 +554,31 @@ class TestParser:
     def test_parsers_built_per_command_line(self, capsys, monkeypatch, line, progs):
         # one parser per level of the command line, and none for a command
         # argv does not name: listing a command reads only its name and help
-        init, built = cli._Parser.__init__, []
+        init, built = argparse.ArgumentParser.__init__, []
 
         def counting_init(self, **kwargs):
             built.append(kwargs["prog"])
             init(self, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         try:
             cli.main(line.split())
         except SystemExit:
             pass
         capsys.readouterr()
         assert built == progs
+
+    def test_cli_reads_no_argparse_private(self):
+        # laziness goes through add_subparsers(parser_class=...), argparse's
+        # public hook, not through the sub-parser action's private state
+        tree = ast.parse(inspect.getsource(cli))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        private = {"_name_parser_map", "_choices_actions", "_ChoicesPseudoAction", "_prog_prefix"}
+        assert not names & private
 
     def test_one_parser_parses_several_command_lines(self):
         parser = cli.build_parser()
@@ -620,16 +627,17 @@ def _interpreter(name):
 
 @pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
 def test_every_supported_interpreter_runs_each_command(capsys, name):
-    # the lazy sub-parsers rely on argparse internals (_name_parser_map,
-    # _choices_actions, _ChoicesPseudoAction, _prog_prefix); each interpreter
-    # must give the exit code and stdout of the in-process main.  Help and
-    # error text differ between Python versions, so only command output is
-    # compared.
+    # the lazy commands rely on argparse calling parse_known_args only on the
+    # sub-parser a word selects, which it made through parser_class; each
+    # interpreter must give the exit code and stdout of the in-process main.
+    # Help and error text differ between Python versions, so only command
+    # output is compared.  The --bogus line checks that a command hands the
+    # words it does not read back to the top-level parser.
     exe = _interpreter(name)
     if exe is None:
         pytest.skip(f"no runnable {name} on PATH")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
-    for line in [*ONE_OF_EACH, "verify bogus"]:
+    for line in [*ONE_OF_EACH, "verify bogus", "count --t 2 --k 1 --n 5 --bogus"]:
         try:
             code = cli.main(line.split())
         except SystemExit as exc:
