@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, NamedTuple
 
 from .hookgf import (
     btk_enum_table,
@@ -25,6 +25,10 @@ from .series import Series
 
 # thm13 re-derives both hook counts by enumeration up to this n
 ENUM_LIMIT = 40
+
+# each identity: the sign of its first piece, and the hook difference that
+# first piece plus the other two must equal
+IDENTITIES = {"abc": (-1, diff_bt2_bt1), "def": (1, diff_bt2_bt3)}
 
 # each sign statement: the n it starts at, and the (t, n) cells where the
 # scan is allowed to go negative
@@ -63,6 +67,15 @@ def _negatives(
 def thm12_bound(t: int) -> int:
     """The n from which 2-hooks are asserted to dominate 1-hooks."""
     return o5_weight_bound(t) + 1
+
+
+def _thm12_from_flags(t: int, order: int | None, full: bool) -> TheoremCheck:
+    """thm12 to ``order`` (3100 at t = 2, else 2000); ``full`` scans 100 past the bound at least."""
+    if full:
+        order = max(order or 0, thm12_bound(t) + 100)
+    elif order is None:
+        order = 3100 if t == 2 else 2000
+    return run_thm12(t, order)
 
 
 def run_thm12(t: int, order: int) -> TheoremCheck:
@@ -152,18 +165,16 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     checks D + E + F against the 2-hook minus 3-hook series.  The witnesses
     are the nonzero coefficients of the difference of the two sides.
     """
-    if which not in ("abc", "def"):
-        raise ValueError(f"identity checks are 'abc' or 'def', not {which!r}")
+    if which not in IDENTITIES:
+        raise ValueError(f"identity checks are {' or '.join(map(repr, IDENTITIES))}, not {which!r}")
     if not t_values:
         raise ValueError("need at least one t to scan")
     t_values = tuple(dict.fromkeys(t_values))
+    sign, hook_difference = IDENTITIES[which]
     witnesses = []
     for t in t_values:
         a, b, c = (decomposition_series(name, t, order) for name in which.upper())
-        if which == "abc":
-            diff = -a + b + c - diff_bt2_bt1(t, order)
-        else:
-            diff = a + b + c - diff_bt2_bt3(t, order)
+        diff = (a if sign > 0 else -a) + b + c - hook_difference(t, order)
         witnesses.extend((t, n, d) for n, d in enumerate(diff.coeffs) if d)
     return TheoremCheck(
         which=f"identity_{which}",
@@ -203,6 +214,36 @@ def run_oracle_crosscheck(
         passed=not witnesses,
         witnesses=sorted(witnesses),
     )
+
+
+def _sign_from_flags(name: str, t_max: int, order: int) -> TheoremCheck:
+    return run_sign_check(name, tuple(range(2, t_max + 1)), order)
+
+
+def _oracle_from_flags(t_max: int, n_max: int, k_max: int) -> TheoremCheck:
+    return run_oracle_crosscheck(t_max, n_max, tuple(range(1, k_max + 1)))
+
+
+class CheckSpec(NamedTuple):
+    """A theorem check: the flags it reads with their defaults, and its runner."""
+
+    defaults: dict
+    run: Callable[..., TheoremCheck]
+
+
+# every check of ``hooks verify theorem --which``, in the order its help lists
+# them: the runner is called with the check's flags as keywords, and giving a
+# check a theorem flag it does not read is a usage error.  Each runner looks
+# its run_* function up when called (hence thm13's lambda), so one rebound on
+# this module, by a test's monkeypatch or the benchmark's tracer, is the one run
+CHECKS = {
+    "thm12": CheckSpec({"t": 2, "order": None, "full": False}, _thm12_from_flags),
+    "thm13": CheckSpec({"t_max": 10, "n_max": 60}, lambda t_max, n_max: run_thm13(t_max, n_max)),
+    "d": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "D")),
+    "e": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "E")),
+    "f": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "F")),
+    "oracle": CheckSpec({"t_max": 6, "n_max": 40, "k_max": 3}, _oracle_from_flags),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,6 @@ from .series import csv_lines
 
 SERIES_NAMES = ("bt1", "bt2", "bt3", "A", "B", "C", "D", "E", "F")
 
-# the flags each theorem check reads, with the value each takes when not given
-# (thm12's order is then worked out from t and --full); giving a check any
-# other theorem flag is a usage error
-THEOREM_FLAGS = {
-    "thm12": {"t": 2, "order": None, "full": False},
-    "thm13": {"t_max": 10, "n_max": 60},
-    "d": {"t_max": 4, "order": 200},
-    "e": {"t_max": 4, "order": 200},
-    "f": {"t_max": 4, "order": 200},
-    "oracle": {"t_max": 6, "n_max": 40, "k_max": 3},
-}
-
-
 class _Command:
     """One command of a ``hooks`` line, whose parser is built only when argparse selects it.
 
@@ -101,7 +88,7 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _identity_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", choices=("abc", "def"), required=True)
+    p.add_argument("--which", choices=tuple(checks.IDENTITIES), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, default=200)
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
@@ -117,14 +104,13 @@ def _injection_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _theorem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", choices=tuple(THEOREM_FLAGS), required=True)
-    p.add_argument("--t", type=int, help=f"for thm12 (default {THEOREM_FLAGS['thm12']['t']})")
+    thm12, oracle = checks.CHECKS["thm12"].defaults, checks.CHECKS["oracle"].defaults
+    p.add_argument("--which", choices=tuple(checks.CHECKS), required=True)
+    p.add_argument("--t", type=int, help=f"for thm12 (default {thm12['t']})")
     p.add_argument("--order", type=int)
     p.add_argument("--t-max", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument(
-        "--k-max", type=int, help=f"for oracle (default {THEOREM_FLAGS['oracle']['k_max']})"
-    )
+    p.add_argument("--k-max", type=int, help=f"for oracle (default {oracle['k_max']})")
     p.add_argument(
         "--full",
         action="store_true",
@@ -176,28 +162,13 @@ def _cmd_verify_injection(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    which, defaults = args.which, THEOREM_FLAGS[args.which]
-    every = {name for flags in THEOREM_FLAGS.values() for name in flags}
+    defaults, run = checks.CHECKS[args.which]
+    every = {name for spec in checks.CHECKS.values() for name in spec.defaults}
     given = {name: v for name, v in vars(args).items() if name in every and v is not None}
     unread = ["--" + name.replace("_", "-") for name in given if name not in defaults]
     if unread:
-        raise ValueError(f"--which {which} does not read {', '.join(unread)}")
-    flag = {**defaults, **given}  # a given value, zero included, beats the default
-    if which == "thm12":
-        t, order = flag["t"], flag["order"]
-        if flag["full"]:
-            order = max(order or 0, checks.thm12_bound(t) + 100)
-        elif order is None:
-            order = 3100 if t == 2 else 2000
-        check = checks.run_thm12(t, order)
-    elif which == "thm13":
-        check = checks.run_thm13(flag["t_max"], flag["n_max"])
-    elif which in ("d", "e", "f"):
-        ts = tuple(range(2, flag["t_max"] + 1))
-        check = checks.run_sign_check(which.upper(), ts, flag["order"])
-    else:
-        ks = tuple(range(1, flag["k_max"] + 1))
-        check = checks.run_oracle_crosscheck(flag["t_max"], flag["n_max"], ks)
+        raise ValueError(f"--which {args.which} does not read {', '.join(unread)}")
+    check = run(**{**defaults, **given})  # a given value, zero included, beats the default
     checks.emit(check, args.format, sys.stdout)
     return 0 if check.passed else 1
 

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import glob
 import inspect
 import io
 import json
@@ -203,7 +204,7 @@ class TestIdentityAndOracle:
                 run_oracle_crosscheck(*args)
 
     def test_rejects_unknown_identity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^identity checks are 'abc' or 'def', not 'xyz'$"):
             run_identity_check("xyz", (2,), 100)
 
     @pytest.mark.parametrize("which", ["abc", "def"])
@@ -349,6 +350,34 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0].endswith(" does not read " + ", ".join(flags))
+
+    def test_theorem_check_flags_are_the_parser_flags(self):
+        # an entry naming a flag the parser lacks would always get its default
+        parser = cli.build_parser()
+        parser.parse_args("verify theorem --which d".split())
+        theorem = _built(_built(parser)["verify"])["theorem"]
+        dests = {a.dest for a in theorem._actions} - {"help", "which", "format"}
+        assert dests == {name for spec in checks.CHECKS.values() for name in spec.defaults}
+
+    @pytest.mark.parametrize("argv,code,t_max", [
+        ("", 0, 3), ("--t-max 5", 0, 5), ("--t-max 2", 1, 2), ("--t-max 0", 1, 0),
+    ])
+    def test_a_registered_check_runs_through_main(self, capsys, monkeypatch, argv, code, t_max):
+        # one CHECKS entry is the whole of a new check: cli.py is not touched
+        def scratch(t_max):
+            return checks.TheoremCheck("scratch", {"t_max": t_max}, passed=t_max > 2)
+
+        monkeypatch.setitem(checks.CHECKS, "scratch", checks.CheckSpec({"t_max": 3}, scratch))
+        argv = ["verify", "theorem", "--which", "scratch", *argv.split(), "--format", "json"]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["params"] == {"t_max": t_max} and captured.err == ""
+
+    def test_a_registered_check_rejects_what_it_does_not_read(self, capsys, monkeypatch):
+        spec = checks.CheckSpec({"t_max": 3}, lambda t_max: pytest.fail("ran"))
+        monkeypatch.setitem(checks.CHECKS, "scratch", spec)
+        assert cli.main("verify theorem --which scratch --order 5".split()) == 2
+        assert capsys.readouterr() == ("", "error: --which scratch does not read --order\n")
 
     def test_e_scan_lists_every_negative_cell(self, capsys):
         # the exception table: (2, 6) and (2, 9) in range, (2, 3) below n = 4
@@ -614,15 +643,23 @@ RUN_HOOKS = "import sys; sys.path.insert(0, sys.argv.pop(1)); from hookcounts.cl
 
 
 def _interpreter(name):
-    """The interpreter ``name`` (``python3.X``) on PATH if it runs and is that version, else None."""
-    exe = shutil.which(name)
-    if exe is None:
-        return None
-    probe = subprocess.run(
-        [exe, "-I", "-c", "import sys; print('python%d.%d' % sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60,
-    )
-    return exe if probe.returncode == 0 and probe.stdout.strip() == name else None
+    """The interpreter ``name`` (``python3.X``) if one runs and is that version, else None.
+
+    It is looked for on PATH, then in pyenv's install directory (``$PYENV_ROOT``,
+    by default ``~/.pyenv``), where an interpreter can run although its shim
+    on PATH does not.
+    """
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    version = name.removeprefix("python")
+    installed = sorted(glob.glob(os.path.join(root, "versions", f"{version}.*", "bin", name)))
+    for exe in filter(None, [shutil.which(name), *installed]):
+        probe = subprocess.run(
+            [exe, "-I", "-c", "import sys; print('python%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == name:
+            return exe
+    return None
 
 
 @pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
@@ -635,7 +672,7 @@ def test_every_supported_interpreter_runs_each_command(capsys, name):
     # words it does not read back to the top-level parser.
     exe = _interpreter(name)
     if exe is None:
-        pytest.skip(f"no runnable {name} on PATH")
+        pytest.skip(f"no runnable {name} on PATH or under pyenv")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
     for line in [*ONE_OF_EACH, "verify bogus", "count --t 2 --k 1 --n 5 --bogus"]:
         try:

@@ -95,6 +95,11 @@ SERIES_GOLDENS = [
     ("verify theorem --which thm12 --t 4 --order 200 --format human", 0, "a074a240d33d238e6ddd315693d7ea7161bf42dfafdd2e85fa8d098a607cb71a"),
     ("verify theorem --which thm12 --t 3 --format json", 0, "9623aef46a22261292599938d135166fdb0f1dbfca80228618c2df94619d1b8c"),
     ("verify theorem --which thm12 --t 3 --full --format json", 0, "81887d78d64dd6fade173f6b00cbcf55f93d90df59efe3f5ac90059c3c98471f"),
+    # thm12's order rule: 3100 at the default t = 2; --full keeps a larger
+    # --order (3200) and raises a smaller one to 100 past the bound (3090)
+    ("verify theorem --which thm12 --format json", 0, "8f05614fe1ed27b58591f5364cad3f44674d475a61a2b665e07e68a4bdf34501"),
+    ("verify theorem --which thm12 --t 2 --full --order 3200 --format json", 0, "9203aeb744d426c3225035b05a6a89b3b27d64474593e7fd8456d24713a8620a"),
+    ("verify theorem --which thm12 --t 2 --full --order 50 --format json", 0, "8608bea603667e1c47e1bef9183cd62133a0345f47cc7589d2a16ecae9ee2b2a"),
     ("verify theorem --which thm13 --t-max 4 --n-max 24 --format json", 0, "17e5b9c6260bfcdeac2a6695a74fd15eba073a8a0ef88ee82a20994c1506aa1f"),
     ("verify theorem --which thm13 --t-max 3 --n-max 20 --format csv", 0, "03304cdd0b3fe90d4f3cb442859326520166907fd365c68bd83b8cc8059da749"),
     ("verify theorem --which thm13 --t-max 5 --n-max 18 --format human", 0, "07cea146452a4af495bd755b3da04deba26792e5964a40942d000b5fe33bc9cd"),
