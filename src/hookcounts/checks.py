@@ -27,8 +27,12 @@ from .series import Series
 ENUM_LIMIT = 40
 
 # each identity: the sign of its first piece, and the hook difference that
-# first piece plus the other two must equal
-IDENTITIES = {"abc": (-1, diff_bt2_bt1), "def": (1, diff_bt2_bt3)}
+# first piece plus the other two must equal, looked up when called (as the
+# runners of CHECKS are)
+IDENTITIES = {
+    "abc": (-1, lambda t, order: diff_bt2_bt1(t, order)),
+    "def": (1, lambda t, order: diff_bt2_bt3(t, order)),
+}
 
 # each sign statement: the n it starts at, and the (t, n) cells where the
 # scan is allowed to go negative

@@ -18,9 +18,10 @@ cross-check.  Every series here is a numerator table: T, the t-regular
 series (the one stored build), times a sum of polynomials over 1 - q^m,
 which one pass loop, :func:`_combination`, evaluates in one O(order) pass
 per term.  The k-hook tables are derived on each call, up to the order
-only; the family counts and the pieces B and F are typed by hand.  Piece
-A is family O's count, C is R's; D keeps the paper's form of family A's
-count, which differs from the exact one at t = 3.  Differences merge their
+only, the family counts from the rules in :data:`FAMILY_RULES` that
+``injections`` walks; the pieces B and F are typed by hand.  Piece A is
+family O's count, C is R's; D keeps the paper's form of family A's count,
+which differs from the exact one at t = 3.  Differences merge their
 tables first, so cancelling terms cost nothing.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import accumulate
 from operator import add, sub
+from typing import Callable, NamedTuple
 
 from .partitions import partition_heads
 from .series import Series, t_regular_gf
@@ -287,26 +289,63 @@ def _paper_a_table(t: int) -> Table:
     return {s: {s - 2: 1, s - 1: -1, s + 1: -1, s + 2: 1}}
 
 
-def _family_table(set_id: str, t: int) -> Table:
-    """The counting table of a family, written from its definition in ``FAMILIES``.
+class Rules(NamedTuple):
+    """A family at one t: parts in ``allow``, or not multiples of t and not in ``forbid``;
+    the 1-count in ``ones`` mod ``mod``; the part ``needs``, unless 0, at least once."""
 
-    Parts other than 1 under t-regularity give T (1 - q), the 1-count rule
-    the rest.  At t = 3, T has no part 3 for A to drop.
+    allow: tuple[int, ...] = ()
+    forbid: tuple[int, ...] = ()
+    ones: tuple[int, ...] = (0,)
+    mod: int = 1
+    needs: int = 0
+
+
+# every partition family the injections use, declared once: its predicate, its
+# walk (``injections.FAMILIES``) and its counting table (:func:`_family_table`)
+# are all read off these rules
+FAMILY_RULES: dict[str, Callable[[int], Rules]] = {
+    "O": lambda t: Rules(ones=(1,), mod=2),
+    "R": lambda t: Rules(allow=(2 * t,), needs=2 * t + 1),
+    "A": lambda t: Rules(forbid=(3,), ones=(2 * t - 2,), mod=2 * t),
+    "S": lambda t: Rules(ones=(2, 4), mod=6),
+    "B": lambda t: Rules(ones=(2, 5), mod=6),
+    "C": lambda t: Rules(ones=(3,), mod=6),
+    # counted at t = 2 only, where they are 2-regular
+    "D1": lambda t: Rules(ones=(4,), mod=12),
+    "D2": lambda t: Rules(ones=(6,), mod=12),
+}
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials {exponent: coefficient}."""
+    out: dict[int, int] = {}
+    for e, x in a.items():
+        for f, y in b.items():
+            out[e + f] = out.get(e + f, 0) + x * y
+    return out
+
+
+def _family_table(set_id: str, t: int) -> Table:
+    """The counting table of a family, derived from its :data:`FAMILY_RULES` at t.
+
+    On T: a needed part x gives q^x, a forbidden x with t not dividing x
+    (1 - q^x), an allowed multiple x of t the row m = x, and 1-counts r mod
+    M > 1 (1 - q) sum q^r in the row m = M.  Rules needing two rows raise.
     """
-    s = 2 * t
-    tables = {
-        "O": {2: {1: 1, 2: -1}},  # (1 - q) q / (1 - q^2)
-        "R": {s: {s + 1: 1}},  # the part 2t allowed, 2t + 1 at least once
-        "A": {6: {4: 1, 5: -1}} if t == 3 else _paper_a_table(t),  # (1 - q) q^4 / (1 - q^6)
-        "S": {6: {2: 1, 3: -1, 4: 1, 5: -1}},  # (1 - q)(q^2 + q^4) / (1 - q^6)
-        "B": {6: {2: 1, 3: -1, 5: 1, 6: -1}},  # (1 - q)(q^2 + q^5) / (1 - q^6)
-        "C": {6: {3: 1, 4: -1}},  # (1 - q) q^3 / (1 - q^6)
-        "D1": {12: {4: 1, 5: -1}},  # (1 - q) q^4 / (1 - q^12)
-        "D2": {12: {6: 1, 7: -1}},  # (1 - q) q^6 / (1 - q^12)
-    }
-    if set_id not in tables:
+    if set_id not in FAMILY_RULES:
         raise ValueError(f"unknown set id {set_id!r}")
-    return tables[set_id]
+    allow, forbid, ones, mod, needs = FAMILY_RULES[set_id](t)
+    terms = {needs: 1}
+    for x in forbid:
+        if x % t:
+            terms = _times(terms, {0: 1, x: -1})
+    rows = list(allow)
+    if mod > 1:
+        terms = _times(_times(terms, {0: 1, 1: -1}), dict.fromkeys(ones, 1))
+        rows.append(mod)
+    if len(rows) > 1:
+        raise ValueError(f"the rules of {set_id!r} need the rows {rows}, more than one")
+    return {rows[0] if rows else 0: {e: x for e, x in terms.items() if x}}
 
 
 def _piece_table(name: str, t: int) -> Table:
@@ -345,14 +384,10 @@ def decomposition_series(name: str, t: int, order: int) -> Series:
 
 
 def set_cardinality_series(set_id: str, t: int, order: int) -> Series:
-    """Counting series of a partition family of ``injections.FAMILIES``.
+    """Counting series of a partition family, read off its :data:`FAMILY_RULES`.
 
-    O: t-regular, an odd number of 1s.  R: no part a multiple of t but 2t,
-    the part 2t+1 present.  A: t-regular, no part 3, 1-count -2 mod 2t.
-    S, B, C: t-regular, 1-count 2 or 4, 2 or 5, resp. 3 mod 6.
-    D1/D2 (t=2 only): 2-regular, 1-count 4 resp. 6 mod 12.  Every series
-    is exact: A's at t = 3 is T (1 - q) q^4 / (1 - q^6), with no factor
-    1 - q^3 for a part 3 that T lacks.
+    Every series is exact: A's at t = 3 has no factor 1 - q^3 for a part 3
+    that T lacks.  D1 and D2 are counted at t = 2 only.
     """
     _check_tk(t, 1)
     if set_id in ("D1", "D2") and t != 2:

@@ -5,18 +5,18 @@ is a raw formula ``f(p, t)``, written as one part trade per case: a forward
 map is right on its class of a frequency-congruence family of t-regular
 partitions, an inverse on the forward images, and neither checks its input.
 
-Each family is described once, as a :class:`Family` record in
-:data:`FAMILIES`; each injection once, as a :class:`MapSpec` entry in
-:data:`MAPS`.  :func:`verify_injection`, the one runner of those entries,
-walks the domain, classifies each member and certifies, for one (map, t, n)
-cell, that the map is well defined into its codomain, weight preserving,
+Each family's part rule, 1-count rule and needed part are declared once,
+in ``hookgf.FAMILY_RULES``, whose counting tables come from the same
+record; :data:`FAMILIES` adds each family's subsets.  Each injection is
+declared once, as a :class:`MapSpec` entry in :data:`MAPS`.
+:func:`verify_injection`, the one runner of those entries, walks the
+domain, classifies each member and certifies, for one (map, t, n) cell,
+that the map is well defined into its codomain, weight preserving,
 collision free, inverted by its declared inverse, that the relevant subset
 classifications partition / stay disjoint, and that the walk met as many
-domain members as the family's counting series counts.  Failures become
-report entries, never exceptions.  Per cell, the driver tabulates the
-codomain's rules once (:meth:`Family.membership`) and reads each image's
-membership in one loop over its items; the O- and R-classifiers read a
-partition in one loop too.
+domain members as the family's counting series counts (a check of the walk
+and of the table's derivation, not of the declaration they share).
+Failures become report entries, never exceptions.
 """
 
 from __future__ import annotations
@@ -87,38 +87,33 @@ def _check_t(t: int) -> None:
 
 @dataclass(frozen=True)
 class Family:
-    """A family of partitions: a part rule, a 1-count rule and a needed part.
+    """A family of partitions: its rules, declared in ``hookgf.FAMILY_RULES``, and its subsets.
 
-    ``parts(v, t)`` is the rule every part value v obeys and ``ones(f1, t)``
-    the rule on the number of 1s (by default any number).  ``needs(t)``, if
-    set, is a part >= 2 of the part rule that every member holds at least
-    once.  :meth:`members` hands all three to :func:`partitions_of`, which
-    asks each rule once per value and splices the needed part into each
-    walk head once, so partitions breaking a rule are never built.
-    :meth:`membership` reads the same three rules, tabulated once up to a
-    weight n, and is the one membership test: :meth:`contains` builds it
-    at p's weight, the driver once per cell for the images of weight n.
+    ``rules(t)`` is the family's :class:`~hookcounts.hookgf.Rules` at t, and
+    :meth:`predicates` reads it once per call.  :meth:`members` hands its
+    part rule, 1-count rule and needed part to :func:`partitions_of`, so
+    partitions breaking a rule are never built; :meth:`membership`
+    tabulates them once up to a weight n and is the one membership test.
     ``subsets(p, t)``, called on members only, lists the indices of the
     named subsets whose defining condition p satisfies (by default none).
     """
 
     name: str
-    parts: Callable[[int, int], bool]
-    ones: Callable[[int, int], bool] = lambda f1, t: True
-    needs: Callable[[int], int] | None = None
+    rules: Callable[[int], hookgf.Rules]
     subsets: Callable[[Partition, int], list[int]] = lambda p, t: []
 
-    def membership(self, n: int, t: int) -> Callable[[Partition], bool]:
-        """The membership test for partitions of weight at most n.
-
-        The part rule is tabulated for v <= n and the 1-count rule for
-        r <= n once, as :func:`partitions_of` tabulates them; the test
-        then reads a partition in one loop over its items.
-        """
+    def predicates(self, t: int) -> tuple[Callable[[int], bool], Callable[[int], bool], int]:
+        """The part rule and the 1-count rule at t, and the needed part (0: none)."""
         _check_t(t)
-        part_ok = [False] + [self.parts(v, t) for v in range(1, n + 1)]
-        ones_ok = [self.ones(r, t) for r in range(n + 1)]
-        x = 0 if self.needs is None else self.needs(t)  # 0 is no part, so never missing
+        allow, forbid, ones, mod, needs = self.rules(t)
+        parts = lambda v: v % t != 0 and v not in forbid or v in allow  # noqa: E731
+        return parts, lambda f1: f1 % mod in ones, needs
+
+    def membership(self, n: int, t: int) -> Callable[[Partition], bool]:
+        """The membership test for weights up to n: rules tabulated once, one loop over p's items."""
+        parts, ones, x = self.predicates(t)  # x = 0 is no part, so never missing
+        part_ok = [False] + [parts(v) for v in range(1, n + 1)]
+        ones_ok = [ones(r) for r in range(n + 1)]
 
         def holds(p: Partition) -> bool:
             f1, has_x = 0, x == 0
@@ -138,9 +133,7 @@ class Family:
 
     def members(self, n: int, t: int) -> Iterator[Partition]:
         """The members of weight n, in the order of :func:`partitions_of`."""
-        _check_t(t)
-        needs = 0 if self.needs is None else self.needs(t)
-        return partitions_of(n, lambda v: self.parts(v, t), lambda r: self.ones(r, t), needs)
+        return partitions_of(n, *self.predicates(t))
 
     def label(self, p: Partition, t: int) -> SubsetLabel | None:
         """The first subset p falls in; None outside the family."""
@@ -205,35 +198,12 @@ def _s_subsets(p: Partition, t: int) -> list[int]:
     return out
 
 
+_SUBSETS = {"O": _o_subsets, "R": _r_subsets, "A": _a_subsets, "S": _s_subsets}
+
+# the undivided families keep Family's default subsets, none
 FAMILIES: dict[str, Family] = {
-    f.name: f
-    for f in (
-        # t-regular with an odd number of 1s
-        Family("O", lambda v, t: v % t != 0, lambda f1, t: f1 % 2 == 1, subsets=_o_subsets),
-        # no part is a multiple of t other than 2t, and the part 2t+1 appears
-        Family(
-            "R",
-            lambda v, t: v % t != 0 or v == 2 * t,
-            needs=lambda t: 2 * t + 1,
-            subsets=_r_subsets,
-        ),
-        # t-regular, no part 3, and the number of 1s is -2 mod 2t
-        Family(
-            "A",
-            lambda v, t: v % t != 0 and v != 3,
-            lambda f1, t: f1 % (2 * t) == 2 * t - 2,
-            subsets=_a_subsets,
-        ),
-        # t-regular with the number of 1s congruent to 2 or 4 mod 6
-        Family("S", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 4), subsets=_s_subsets),
-        # t-regular with the number of 1s congruent to 2 or 5 mod 6
-        Family("B", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 5)),
-        # t-regular with the number of 1s congruent to 3 mod 6
-        Family("C", lambda v, t: v % t != 0, lambda f1, t: f1 % 6 == 3),
-        # 2-regular whatever t, with the number of 1s 4 resp. 6 mod 12
-        Family("D1", lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 4),
-        Family("D2", lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 6),
-    )
+    name: Family(name, rules, _SUBSETS.get(name, Family.subsets))
+    for name, rules in hookgf.FAMILY_RULES.items()
 }
 
 

@@ -564,8 +564,12 @@ def parts_ge2_gf(t: int, order: int) -> Series:
 
 
 def set_cardinality_chain(set_id: str, t: int, order: int) -> Series:
-    """Counting series of the families S, A, B, C and, at t = 2, D1 and D2."""
+    """Counting series of the families O, R, S, A, B, C and, at t = 2, D1 and D2."""
     U = parts_ge2_gf(t, order)
+    if set_id == "O":
+        return U.shift(1).times_geometric(2)
+    if set_id == "R":
+        return t_regular_gf(t, order).shift(2 * t + 1).times_geometric(2 * t)
     if set_id == "S":
         return (U.shift(2) + U.shift(4)).times_geometric(6)
     if set_id == "A":
@@ -589,14 +593,11 @@ def paper_a_chain(t: int, order: int) -> Series:
 
 def decomposition_chain(name: str, t: int, order: int) -> Series:
     """The pieces A..F of the 2-hook minus 1-hook and 2-hook minus 3-hook splits."""
-    T = t_regular_gf(t, order)
     U = parts_ge2_gf(t, order)
-    if name == "A":
-        return U.shift(1).times_geometric(2)
+    if name in ("A", "C"):
+        return set_cardinality_chain("O" if name == "A" else "R", t, order)
     if name == "B":
         return U.shift(2 * t - 1).times_geometric(2 * t)
-    if name == "C":
-        return T.shift(2 * t + 1).times_geometric(2 * t)
     if name == "D":
         return set_cardinality_chain("S", t, order) - paper_a_chain(t, order)
     if name == "E":
@@ -634,11 +635,36 @@ def contains_by_rules(family: Family, p: Partition, t: int) -> bool:
 
     The reference for ``Family.membership``, which tabulates the rules.
     """
+    parts, ones, needs = family.predicates(t)
     return (
-        all(family.parts(v, t) for v, _ in p.items())
-        and family.ones(p.frequency(1), t)
-        and (family.needs is None or p.frequency(family.needs(t)) >= 1)
+        all(parts(v) for v, _ in p.items())
+        and ones(p.frequency(1))
+        and (not needs or p.frequency(needs) >= 1)
     )
+
+
+# each family's part rule, 1-count rule and needed part (0: none) as plain
+# predicates, written from the paper's definitions: the reference for the rules
+# declared in ``hookgf.FAMILY_RULES`` (D1 and D2 at t = 2, where they are used)
+FAMILY_PREDICATES: dict[str, tuple[Callable, Callable, Callable]] = {
+    # t-regular with an odd number of 1s
+    "O": (lambda v, t: v % t != 0, lambda f1, t: f1 % 2 == 1, lambda t: 0),
+    # no part is a multiple of t other than 2t, and the part 2t+1 appears
+    "R": (lambda v, t: v % t != 0 or v == 2 * t, lambda f1, t: True, lambda t: 2 * t + 1),
+    # t-regular, no part 3, and the number of 1s is -2 mod 2t
+    "A": (
+        lambda v, t: v % t != 0 and v != 3,
+        lambda f1, t: f1 % (2 * t) == 2 * t - 2,
+        lambda t: 0,
+    ),
+    # t-regular with the number of 1s congruent to 2 or 4, 2 or 5, resp. 3 mod 6
+    "S": (lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 4), lambda t: 0),
+    "B": (lambda v, t: v % t != 0, lambda f1, t: f1 % 6 in (2, 5), lambda t: 0),
+    "C": (lambda v, t: v % t != 0, lambda f1, t: f1 % 6 == 3, lambda t: 0),
+    # 2-regular, with the number of 1s 4 resp. 6 mod 12
+    "D1": (lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 4, lambda t: 0),
+    "D2": (lambda v, t: v % 2 != 0, lambda f1, t: f1 % 12 == 6, lambda t: 0),
+}
 
 
 def _one_mod_ks(p: Partition, t: int) -> list[int]:

@@ -193,6 +193,20 @@ class TestIdentityAndOracle:
         assert check.witnesses == [(2, 6, -1), (2, 7, -1), (2, 8, -1), (2, 9, -1), (2, 10, -2)]
         assert check.to_dict() == run_identity_check("def", (2,), 10).to_dict()
 
+    @pytest.mark.parametrize("which,name", [("abc", "diff_bt2_bt1"), ("def", "diff_bt2_bt3")])
+    def test_identity_looks_its_hook_difference_up_when_called(self, monkeypatch, which, name):
+        # a rebinding on the module, as a test's monkeypatch or a tracer makes, is the one run
+        calls = []
+        difference = getattr(checks, name)
+
+        def spy(t, order):
+            calls.append((t, order))
+            return difference(t, order)
+
+        monkeypatch.setattr(checks, name, spy)
+        assert run_identity_check(which, (3, 4), 20).passed
+        assert calls == [(3, 20), (4, 20)]
+
     def test_oracle_repeated_k_is_scanned_once(self):
         check = run_oracle_crosscheck(3, 8, (2, 2))
         assert check.passed and check.witnesses == []

@@ -34,6 +34,7 @@ from hookcounts.partitions import Partition, partitions_of
 from hookcounts.series import t_regular_gf
 
 from oracles import (
+    FAMILY_PREDICATES,
     contains_by_rules,
     is_tau_case4_image_by_shape,
     o_subsets_by_passes,
@@ -79,7 +80,7 @@ class TestFamilies:
         # the splice into each walk head gives the members that the trade and
         # the splice into each member of the walk over n - x gave, in the same order
         x = 2 * t + 1
-        parts = lambda v: R.parts(v, t)  # noqa: E731
+        parts = R.predicates(t)[0]
         for n in range(31):
             walk = list(partitions_of(n - x, parts)) if n >= x else []
             members = list(R.members(n, t))
@@ -90,9 +91,8 @@ class TestFamilies:
     @pytest.mark.parametrize("t,x", [(2, 3), (3, 2), (4, 2), (5, 2)])
     def test_needed_smallest_part_raises_its_count(self, t, x):
         # x is the smallest allowed part >= 2: every fill end holds one more copy
-        family = Family("X", lambda v, t: v % t != 0, lambda r, t: r % 2 == 1, lambda t: x)
-        parts = lambda v: family.parts(v, t)  # noqa: E731
-        ones = lambda r: family.ones(r, t)  # noqa: E731
+        family = Family("X", lambda t: hookgf.Rules(ones=(1,), mod=2, needs=x))
+        parts, ones, _ = family.predicates(t)
         for n in range(31):
             walk = list(partitions_of(n - x, parts, ones)) if n >= x else []
             members = list(family.members(n, t))
@@ -110,6 +110,15 @@ class TestFamilies:
                 for p in partitions_of(n):
                     expected = contains_by_rules(family, p, t)
                     assert at_n(p) == past_n(p) == family.contains(p, t) == expected, (t, p)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_declared_rules_match_the_reference_predicates(self, name):
+        parts_ref, ones_ref, needs_ref = FAMILY_PREDICATES[name]
+        for t in (2,) if name in ("D1", "D2") else range(2, 13):
+            parts, ones, needs = FAMILIES[name].predicates(t)
+            assert [parts(v) for v in range(1, 200)] == [parts_ref(v, t) for v in range(1, 200)]
+            assert [ones(r) for r in range(200)] == [ones_ref(r, t) for r in range(200)]
+            assert needs == needs_ref(t)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_r_starts_at_its_needed_part(self, t):
@@ -737,14 +746,15 @@ class TestDriverFailures:
     def test_image_with_a_forbidden_part(self, monkeypatch):
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 5, 3, 2))}, {})
         cls, images = self._images_outside(monkeypatch, spec, 2, 37)
-        relaxed = dataclasses.replace(R, parts=lambda v, t: True)
+        # 2 allowed as well: the image's one part that t = 2 divides
+        relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(allow=(2, 2 * t)))
         for mu in images:
             assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
 
     def test_image_without_the_needed_part(self, monkeypatch):
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 7, 3))}, {})
         cls, images = self._images_outside(monkeypatch, spec, 2, 37)
-        relaxed = dataclasses.replace(R, needs=None)
+        relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(needs=0))
         for mu in images:
             assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
 
@@ -752,7 +762,7 @@ class TestDriverFailures:
         # tau left as the identity keeps the 1-count at 3 mod 6
         spec = dataclasses.replace(MAPS["tau"], forward={None: lambda p, t: p}, inverse={})
         _, images = self._images_outside(monkeypatch, spec, 3, 9)
-        relaxed = dataclasses.replace(B, ones=lambda f1, t: True)
+        relaxed = dataclasses.replace(B, rules=lambda t: B.rules(t)._replace(ones=(0,), mod=1))
         for mu in images:
             assert B.label(mu, 3) is None and relaxed.label(mu, 3) == SubsetLabel("B", None)
 
@@ -784,8 +794,7 @@ class TestDriverFailures:
     def test_classification_gap_and_overlaps(self, monkeypatch):
         # an odd 1-count falls in no subset, an even one in both
         family = injections.Family(
-            "X", lambda v, t: v % t != 0,
-            subsets=lambda p, t: [] if p.frequency(1) % 2 else [1, 2],
+            "X", lambda t: hookgf.Rules(), subsets=lambda p, t: [] if p.frequency(1) % 2 else [1, 2]
         )
         keep = lambda p, t: p  # noqa: E731
         spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {})

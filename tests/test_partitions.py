@@ -318,11 +318,11 @@ def _regular(t):
 
 
 def _family_rule(family, t):
-    return lambda v: family.parts(v, t)
+    return family.predicates(t)[0]
 
 
 def _family_ones(family, t):
-    return lambda r: family.ones(r, t)
+    return family.predicates(t)[1]
 
 
 WALK_FILTERS = (

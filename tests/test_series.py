@@ -40,6 +40,14 @@ class TestRingOps:
     def test_scalar_mul(self):
         assert (2 * S(1, -1)).coeffs == (2, -2)
 
+    def test_scalar_mul_from_the_right(self):
+        s = S(1, -1, 5)
+        assert s * 3 == 3 * s == S(3, -3, 15)
+
+    def test_true_division_is_unit_division(self):
+        a, b = partition_gf(12), pochhammer_inf(2, 12)
+        assert a / b == divide_unit(a, b)
+
     def test_float_scalars_rejected(self):
         with pytest.raises(TypeError):
             1.5 * S(1, -1)
@@ -78,6 +86,8 @@ class TestGeometric:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             geometric(0, 5)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            S(1, 2, 3).times_geometric(0)
 
     @given(small_series(), st.integers(1, 6))
     def test_times_geometric_is_multiplication(self, a, k):
