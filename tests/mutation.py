@@ -1,7 +1,7 @@
 """Mutation check of the family declarations: does the suite notice a wrong rule?
 
 Each partition family's predicate, walk and counting table come from one
-record in ``hookgf.FAMILY_RULES``, so the driver's DomainIncomplete check,
+record in ``hookgf.FAMILY_RULES``, so verify_injection's DomainIncomplete check,
 which compares the walk with the table, cannot see a wrong declaration.
 This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated family tests there, one process at a time, and calls the
