@@ -15,8 +15,11 @@ that the map is well defined into its codomain, weight preserving,
 collision free, inverted by its declared inverse, that the relevant subset
 classifications partition / stay disjoint, and that the walk met as many
 domain members as the family's counting series counts (a check of the walk
-and of the table's derivation, not of the declaration they share).
-Failures become report entries, never exceptions.
+and of the table's derivation, not of the declaration they share).  The
+codomain subsets are checked disjoint on one partition per multiset of the
+parts their classifier reads (R: the parts 1 mod 2t, S: the 1s); the
+codomain members are walked, to list them, only when one of those lies in
+two.  Failures become report entries, never exceptions.
 """
 
 from __future__ import annotations
@@ -27,20 +30,6 @@ from typing import Callable, Iterator, Mapping
 
 from . import hookgf
 from .partitions import Partition, partitions_of
-
-
-@dataclass(frozen=True)
-class SubsetLabel:
-    """Classification of a partition inside one of the named families.
-
-    ``index`` is the subset number where the family is subdivided (O: 1..5,
-    R: 1..4, A and S: 1..3); ``None`` marks a family member outside the
-    indexed subsets (possible for R and S, whose listed subsets do not cover
-    the family) or a member of an undivided family.
-    """
-
-    family: str
-    index: int | None
 
 
 @dataclass(frozen=True)
@@ -94,13 +83,17 @@ class Family:
     part rule, 1-count rule and needed part to :func:`partitions_of`, so
     partitions breaking a rule are never built; :meth:`membership`
     tabulates them once up to a weight n and is the one membership test.
-    ``subsets(p, t)``, called on members only, lists the indices of the
-    named subsets whose defining condition p satisfies (by default none).
+    ``subsets(p, t)`` lists the indices of the named subsets whose defining
+    condition p satisfies (by default none).  It reads only the parts v for
+    which ``reads(v, t)`` holds (by default every part), so it gives a
+    member and the member's read parts alone, its projection, the same
+    verdict; :meth:`projections` lists one partition per such verdict.
     """
 
     name: str
     rules: Callable[[int], hookgf.Rules]
     subsets: Callable[[Partition, int], list[int]] = lambda p, t: []
+    reads: Callable[[int, int], bool] = lambda v, t: True
 
     def predicates(self, t: int) -> tuple[Callable[[int], bool], Callable[[int], bool], int]:
         """The part rule and the 1-count rule at t, and the needed part (0: none)."""
@@ -128,19 +121,51 @@ class Family:
 
         return holds
 
-    def contains(self, p: Partition, t: int) -> bool:
-        return self.membership(p.weight, t)(p)
-
     def members(self, n: int, t: int) -> Iterator[Partition]:
         """The members of weight n, in the order of :func:`partitions_of`."""
         return partitions_of(n, *self.predicates(t))
 
-    def label(self, p: Partition, t: int) -> SubsetLabel | None:
-        """The first subset p falls in; None outside the family."""
-        if not self.contains(p, t):
-            return None
-        ms = self.subsets(p, t)
-        return SubsetLabel(self.name, ms[0] if ms else None)
+    def projections(self, n: int, t: int) -> Iterator[Partition]:
+        """One partition per multiset of read parts among the members of weight n.
+
+        A member's projection keeps the parts ``reads`` names, so it weighs
+        w <= n.  1 and the needed part must be read (else ValueError), so a
+        read-part partition is a projection when it obeys the 1-count rule,
+        holds the needed part and n - w is a sum of allowed unread parts.
+        The walk is the partitions of n into read parts: one with c 1s
+        stands for its parts >= 2 with r <= c 1s, the c - r others left to
+        the unread parts.  With every part read these are :meth:`members`,
+        in their order.
+        """
+        parts, ones, x = self.predicates(t)
+        reads = self.reads
+        if not reads(1, t) or x and not reads(x, t):
+            raise ValueError(f"the subsets of {self.name} must read the part 1 and the needed part")
+        size = max(n, x, 0) + 1  # the walk asks its part rule about x even when n < x
+        read_ok = [False] * size
+        fill, full = 1, (1 << size) - 1  # bit r: r is a sum of allowed unread parts
+        for v in range(1, size):
+            if not parts(v):
+                continue
+            if reads(v, t):
+                read_ok[v] = True
+            else:  # each doubling of s adds up to as many copies of v again
+                s = v
+                while s <= n:
+                    fill = (fill | fill << s) & full
+                    s *= 2
+        ones_ok = [ones(r) for r in range(n + 1)]
+        walk = partitions_of(n, read_ok.__getitem__, None, x)
+
+        def ends() -> Iterator[Partition]:
+            for p in walk:
+                items, c = p.items(), p.frequency(1)
+                head = items[:-1] if c else items
+                for r in range(c, -1, -1):
+                    if ones_ok[r] and fill >> (c - r) & 1:
+                        yield Partition._from_sorted_items(head + ((1, r),) if r else head, n - c + r)
+
+        return ends()
 
 
 def _o_subsets(p: Partition, t: int) -> list[int]:
@@ -198,11 +223,21 @@ def _s_subsets(p: Partition, t: int) -> list[int]:
     return out
 
 
-_SUBSETS = {"O": _o_subsets, "R": _r_subsets, "A": _a_subsets, "S": _s_subsets}
+def _one_mod_2t(v: int, t: int) -> bool:
+    return v % (2 * t) == 1
 
-# the undivided families keep Family's default subsets, none
+
+# name -> the subsets, and the part values they read where not every part;
+# the undivided families keep Family's defaults, no subsets
+_SUBSETS = {
+    "O": (_o_subsets,),
+    "R": (_r_subsets, _one_mod_2t),
+    "A": (_a_subsets,),
+    "S": (_s_subsets, lambda v, t: v == 1),
+}
+
 FAMILIES: dict[str, Family] = {
-    name: Family(name, rules, _SUBSETS.get(name, Family.subsets))
+    name: Family(name, rules, *_SUBSETS.get(name, ()))
     for name, rules in hookgf.FAMILY_RULES.items()
 }
 
@@ -460,7 +495,10 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
 
     A map with several classes also reports domain members in no class or
     in several (gap, overlap) and codomain members in several subsets.  The
-    number of domain members walked is checked against the family's
+    codomain is checked by its :meth:`Family.projections`, one per multiset
+    of the parts its subsets read; only when one of them lies in two subsets
+    are the codomain members walked, each one in several subsets reported.
+    The number of domain members walked is checked against the family's
     counting series, an independent route (DomainIncomplete).
     Single-threaded; violations are sorted by canonical input text, so
     reports are deterministic.  ``warn=False`` leaves out the warning of
@@ -498,7 +536,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
         if mu.weight != n:
             violate(lam, "NotInCodomain", f"weight changed to {mu.weight}")
         elif not in_codomain(mu) or (codomain_subsets(mu, t) or [None])[0] != cls:
-            # outside the codomain, or its first subset (as Family.label reads it) is not cls
+            # outside the codomain, or the first subset it falls in is not cls
             violate(lam, "NotInCodomain", f"image {mu} outside target subset")
         first = images.setdefault(mu, lam)
         if first is not lam:
@@ -514,7 +552,9 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
         detail = f"walked {walked} members, the counting series has {counted}"
         violations.append(Violation(domain.name, "DomainIncomplete", detail))
 
-    if several:
+    # the subsets read only the read parts: one multiset of them in two subsets puts
+    # every member holding it in both, and only then are the members walked to list them
+    if several and any(len(codomain_subsets(p, t)) > 1 for p in codomain.projections(n, t)):
         for mu in codomain.members(n, t):
             ms = codomain_subsets(mu, t)
             if len(ms) > 1:

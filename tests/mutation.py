@@ -3,7 +3,10 @@
 Each partition family's predicate, walk and counting table come from one
 record in ``hookgf.FAMILY_RULES``, so verify_injection's DomainIncomplete check,
 which compares the walk with the table, cannot see a wrong declaration.
-This script makes each mutant below in a copy of ``src/`` and ``tests/``,
+Nor can a report see a wrong ``reads`` declaration or a wrong
+``Family.projections``, which verify_injection's codomain disjointness
+check classifies in place of the members; the ``injections.py`` mutants
+break those.  This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated family tests there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
 acceptance suite's intended reds fail on both).  The result goes to
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ("tests/test_hookgf.py", "tests/test_injections.py", "tests/test_acceptance.py")
 HOOKGF = "src/hookcounts/hookgf.py"
+INJECTIONS = "src/hookcounts/injections.py"
 
 # name -> (file, text, replacement); the text occurs exactly once in the file
 MUTANTS = {
@@ -45,6 +49,18 @@ MUTANTS = {
         HOOKGF,
         "_times(_times(terms, {0: 1, 1: -1}), dict.fromkeys(ones, 1))",
         "_times(terms, dict.fromkeys(ones, 1))",
+    ),
+    "R-reads-only-ones": (
+        INJECTIONS, '"R": (_r_subsets, _one_mod_2t),', '"R": (_r_subsets, lambda v, t: v == 1),'
+    ),
+    "fill-skips-allowed-2t": (
+        INJECTIONS, "            else:  # each doubling", "            elif v % t:  # each doubling"
+    ),
+    "projections-drop-needed-part": (
+        INJECTIONS, "partitions_of(n, read_ok.__getitem__, None, x)", "partitions_of(n, read_ok.__getitem__)"
+    ),
+    "overlap-needs-three-subsets": (
+        INJECTIONS, "len(codomain_subsets(p, t)) > 1", "len(codomain_subsets(p, t)) > 2"
     ),
 }
 

@@ -10,6 +10,7 @@ independent derivation.
 
 from bisect import bisect_right
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterator
@@ -641,6 +642,38 @@ def contains_by_rules(family: Family, p: Partition, t: int) -> bool:
         and ones(p.frequency(1))
         and (not needs or p.frequency(needs) >= 1)
     )
+
+
+def contains(family: Family, p: Partition, t: int) -> bool:
+    """Family membership through the family's one membership test, built at p's weight."""
+    return family.membership(p.weight, t)(p)
+
+
+@dataclass(frozen=True)
+class SubsetLabel:
+    """Classification of a partition inside one of the named families.
+
+    ``index`` is the subset number where the family is subdivided (O: 1..5,
+    R: 1..4, A and S: 1..3); ``None`` marks a family member outside the
+    indexed subsets (possible for R and S, whose listed subsets do not cover
+    the family) or a member of an undivided family.
+    """
+
+    family: str
+    index: int | None
+
+
+def label(family: Family, p: Partition, t: int) -> SubsetLabel | None:
+    """The first subset of ``family`` that p falls in; None outside the family."""
+    if not contains(family, p, t):
+        return None
+    ms = family.subsets(p, t)
+    return SubsetLabel(family.name, ms[0] if ms else None)
+
+
+def projection(family: Family, p: Partition, t: int) -> Partition:
+    """p with only the parts ``family.reads`` names."""
+    return Partition({v: m for v, m in p.items() if family.reads(v, t)})
 
 
 # each family's part rule, 1-count rule and needed part (0: none) as plain

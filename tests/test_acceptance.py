@@ -24,6 +24,8 @@ from hookcounts.hookgf import distinct_partition_count, t2_remainder_series
 from hookcounts.injections import FAMILIES, phi1, phi2, phi3, phi4, verify_injection_range
 from hookcounts.partitions import Partition, hook_multiset
 
+from oracles import label
+
 P = Partition.parse
 O = FAMILIES["O"]
 
@@ -104,7 +106,7 @@ def test_criterion_7_worked_examples():
     checks = []
 
     def in_class(lam, index):
-        return O.label(lam, 4).index == index
+        return label(O, lam, 4).index == index
 
     # the long-trade map; input is the weight-consistent form of the
     # reference pair (its recorded input carries a stray 7)

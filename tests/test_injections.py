@@ -12,7 +12,6 @@ from hookcounts.injections import (
     Family,
     MAP_MIN_N,
     MAPS,
-    SubsetLabel,
     delta3,
     epsilon,
     eta,
@@ -35,9 +34,13 @@ from hookcounts.series import t_regular_gf
 
 from oracles import (
     FAMILY_PREDICATES,
+    SubsetLabel,
+    contains,
     contains_by_rules,
     is_tau_case4_image_by_shape,
+    label,
     o_subsets_by_passes,
+    projection,
     r_subsets_by_passes,
     with_part,
 )
@@ -53,19 +56,19 @@ def test_members_match_filtered_walk(name):
     family = FAMILIES[name]
     for t in range(2, 6):
         for n in range(23):
-            expected = [p for p in partitions_of(n) if family.contains(p, t)]
+            expected = [p for p in partitions_of(n) if contains(family, p, t)]
             assert list(family.members(n, t)) == expected
 
 
 class TestFamilies:
     def test_labels_name_the_family(self):
-        assert O.label(P("1^5"), 2) == SubsetLabel("O", 5)
-        assert B.label(P("1^5"), 3) == SubsetLabel("B", None)
-        assert C.label(P("1^5"), 3) is None
+        assert label(O, P("1^5"), 2) == SubsetLabel("O", 5)
+        assert label(B, P("1^5"), 3) == SubsetLabel("B", None)
+        assert label(C, P("1^5"), 3) is None
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
-            O.contains(P("1"), 1)
+            contains(O, P("1"), 1)
         with pytest.raises(ValueError):
             R.members(5, 1)
 
@@ -98,7 +101,7 @@ class TestFamilies:
             members = list(family.members(n, t))
             assert [p.items() for p in members] == [with_part(p, x).items() for p in walk]
             assert all(p.weight == n for p in members)
-            assert members == [p for p in partitions_of(n) if family.contains(p, t)]
+            assert members == [p for p in partitions_of(n) if contains(family, p, t)]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_membership_tables_match_the_rules(self, name):
@@ -109,7 +112,7 @@ class TestFamilies:
                 at_n, past_n = family.membership(n, t), family.membership(n + 3, t)
                 for p in partitions_of(n):
                     expected = contains_by_rules(family, p, t)
-                    assert at_n(p) == past_n(p) == family.contains(p, t) == expected, (t, p)
+                    assert at_n(p) == past_n(p) == contains(family, p, t) == expected, (t, p)
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_declared_rules_match_the_reference_predicates(self, name):
@@ -127,32 +130,69 @@ class TestFamilies:
         assert list(R.members(2 * t + 1, t)) == [Partition({2 * t + 1: 1})]
 
 
+class TestProjections:
+    """``Family.projections`` against the read-part projections of the full walk."""
+
+    @pytest.mark.parametrize("name", ["R", "S"])
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_one_per_projection_of_a_member(self, name, t):
+        family = FAMILIES[name]
+        for n in range(31):
+            yielded = list(family.projections(n, t))
+            assert len(set(yielded)) == len(yielded), (t, n)
+            assert set(yielded) == {projection(family, p, t) for p in family.members(n, t)}, (t, n)
+
+    @pytest.mark.parametrize("name", ["R", "S"])
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_subsets_read_only_the_read_parts(self, name, t):
+        # a classifier reading a part its family leaves unread fails here
+        family = FAMILIES[name]
+        for n in range(31):
+            for p in family.members(n, t):
+                assert family.subsets(p, t) == family.subsets(projection(family, p, t), t), (t, p)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_every_part_read_gives_the_members(self, name):
+        family = dataclasses.replace(FAMILIES[name], reads=Family.reads)
+        for t in (2,) if name in ("D1", "D2") else range(2, 6):
+            for n in range(23):
+                assert list(family.projections(n, t)) == list(family.members(n, t)), (t, n)
+
+    @pytest.mark.parametrize(
+        "name,reads", [("R", lambda v, t: v == 1), ("R", lambda v, t: v > 1), ("S", lambda v, t: v > 1)]
+    )
+    def test_the_one_count_and_the_needed_part_must_be_read(self, name, reads):
+        family = dataclasses.replace(FAMILIES[name], reads=reads)
+        with pytest.raises(ValueError, match="must read the part 1 and the needed part"):
+            family.projections(20, 3)
+
+
 class TestClassifyO:
     def test_small_part_of_residue_shape_wins(self):
         # 17 = 2*2*4 + 1, so this input sits in the first subset
-        assert O.label(P("17,15,13,10,7,5,3,2,1^3"), 4).index == 1
+        assert label(O, P("17,15,13,10,7,5,3,2,1^3"), 4).index == 1
 
     def test_large_parts_of_residue_shape_still_win(self):
         # 137 and 33 are both 1 mod 8: the first-subset condition applies
         # even though the top part clears the large-part threshold.
-        assert O.label(P("137,33,29,11,5,3,1^3"), 4).index == 1
-        assert O.label(P("17,13,11,9,3^25,1^3"), 4).index == 1
+        assert label(O, P("137,33,29,11,5,3,1^3"), 4).index == 1
+        assert label(O, P("17,13,11,9,3^25,1^3"), 4).index == 1
 
     def test_genuine_class_two(self):
-        assert O.label(P("157,34,29,11,5,3,1^3"), 4).index == 2
+        assert label(O, P("157,34,29,11,5,3,1^3"), 4).index == 2
 
     def test_heavy_multiplicity_class(self):
-        assert O.label(P("3^25,1^3"), 4).index == 3
+        assert label(O, P("3^25,1^3"), 4).index == 3
 
     def test_many_ones_class(self):
-        assert O.label(P("13,7,6,2^2,1^55"), 4).index == 4
+        assert label(O, P("13,7,6,2^2,1^55"), 4).index == 4
 
     def test_residual_class(self):
-        assert O.label(P("1^5"), 2).index == 5
+        assert label(O, P("1^5"), 2).index == 5
 
     def test_non_members(self):
-        assert O.label(P("4,1"), 2) is None  # not 2-regular
-        assert O.label(P("3,1^2"), 2) is None  # even number of ones
+        assert label(O, P("4,1"), 2) is None  # not 2-regular
+        assert label(O, P("3,1^2"), 2) is None  # even number of ones
 
     def test_memberships_partition_the_family(self):
         for t in (2, 3):
@@ -169,25 +209,25 @@ class TestClassifyO:
 
 class TestClassifyR:
     def test_odd_ones_subset(self):
-        assert R.label(P("15,13,10,9,8,5,3,2,1^3"), 4).index == 1
+        assert label(R, P("15,13,10,9,8,5,3,2,1^3"), 4).index == 1
 
     def test_fourth_subset(self):
-        assert R.label(P("33,13,9^2,7,6,2^2,1^4"), 4).index == 4
+        assert label(R, P("33,13,9^2,7,6,2^2,1^4"), 4).index == 4
 
     def test_third_subset(self):
-        assert R.label(P("25^2,9^2,1^10"), 4).index == 3
+        assert label(R, P("25^2,9^2,1^10"), 4).index == 3
 
     def test_member_outside_listed_subsets(self):
         # 17 = 2*2*4+1 disqualifies every even-ones subset at t=4
-        label = R.label(P("25^2,17,13,11,9^3,1^10"), 4)
-        assert label is not None and label.index is None
+        got = label(R, P("25^2,17,13,11,9^3,1^10"), 4)
+        assert got is not None and got.index is None
 
     def test_non_members(self):
-        assert R.label(P("8,5,1"), 4) is None  # no part 9
-        assert R.label(P("12,9,1"), 4) is None  # 12 = 3t
+        assert label(R, P("8,5,1"), 4) is None  # no part 9
+        assert label(R, P("12,9,1"), 4) is None  # 12 = 3t
 
     def test_base_allows_double_t_part(self):
-        assert R.label(P("9,8^2,1"), 4) is not None
+        assert label(R, P("9,8^2,1"), 4) is not None
 
     def test_subsets_pairwise_disjoint(self):
         for t in (2, 3):
@@ -207,52 +247,52 @@ class TestPhi1:
         # weight-consistent form of the reference pair (the recorded input
         # carries a stray part 7 that breaks weight preservation)
         lam = P("17,15,13,10,5,3,2,1^3")
-        assert O.label(lam, 4).index == 1
+        assert label(O, lam, 4).index == 1
         mu = phi1(lam, 4)
         assert mu == P("15,13,10,9,8,5,3,2,1^3")
-        assert R.label(mu, 4).index == 1
+        assert label(R, mu, 4).index == 1
         assert phi1_inv(mu, 4) == lam
 
     def test_recorded_input_keeps_its_extra_part(self):
         lam = P("17,15,13,10,7,5,3,2,1^3")
-        assert O.label(lam, 4).index == 1
+        assert label(O, lam, 4).index == 1
         assert phi1(lam, 4) == P("15,13,10,9,8,7,5,3,2,1^3")
 
     def test_minimal_k_is_fixed_point(self):
-        assert O.label(P("5,1"), 2).index == 1
+        assert label(O, P("5,1"), 2).index == 1
         assert phi1(P("5,1"), 2) == P("5,1")
 
     def test_round_trip_exhaustive(self):
         for t in (2, 3):
             for n in range(31):
                 for lam in O.members(n, t):
-                    if O.label(lam, t).index != 1:
+                    if label(O, lam, t).index != 1:
                         continue
                     mu = phi1(lam, t)
-                    assert mu.weight == n and R.label(mu, t).index == 1
+                    assert mu.weight == n and label(R, mu, t).index == 1
                     assert phi1_inv(mu, t) == lam
 
     def test_inverse_is_only_valid_on_the_image(self):
         # (5,5,4,1) sits in the target family but outside the image: the
         # claimed inverse sends it to (9,5,1), which the map fixes instead.
         stray = P("5^2,4,1")
-        assert R.label(stray, 2).index == 1
+        assert label(R, stray, 2).index == 1
         back = phi1_inv(stray, 2)
         assert back == P("9,5,1")
         assert phi1(back, 2) != stray
 
     def test_validation(self):
         # an even ones count puts the input outside O, so no map runs on it
-        assert O.label(P("3,1^2"), 2) is None
+        assert label(O, P("3,1^2"), 2) is None
 
 
 class TestPhi2:
     def test_worked_example_nonzero_case(self):
         lam = P("157,34,29,11,5,3,1^3")
-        assert O.label(lam, 4).index == 2
+        assert label(O, lam, 4).index == 2
         mu = phi2(lam, 4)
         assert mu == P("34,29,17^6,11,9^6,5,3,1^4")
-        assert R.label(mu, 4).index == 2
+        assert label(R, mu, 4).index == 2
         # no part 2t: the largest part split into 4t+1s and 2t+1s only
         assert mu.frequency(8) == 0
         assert psi2(mu, 4) == lam
@@ -261,7 +301,7 @@ class TestPhi2:
         # the recorded input is actually first-subset material (137 is 1 mod
         # 8), so only the raw formula reproduces the recorded pair
         lam = P("137,33,29,11,5,3,1^3")
-        assert O.label(lam, 4).index == 1
+        assert label(O, lam, 4).index == 1
         mu = phi2(lam, 4)
         assert mu == P("33,29,17^7,11,9,8,5,3,1^4")
         # the zero case is the one that leaves a part 2t
@@ -272,17 +312,17 @@ class TestPhi2:
         found = 0
         for n in range(36, 53):
             for lam in O.members(n, 2):
-                if O.label(lam, 2).index != 2:
+                if label(O, lam, 2).index != 2:
                     continue
                 found += 1
                 mu = phi2(lam, 2)
-                assert mu.weight == n and R.label(mu, 2).index == 2
+                assert mu.weight == n and label(R, mu, 2).index == 2
                 assert psi2(mu, 2) == lam
         assert found > 0
 
     def test_validation(self):
         # 5 = 2*2*1 + 1 is of the first subset's shape, so 5,1 is no phi2 input
-        assert O.label(P("5,1"), 2).index == 1
+        assert label(O, P("5,1"), 2).index == 1
 
 
 class TestPhi3:
@@ -297,20 +337,20 @@ class TestPhi3:
 
     def test_genuine_member_round_trip(self):
         lam = P("3^25,1^3")
-        assert O.label(lam, 4).index == 3
+        assert label(O, lam, 4).index == 3
         mu = phi3(lam, 4)
-        assert R.label(mu, 4).index == 3
+        assert label(R, mu, 4).index == 3
         assert psi3(mu, 4) == lam
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
         for n in range(39, 50):
             for lam in O.members(n, 2):
-                if O.label(lam, 2).index != 3:
+                if label(O, lam, 2).index != 3:
                     continue
                 found += 1
                 mu = phi3(lam, 2)
-                assert mu.weight == n and R.label(mu, 2).index == 3
+                assert mu.weight == n and label(R, mu, 2).index == 3
                 assert psi3(mu, 2) == lam
         assert found > 0
 
@@ -318,27 +358,27 @@ class TestPhi3:
 class TestPhi4:
     def test_worked_example(self):
         lam = P("13,7,6,2^2,1^55")
-        assert O.label(lam, 4).index == 4
+        assert label(O, lam, 4).index == 4
         mu = phi4(lam, 4)
         assert mu == P("33,13,9^2,7,6,2^2,1^4")
-        assert R.label(mu, 4).index == 4
+        assert label(R, mu, 4).index == 4
         assert psi4(mu, 4) == lam
 
     def test_all_ones_column(self):
-        assert O.label(P("1^27"), 2).index == 4
+        assert label(O, P("1^27"), 2).index == 4
         mu = phi4(P("1^27"), 2)
         assert mu == P("17,5^2")
-        assert R.label(mu, 2).index == 4
+        assert label(R, mu, 2).index == 4
 
     def test_round_trip_exhaustive_t2(self):
         found = 0
         for n in range(27, 45):
             for lam in O.members(n, 2):
-                if O.label(lam, 2).index != 4:
+                if label(O, lam, 2).index != 4:
                     continue
                 found += 1
                 mu = phi4(lam, 2)
-                assert mu.weight == n and R.label(mu, 2).index == 4
+                assert mu.weight == n and label(R, mu, 2).index == 4
                 assert psi4(mu, 2) == lam
         assert found > 0
 
@@ -353,7 +393,7 @@ class TestPhiTotal:
             (P("17,15,13,10,5,3,2,1^3"), P("15,13,10,9,8,5,3,2,1^3")),
             (P("13,7,6,2^2,1^55"), P("33,13,9^2,7,6,2^2,1^4")),
         ):
-            cls = O.label(lam, 4).index
+            cls = label(O, lam, 4).index
             assert spec.forward[cls](lam, 4) == mu
             assert spec.inverse[cls](mu, 4) == lam
 
@@ -375,7 +415,7 @@ class TestWeightBound:
     def test_residual_members_respect_cap(self):
         for n in range(61):
             for lam in O.members(n, 2):
-                if O.label(lam, 2).index == 5:
+                if label(O, lam, 2).index == 5:
                     assert lam.weight <= o5_weight_cap(2) <= o5_weight_bound(2)
 
     def test_rejects_bad_t(self):
@@ -387,28 +427,28 @@ class TestGamma:
     gamma = MAPS["gamma"]
 
     def test_third_case_trades_ones_for_a_two(self):
-        assert A.label(P("1^6"), 4).index == 3
+        assert label(A, P("1^6"), 4).index == 3
         mu = self.gamma.forward[3](P("1^6"), 4)
         assert mu == P("2,1^4")
-        assert S.label(mu, 4).index == 3
+        assert label(S, mu, 4).index == 3
 
     def test_first_two_cases_are_identity(self):
         lam = P("1^14")  # ones count 14: 2 mod 6 and -2 mod 8, first subset
-        assert A.label(lam, 4).index == 1
+        assert label(A, lam, 4).index == 1
         assert self.gamma.forward[1](lam, 4) is lam
-        assert S.label(lam, 4).index == 1
+        assert label(S, lam, 4).index == 1
 
     def test_delta3_round_trip(self):
         lam = P("1^6")
         mu = self.gamma.forward[3](lam, 4)
-        assert S.label(mu, 4).index == 3
+        assert label(S, mu, 4).index == 3
         assert self.gamma.inverse[3] is delta3
         assert delta3(mu, 4) == lam
 
     def test_delta3_validation(self):
         # 1^4 lies in the third S-subset but has no part 2 to trade back,
         # so it is no image of the third case
-        assert S.label(P("1^4"), 4).index == 3
+        assert label(S, P("1^4"), 4).index == 3
         assert P("1^4").frequency(2) == 0
 
     def test_warns_below_t4(self):
@@ -422,16 +462,16 @@ class TestGamma:
 
 class TestEpsilon:
     def test_growth_case(self):
-        assert D2.label(P("3,1^6"), 2) == SubsetLabel("D2", None)
+        assert label(D2, P("3,1^6"), 2) == SubsetLabel("D2", None)
         mu = epsilon(P("3,1^6"), 2)
         assert mu == P("5,1^4")
-        assert D1.label(mu, 2) == SubsetLabel("D1", None)
+        assert label(D1, mu, 2) == SubsetLabel("D1", None)
 
     def test_all_ones_case(self):
-        assert D2.label(P("1^18"), 2) == SubsetLabel("D2", None)
+        assert label(D2, P("1^18"), 2) == SubsetLabel("D2", None)
         mu = epsilon(P("1^18"), 2)
         assert mu == P("7^2,1^4")
-        assert D1.label(mu, 2) == SubsetLabel("D1", None)
+        assert label(D1, mu, 2) == SubsetLabel("D1", None)
 
     def test_rejects_small_weight(self):
         # 1^6 is the only D2 member of weight 6, D1 has none, and the formula
@@ -445,13 +485,13 @@ class TestEpsilon:
 
     def test_rejects_non_member(self):
         # four 1s are 4 mod 12: the input is a D1 member, not a D2 one
-        assert D2.label(P("3,1^4"), 2) is None
+        assert label(D2, P("3,1^4"), 2) is None
 
     def test_case_images_are_separated_by_top_parts(self):
         for n in range(7, 41):
             for lam in D2.members(n, 2):
                 mu = epsilon(lam, 2)
-                assert D1.contains(mu, 2)
+                assert contains(D1, mu, 2)
                 tops = list(mu)[:2] + [0, 0]
                 if lam.largest() >= 3:  # the growth case
                     assert tops[0] > tops[1]
@@ -483,10 +523,10 @@ class TestTauEta:
     @staticmethod
     def _tau(lam, t, case):
         """tau's image of a C-member in the given case, checked to land in B."""
-        assert C.label(lam, t) == SubsetLabel("C", None)
+        assert label(C, lam, t) == SubsetLabel("C", None)
         assert tau_case(lam, t) == case
         mu = tau(lam, t)
-        assert B.label(mu, t) == SubsetLabel("B", None)
+        assert label(B, mu, t) == SubsetLabel("B", None)
         return mu
 
     def test_case1(self):
@@ -531,7 +571,7 @@ class TestTauEta:
             for n in range(4, 31):
                 for lam in C.members(n, t):
                     mu = tau(lam, t)
-                    assert mu.weight == n and B.contains(mu, t)
+                    assert mu.weight == n and contains(B, mu, t)
                     assert eta(mu, t) == lam
 
     def test_case4_recognizer_matches_the_shape_test(self):
@@ -568,7 +608,7 @@ class TestDriver:
         lam = P("17,15,13,10,5,3,2,1^3")  # weight 68
         report = verify_injection("phi1", 4, 68)
         assert report.passed
-        assert any(str(lam) == str(m) for m in O.members(68, 4) if O.label(m, 4).index == 1)
+        assert any(str(lam) == str(m) for m in O.members(68, 4) if label(O, m, 4).index == 1)
 
     def test_tau_cell(self):
         report = verify_injection("tau", 3, 9)
@@ -749,14 +789,14 @@ class TestDriverFailures:
         # 2 allowed as well: the image's one part that t = 2 divides
         relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(allow=(2, 2 * t)))
         for mu in images:
-            assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
+            assert label(R, mu, 2) is None and label(relaxed, mu, 2) == SubsetLabel("R", cls)
 
     def test_image_without_the_needed_part(self, monkeypatch):
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 7, 3))}, {})
         cls, images = self._images_outside(monkeypatch, spec, 2, 37)
         relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(needs=0))
         for mu in images:
-            assert R.label(mu, 2) is None and relaxed.label(mu, 2) == SubsetLabel("R", cls)
+            assert label(R, mu, 2) is None and label(relaxed, mu, 2) == SubsetLabel("R", cls)
 
     def test_image_with_a_rejected_one_count(self, monkeypatch):
         # tau left as the identity keeps the 1-count at 3 mod 6
@@ -764,13 +804,13 @@ class TestDriverFailures:
         _, images = self._images_outside(monkeypatch, spec, 3, 9)
         relaxed = dataclasses.replace(B, rules=lambda t: B.rules(t)._replace(ones=(0,), mod=1))
         for mu in images:
-            assert B.label(mu, 3) is None and relaxed.label(mu, 3) == SubsetLabel("B", None)
+            assert label(B, mu, 3) is None and label(relaxed, mu, 3) == SubsetLabel("B", None)
 
     def test_image_in_the_wrong_subset(self, monkeypatch):
         # one 1 fewer traded leaves the 1-count odd: every image lies in R's first subset
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 26, (17, 5, 4))}, {})
         _, images = self._images_outside(monkeypatch, spec, 2, 37)
-        assert all(R.label(mu, 2) == SubsetLabel("R", 1) for mu in images)
+        assert all(label(R, mu, 2) == SubsetLabel("R", 1) for mu in images)
 
     def test_collision(self, monkeypatch):
         spec = dataclasses.replace(
@@ -810,6 +850,26 @@ class TestDriverFailures:
         # once as a domain member, once as a codomain member
         assert kinds.count("ClassificationOverlap") == 2 * (len(members) - odd)
         assert report.domain_size == 0
+
+    def test_overlapping_codomain_subsets_list_every_member(self, monkeypatch):
+        # R's subsets put the read parts 5^2 in two subsets: every member holding
+        # exactly them is listed, as the walk of all the members lists them
+        t, n = 2, 24
+
+        def subsets(p, t):
+            return [2, 3] if projection(R, p, t) == P("5^2") else injections._r_subsets(p, t)
+
+        overlapping = dataclasses.replace(R, subsets=subsets)
+        expected = sorted(
+            (str(mu), f"R-subsets {subsets(mu, t)} all hold")
+            for mu in R.members(n, t)
+            if len(subsets(mu, t)) > 1
+        )
+        assert expected
+        monkeypatch.setitem(injections.FAMILIES, "R", overlapping)
+        report = verify_injection("phi", t, n)
+        found = [(v.input, v.detail) for v in report.violations if v.kind == "ClassificationOverlap"]
+        assert found == expected
 
     def test_walk_that_drops_a_member_is_incomplete(self, monkeypatch):
         # the counting series notices the one C-member the walk skipped
