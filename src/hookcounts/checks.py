@@ -8,10 +8,9 @@ same flags are byte-identical.  A t or k listed twice is scanned once.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Callable, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .hookgf import (
     btk_enum_table,
@@ -43,13 +42,12 @@ SIGN_STATEMENTS = {
 }
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     which: str
     params: dict
     passed: bool
-    witnesses: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    witnesses: Sequence = ()
+    info: Mapping = MappingProxyType({})  # read-only, so no check shares a dict
 
     def to_dict(self) -> dict:
         return {
@@ -57,7 +55,7 @@ class TheoremCheck:
             "params": self.params,
             "passed": self.passed,
             "witnesses": [list(w) for w in self.witnesses],
-            "info": self.info,
+            "info": dict(self.info),
         }
 
 
@@ -264,6 +262,8 @@ def _payload(obj) -> dict | list:
 def emit(obj, fmt: str, stream: IO[str]) -> None:
     """Serialize a check, a report, or a list of them; deterministic output."""
     if fmt == "json":
+        import json  # here, so the other formats and every import of cli skip loading it
+
         json.dump(_payload(obj), stream, indent=2, sort_keys=True)
         stream.write("\n")
         return

@@ -25,28 +25,25 @@ two.  Failures become report entries, never exceptions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import hookgf
 from .partitions import Partition, partitions_of
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     input: str
     kind: str
     detail: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     map_id: str
     t: int
     n: int
     domain_size: int
     image_size: int
-    violations: list[Violation] = field(default_factory=list)
+    violations: Sequence[Violation] = ()
     passed: bool = False
 
     def to_dict(self) -> dict:
@@ -74,8 +71,7 @@ def _check_t(t: int) -> None:
         raise ValueError("t must be at least 2")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A family of partitions: its rules, declared in ``hookgf.FAMILY_RULES``, and its subsets.
 
     ``rules(t)`` is the family's :class:`~hookcounts.hookgf.Rules` at t, and
@@ -427,8 +423,7 @@ def eta(p: Partition, t: int) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(NamedTuple):
     """One injection: domain and codomain families, and its maps per class.
 
     ``forward`` and ``inverse`` map a class to a raw formula ``f(p, t)``:
@@ -560,7 +555,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
             if len(ms) > 1:
                 violate(mu, "ClassificationOverlap", f"{codomain.name}-subsets {ms} all hold")
 
-    violations.sort(key=lambda v: (v.input, v.kind, v.detail))
+    violations.sort()  # by input, kind, detail: the field order
     return VerificationReport(
         map_id=map_id,
         t=t,

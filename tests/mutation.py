@@ -6,7 +6,8 @@ which compares the walk with the table, cannot see a wrong declaration.
 Nor can a report see a wrong ``reads`` declaration or a wrong
 ``Family.projections``, which verify_injection's codomain disjointness
 check classifies in place of the members; the ``injections.py`` mutants
-break those.  This script makes each mutant below in a copy of ``src/`` and ``tests/``,
+break those, and two of them change a record's default (``MapSpec.regular_from``,
+``Family.reads``).  This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated family tests there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
 acceptance suite's intended reds fail on both).  The result goes to
@@ -62,6 +63,8 @@ MUTANTS = {
     "overlap-needs-three-subsets": (
         INJECTIONS, "len(codomain_subsets(p, t)) > 1", "len(codomain_subsets(p, t)) > 2"
     ),
+    "regular-from-default-2-to-3": (INJECTIONS, "    regular_from: int = 2\n", "    regular_from: int = 3\n"),
+    "reads-default-only-ones": (INJECTIONS, "bool] = lambda v, t: True", "bool] = lambda v, t: v == 1"),
 }
 
 # mutants no test can kill, with the reason

@@ -1,7 +1,7 @@
 import argparse
 import ast
-import dataclasses
 import glob
+import hashlib
 import inspect
 import io
 import json
@@ -254,6 +254,22 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(run_sign_check("D", (2,), 120), "yaml", io.StringIO())
 
+    def test_records_built_without_lists_share_no_list_or_dict(self):
+        # a NamedTuple default is one object for every record, so each list
+        # or dict field defaults to a read-only empty value instead
+        pairs = [
+            [checks.TheoremCheck(which, {}, True) for which in ("a", "b")],
+            [injections.VerificationReport("phi", 2, n, 0, 0) for n in (1, 2)],
+        ]
+        for first, second in pairs:
+            assert not [x for x, y in zip(first, second) if x is y and isinstance(x, (list, dict))]
+        check = pairs[0][0]
+        assert check.to_dict()["witnesses"] == [] and check.to_dict()["info"] == {}
+        assert check.to_dict()["info"] is not pairs[0][1].to_dict()["info"]
+        with pytest.raises(TypeError):
+            check.info["key"] = 1
+        assert pairs[1][0].to_dict()["violations"] == []
+
 
 class TestCli:
     def test_count_methods_agree(self, capsys):
@@ -456,8 +472,8 @@ class TestCli:
 
     def test_broken_map_entry_exits_1(self, capsys, monkeypatch):
         # every image gains a part 1, so each cell with a domain member fails
-        spec = dataclasses.replace(
-            injections.MAPS["tau"], forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
+        spec = injections.MAPS["tau"]._replace(
+            forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
         )
         monkeypatch.setitem(injections.MAPS, "broken", spec)
         argv = "verify injection --map broken --t 3 --n-max 9 --format json"
@@ -676,7 +692,10 @@ def _interpreter(name):
     return None
 
 
-@pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
+SUPPORTED = ["python3.10", "python3.11", "python3.12", "python3.13"]
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
 def test_every_supported_interpreter_runs_each_command(capsys, name):
     # the lazy commands rely on argparse calling parse_known_args only on the
     # sub-parser a word selects, which it made through parser_class; each
@@ -699,3 +718,37 @@ def test_every_supported_interpreter_runs_each_command(capsys, name):
             capture_output=True, text=True, timeout=120,
         )
         assert (done.returncode, done.stdout) == (code, expected), line
+
+
+# print the modules that importing hookcounts.cli adds to a bare interpreter
+CLI_IMPORTS = (
+    "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+    "import hookcounts.cli; print(*sorted(set(sys.modules) - bare))"
+)
+# dataclasses loads inspect, and with it dis, ast and tokenize; json is needed
+# only by a --format json line, whose branch of checks.emit imports it
+NOT_AT_START = {"dataclasses", "inspect", "json"}
+# JSON lines with the exit code and stdout sha256 that tests/test_cli_goldens.py pins
+JSON_GOLDENS = {
+    "verify injection --map gamma --t 2 --n-max 12 --format json":
+        (1, "58ea45493bf6aaee4887096827b63b04b2673f794ef3e656574ad47836dabc57"),
+    "verify theorem --which thm12 --t 2 --order 400 --format json":
+        (0, "2f75025e151278840c94920a1ce7f5f29a83008c885ed94422fd6bc6f37a599a"),
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_cli_import_leaves_out_dataclasses_inspect_and_json(name):
+    # each hooks line starts a fresh interpreter, so what importing cli
+    # loads is paid on every run; the JSON lines then load json themselves
+    exe = _interpreter(name)
+    if exe is None:
+        pytest.skip(f"no runnable {name} on PATH or under pyenv")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hookcounts.__file__)))
+    added = subprocess.run(
+        [exe, "-I", "-c", CLI_IMPORTS, src], capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert "hookcounts.cli" in added and not NOT_AT_START & set(added)
+    for line, pinned in JSON_GOLDENS.items():
+        done = subprocess.run([exe, "-I", "-c", RUN_HOOKS, src, *line.split()], capture_output=True, timeout=120)
+        assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) == pinned, line

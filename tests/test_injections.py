@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import itertools
 import json
@@ -153,7 +152,7 @@ class TestProjections:
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_every_part_read_gives_the_members(self, name):
-        family = dataclasses.replace(FAMILIES[name], reads=Family.reads)
+        family = FAMILIES[name]._replace(reads=Family._field_defaults["reads"])
         for t in (2,) if name in ("D1", "D2") else range(2, 6):
             for n in range(23):
                 assert list(family.projections(n, t)) == list(family.members(n, t)), (t, n)
@@ -162,7 +161,7 @@ class TestProjections:
         "name,reads", [("R", lambda v, t: v == 1), ("R", lambda v, t: v > 1), ("S", lambda v, t: v > 1)]
     )
     def test_the_one_count_and_the_needed_part_must_be_read(self, name, reads):
-        family = dataclasses.replace(FAMILIES[name], reads=reads)
+        family = FAMILIES[name]._replace(reads=reads)
         with pytest.raises(ValueError, match="must read the part 1 and the needed part"):
             family.projections(20, 3)
 
@@ -653,7 +652,7 @@ class TestDriver:
         lambda: verify_injection("broken", 3, 9),
     ], ids=["range", "lone-cell"])
     def test_warning_comes_from_the_entry(self, monkeypatch, run):
-        spec = dataclasses.replace(MAPS["tau"], regular_from=5)
+        spec = MAPS["tau"]._replace(regular_from=5)
         monkeypatch.setitem(injections.MAPS, "broken", spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -761,8 +760,8 @@ class TestDriverFailures:
         return [v.kind for v in report.violations], report
 
     def test_weight_change(self, monkeypatch):
-        spec = dataclasses.replace(
-            MAPS["tau"], forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
+        spec = MAPS["tau"]._replace(
+            forward={None: lambda p, t: p.trade((), (1,))}, inverse={}
         )
         kinds, report = self._kinds(monkeypatch, spec, 3, 9)
         assert kinds and set(kinds) == {"NotInCodomain"}
@@ -787,22 +786,22 @@ class TestDriverFailures:
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 5, 3, 2))}, {})
         cls, images = self._images_outside(monkeypatch, spec, 2, 37)
         # 2 allowed as well: the image's one part that t = 2 divides
-        relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(allow=(2, 2 * t)))
+        relaxed = R._replace(rules=lambda t: R.rules(t)._replace(allow=(2, 2 * t)))
         for mu in images:
             assert label(R, mu, 2) is None and label(relaxed, mu, 2) == SubsetLabel("R", cls)
 
     def test_image_without_the_needed_part(self, monkeypatch):
         spec = injections.MapSpec("O", "R", {4: lambda p, t: p.trade([1] * 27, (17, 7, 3))}, {})
         cls, images = self._images_outside(monkeypatch, spec, 2, 37)
-        relaxed = dataclasses.replace(R, rules=lambda t: R.rules(t)._replace(needs=0))
+        relaxed = R._replace(rules=lambda t: R.rules(t)._replace(needs=0))
         for mu in images:
             assert label(R, mu, 2) is None and label(relaxed, mu, 2) == SubsetLabel("R", cls)
 
     def test_image_with_a_rejected_one_count(self, monkeypatch):
         # tau left as the identity keeps the 1-count at 3 mod 6
-        spec = dataclasses.replace(MAPS["tau"], forward={None: lambda p, t: p}, inverse={})
+        spec = MAPS["tau"]._replace(forward={None: lambda p, t: p}, inverse={})
         _, images = self._images_outside(monkeypatch, spec, 3, 9)
-        relaxed = dataclasses.replace(B, rules=lambda t: B.rules(t)._replace(ones=(0,), mod=1))
+        relaxed = B._replace(rules=lambda t: B.rules(t)._replace(ones=(0,), mod=1))
         for mu in images:
             assert label(B, mu, 3) is None and label(relaxed, mu, 3) == SubsetLabel("B", None)
 
@@ -813,16 +812,15 @@ class TestDriverFailures:
         assert all(label(R, mu, 2) == SubsetLabel("R", 1) for mu in images)
 
     def test_collision(self, monkeypatch):
-        spec = dataclasses.replace(
-            MAPS["tau"], forward={None: lambda p, t: Partition({1: p.weight})}, inverse={}
+        spec = MAPS["tau"]._replace(
+            forward={None: lambda p, t: Partition({1: p.weight})}, inverse={}
         )
         kinds, report = self._kinds(monkeypatch, spec, 3, 9)
         assert kinds.count("Collision") == report.domain_size - 1 > 0
         assert report.image_size == 1
 
     def test_inverse_mismatch(self, monkeypatch):
-        spec = dataclasses.replace(
-            MAPS["tau"],
+        spec = MAPS["tau"]._replace(
             forward={None: lambda p, t: p},
             inverse={None: lambda p, t: Partition({1: p.weight})},
         )
@@ -859,7 +857,7 @@ class TestDriverFailures:
         def subsets(p, t):
             return [2, 3] if projection(R, p, t) == P("5^2") else injections._r_subsets(p, t)
 
-        overlapping = dataclasses.replace(R, subsets=subsets)
+        overlapping = R._replace(subsets=subsets)
         expected = sorted(
             (str(mu), f"R-subsets {subsets(mu, t)} all hold")
             for mu in R.members(n, t)
