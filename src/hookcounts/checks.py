@@ -50,13 +50,10 @@ class TheoremCheck(NamedTuple):
     info: Mapping = MappingProxyType({})  # read-only, so no check shares a dict
 
     def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "params": self.params,
-            "passed": self.passed,
-            "witnesses": [list(w) for w in self.witnesses],
-            "info": dict(self.info),
-        }
+        d = self._asdict()
+        d["witnesses"] = [list(w) for w in self.witnesses]
+        d["info"] = dict(self.info)
+        return d
 
 
 def _negatives(
@@ -260,20 +257,17 @@ def _payload(obj) -> dict | list:
 
 
 def emit(obj, fmt: str, stream: IO[str]) -> None:
-    """Serialize a check, a report, or a list of them; deterministic output."""
-    if fmt == "json":
-        import json  # here, so the other formats and every import of cli skip loading it
+    """Serialize a check, a report, or a list of them in a format of :data:`FORMATS`."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    FORMATS[fmt](obj, stream)
 
-        json.dump(_payload(obj), stream, indent=2, sort_keys=True)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        _emit_csv(obj, stream)
-        return
-    if fmt == "human":
-        _emit_human(obj, stream)
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+
+def _emit_json(obj, stream: IO[str]) -> None:
+    import json  # here, so the other formats and every import of cli skip loading it
+
+    json.dump(_payload(obj), stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def _reports(obj) -> list:
@@ -312,3 +306,8 @@ def _emit_human(obj, stream: IO[str]) -> None:
         )
         for v in r.violations:
             stream.write(f"  {v.kind}: {v.input} ({v.detail})\n")
+
+
+# every output format, by the name ``--format`` takes, with its writer; all are
+# deterministic
+FORMATS = {"json": _emit_json, "csv": _emit_csv, "human": _emit_human}

@@ -16,7 +16,7 @@ import warnings
 from . import checks, hookgf, injections
 from .series import csv_lines
 
-SERIES_NAMES = ("bt1", "bt2", "bt3", "A", "B", "C", "D", "E", "F")
+SERIES_NAMES = ("bt1", "bt2", "bt3", *hookgf.PIECES)
 
 class _Command:
     """One command of a ``hooks`` line, whose parser is built only when argparse selects it.
@@ -91,7 +91,7 @@ def _identity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", choices=tuple(checks.IDENTITIES), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, default=200)
-    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.add_argument("--format", choices=tuple(checks.FORMATS), default="human")
     p.set_defaults(run=_cmd_verify_identity)
 
 
@@ -99,7 +99,7 @@ def _injection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", choices=tuple(injections.MAPS), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.add_argument("--format", choices=tuple(checks.FORMATS), default="human")
     p.set_defaults(run=_cmd_verify_injection)
 
 
@@ -118,7 +118,7 @@ def _theorem_flags(p: argparse.ArgumentParser) -> None:
         help="for thm12: extend the order to 100 past the theorem bound "
         "(under 1 s at t=2 and t=3, 6 s at t=4, 70 s at t=5, 8 min and 1.8 GiB at t=6)",
     )
-    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    p.add_argument("--format", choices=tuple(checks.FORMATS), default="human")
     p.set_defaults(run=_cmd_verify_theorem)
 
 
@@ -135,10 +135,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.name in ("bt1", "bt2", "bt3"):
-        s = hookgf.btk_series(args.t, int(args.name[-1]), args.order)
-    else:
+    if args.name in hookgf.PIECES:
         s = hookgf.decomposition_series(args.name, args.t, args.order)
+    else:
+        s = hookgf.btk_series(args.t, int(args.name[-1]), args.order)
     for line in csv_lines(s):
         print(line)
     return 0

@@ -33,12 +33,11 @@ from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .partitions import partition_heads
-from .series import Series, t_regular_gf
+from .series import Series, check_t, t_regular_gf
 
 
 def _check_tk(t: int, k: int) -> None:
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     if k < 1:
         raise ValueError("k must be at least 1")
 
@@ -300,6 +299,13 @@ class Rules(NamedTuple):
     needs: int = 0
 
 
+def _at_t2(t: int, rules: Rules) -> Rules:
+    """D1's or D2's rules: the paper's 2-regular families exist at t = 2 only."""
+    if t != 2:
+        raise ValueError("D1 and D2 are defined for t=2 only")
+    return rules
+
+
 # every partition family the injections use, declared once: its predicate, its
 # walk (``injections.FAMILIES``) and its counting table (:func:`_family_table`)
 # are all read off these rules
@@ -310,9 +316,8 @@ FAMILY_RULES: dict[str, Callable[[int], Rules]] = {
     "S": lambda t: Rules(ones=(2, 4), mod=6),
     "B": lambda t: Rules(ones=(2, 5), mod=6),
     "C": lambda t: Rules(ones=(3,), mod=6),
-    # counted at t = 2 only, where they are 2-regular
-    "D1": lambda t: Rules(ones=(4,), mod=12),
-    "D2": lambda t: Rules(ones=(6,), mod=12),
+    "D1": lambda t: _at_t2(t, Rules(ones=(4,), mod=12)),
+    "D2": lambda t: _at_t2(t, Rules(ones=(6,), mod=12)),
 }
 
 
@@ -348,23 +353,25 @@ def _family_table(set_id: str, t: int) -> Table:
     return {rows[0] if rows else 0: {e: x for e, x in terms.items() if x}}
 
 
-def _piece_table(name: str, t: int) -> Table:
-    """The table of a decomposition piece: A is O's, C is R's, D = S - A, E = B - C.
+# each decomposition piece's table at t: A is O's, C is R's, D = S - A and
+# E = B - C, D subtracting the paper's form of family A's count at every t
+PIECES: dict[str, Callable[[int], Table]] = {
+    "A": lambda t: _family_table("O", t),
+    # (1 - q) q^(2t-1) / (1 - q^2t)
+    "B": lambda t: {2 * t: {2 * t - 1: 1, 2 * t: -1}},
+    "C": lambda t: _family_table("R", t),
+    "D": lambda t: _merge(_family_table("S", t), _paper_a_table(t)),
+    "E": lambda t: _merge(_family_table("B", t), _family_table("C", t)),
+    # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
+    "F": lambda t: {3 * t: dict(zip(range(3 * t - 3, 3 * t + 4), (1, -1, -1, 2, -1, -1, 1)))},
+}
 
-    D subtracts the paper's form of family A's count at every t.
-    """
-    s, r = 2 * t, 3 * t
-    if name in ("A", "C"):
-        return _family_table("O" if name == "A" else "R", t)
-    if name == "D":
-        return _merge(_family_table("S", t), _paper_a_table(t))
-    if name == "E":
-        return _merge(_family_table("B", t), _family_table("C", t))
-    if name == "B":  # (1 - q) q^(2t-1) / (1 - q^2t)
-        return {s: {s - 1: 1, s: -1}}
-    if name == "F":  # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
-        return {r: {r - 3: 1, r - 2: -1, r - 1: -1, r: 2, r + 1: -1, r + 2: -1, r + 3: 1}}
-    raise ValueError(f"unknown decomposition series {name!r}")
+
+def _piece_table(name: str, t: int) -> Table:
+    """The table of the decomposition piece ``name`` at t, from :data:`PIECES`."""
+    if name not in PIECES:
+        raise ValueError(f"unknown decomposition series {name!r}")
+    return PIECES[name](t)
 
 
 def decomposition_series(name: str, t: int, order: int) -> Series:
@@ -379,7 +386,7 @@ def decomposition_series(name: str, t: int, order: int) -> Series:
     minus 3-hook one for t >= 3; at t = 2 it matches the four-term 3-hook
     form, which over-counts 3-hooks (first at n = 6).
     """
-    _check_tk(t, 1)
+    check_t(t)
     return _combination(t, _piece_table(name, t), order)
 
 
@@ -387,11 +394,9 @@ def set_cardinality_series(set_id: str, t: int, order: int) -> Series:
     """Counting series of a partition family, read off its :data:`FAMILY_RULES`.
 
     Every series is exact: A's at t = 3 has no factor 1 - q^3 for a part 3
-    that T lacks.  D1 and D2 are counted at t = 2 only.
+    that T lacks.  D1 and D2 exist at t = 2 only (their rules raise elsewhere).
     """
-    _check_tk(t, 1)
-    if set_id in ("D1", "D2") and t != 2:
-        raise ValueError("D1 and D2 are defined for t=2 only")
+    check_t(t)
     return _combination(t, _family_table(set_id, t), order)
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import hookgf
 from .partitions import Partition, partitions_of
+from .series import check_t
 
 
 class Violation(NamedTuple):
@@ -47,28 +48,15 @@ class VerificationReport(NamedTuple):
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "map": self.map_id,
-            "t": self.t,
-            "n": self.n,
-            "domain_size": self.domain_size,
-            "image_size": self.image_size,
-            "passed": self.passed,
-            "violations": [
-                {"input": v.input, "kind": v.kind, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        d = self._asdict()
+        d["map"] = d.pop("map_id")
+        d["violations"] = [v._asdict() for v in self.violations]
+        return d
 
 
 # ---------------------------------------------------------------------------
 # partition families
 # ---------------------------------------------------------------------------
-
-
-def _check_t(t: int) -> None:
-    if t < 2:
-        raise ValueError("t must be at least 2")
 
 
 class Family(NamedTuple):
@@ -93,7 +81,7 @@ class Family(NamedTuple):
 
     def predicates(self, t: int) -> tuple[Callable[[int], bool], Callable[[int], bool], int]:
         """The part rule and the 1-count rule at t, and the needed part (0: none)."""
-        _check_t(t)
+        check_t(t)
         allow, forbid, ones, mod, needs = self.rules(t)
         parts = lambda v: v % t != 0 and v not in forbid or v in allow  # noqa: E731
         return parts, lambda f1: f1 % mod in ones, needs
@@ -320,7 +308,7 @@ def o5_weight_cap(t: int) -> int:
     Parts are at most 8t^2, avoid multiples of t and values 1 mod 2t, carry
     multiplicity at most 6t, and at most 12t+1 ones (odd and <= 12t+2).
     """
-    _check_t(t)
+    check_t(t)
     m = 8 * t * t
     sum_all = m * (m + 1) // 2 - 1
     sum_mult_t = t * (8 * t) * (8 * t + 1) // 2
@@ -332,10 +320,9 @@ def o5_weight_bound(t: int) -> int:
     """Polynomial weight bound above which the residual class is empty.
 
     Returns 192t^5 - 192t^4 - 24t^3 + 24t^2 + 6t + 1 and checks that it
-    dominates the exact cap from :func:`o5_weight_cap`, so emptiness beyond
-    the polynomial is safe.
+    dominates the exact cap from :func:`o5_weight_cap`, which checks t, so
+    emptiness beyond the polynomial is safe.
     """
-    _check_t(t)
     bound = 192 * t**5 - 192 * t**4 - 24 * t**3 + 24 * t**2 + 6 * t + 1
     cap = o5_weight_cap(t)
     if bound < cap:
@@ -448,7 +435,9 @@ class MapSpec(NamedTuple):
     regular_from: int = 2
 
 
-# phi holds the _PHI_* tables themselves, not copies: bench/tracer.py rebinds them in place
+# only phi holds the _PHI_* tables themselves, which bench/tracer.py rebinds in
+# place; phi1..phi4 hold one-entry dicts of their own, so a traced run sees none
+# of their calls
 MAPS: dict[str, MapSpec] = {
     **{
         f"phi{k}": MapSpec("O", "R", {k: _PHI_FORWARD[k]}, {k: _PHI_INVERSE[k]})

@@ -185,6 +185,12 @@ def divide_unit(num: Series, den: Series) -> Series:
     return Series(q[1:], n)
 
 
+def check_t(t: int) -> None:
+    """Refuse a t below 2, the one rule on t of every series, table and family here."""
+    if t < 2:
+        raise ValueError("t must be at least 2")
+
+
 # t -> the t-regular series at the largest order built for that t
 _T_STORE: dict[int, Series] = {}
 
@@ -201,8 +207,7 @@ def t_regular_gf(t: int, order: int) -> Series:
     lock: concurrent callers may build the same series twice, and every
     result is still exact.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     held = _T_STORE.get(t)
     if held is None or held.order < order:
         grown = order if held is None else max(order, 2 * held.order)

@@ -1,4 +1,4 @@
-"""Mutation check of the family declarations: does the suite notice a wrong rule?
+"""Mutation check of the one-home declarations: does the suite notice a wrong one?
 
 Each partition family's predicate, walk and counting table come from one
 record in ``hookgf.FAMILY_RULES``, so verify_injection's DomainIncomplete check,
@@ -7,8 +7,11 @@ Nor can a report see a wrong ``reads`` declaration or a wrong
 ``Family.projections``, which verify_injection's codomain disjointness
 check classifies in place of the members; the ``injections.py`` mutants
 break those, and two of them change a record's default (``MapSpec.regular_from``,
-``Family.reads``).  This script makes each mutant below in a copy of ``src/`` and ``tests/``,
-runs the mutated family tests there, one process at a time, and calls the
+``Family.reads``).  The last four break a decision that every other site
+reads from one home: an output format of ``checks.FORMATS``, a piece of
+``hookgf.PIECES``, the t rule of ``series.check_t`` and D1 and D2 at t = 2 only.
+This script makes each mutant below in a copy of ``src/`` and ``tests/``,
+runs the mutated tests of SUITE there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
 acceptance suite's intended reds fail on both).  The result goes to
 ``tests/mutation.json``; a mutant that survives must be killed by a new
@@ -32,9 +35,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SUITE = ("tests/test_hookgf.py", "tests/test_injections.py", "tests/test_acceptance.py")
+SUITE = (
+    "tests/test_hookgf.py",
+    "tests/test_injections.py",
+    "tests/test_acceptance.py",
+    "tests/test_checks_cli.py",
+    "tests/test_cli_goldens.py",
+)
 HOOKGF = "src/hookcounts/hookgf.py"
 INJECTIONS = "src/hookcounts/injections.py"
+CHECKS = "src/hookcounts/checks.py"
+SERIES = "src/hookcounts/series.py"
 
 # name -> (file, text, replacement); the text occurs exactly once in the file
 MUTANTS = {
@@ -65,6 +76,10 @@ MUTANTS = {
     ),
     "regular-from-default-2-to-3": (INJECTIONS, "    regular_from: int = 2\n", "    regular_from: int = 3\n"),
     "reads-default-only-ones": (INJECTIONS, "bool] = lambda v, t: True", "bool] = lambda v, t: v == 1"),
+    "formats-drop-csv": (CHECKS, '"csv": _emit_csv, ', ""),
+    "piece-B-sign-flipped": (HOOKGF, "2 * t: -1}}", "2 * t: 1}}"),
+    "check-t-refuses-2": (SERIES, "    if t < 2:\n", "    if t < 3:\n"),
+    "D1-D2-t2-guard-removed": (HOOKGF, "    if t != 2:\n", "    if False:\n"),
 }
 
 # mutants no test can kill, with the reason

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import hookcounts
-from hookcounts import checks, cli, hookgf, injections
+from hookcounts import checks, cli, hookgf, injections, series
 from hookcounts.checks import (
     emit,
     run_identity_check,
@@ -665,6 +665,64 @@ class TestParser:
         assert cli.main(line.split()) == 0
         capsys.readouterr()
         assert [vars(args) for args in parsed] == [ONE_OF_EACH[line]]
+
+
+def _choices(line, dest):
+    """The choices of ``dest`` on the parser of the command that a hooks line names."""
+    parser = command = cli.build_parser()
+    parser.parse_args(line.split())
+    for word in line.split():
+        if word.startswith("-"):
+            break
+        command = _built(command)[word]
+    (action,) = [a for a in command._actions if a.dest == dest]
+    return action.choices
+
+
+# each function that refuses t = 1 through series.check_t
+T_RULE_SITES = {
+    "t_regular_gf": lambda: series.t_regular_gf(1, 10),
+    "btk_series": lambda: hookgf.btk_series(1, 1, 10),
+    "btk_enum_table": lambda: hookgf.btk_enum_table((1,), 10, (1,)),
+    "decomposition_series": lambda: hookgf.decomposition_series("A", 1, 10),
+    "set_cardinality_series": lambda: hookgf.set_cardinality_series("O", 1, 10),
+    "Family.predicates": lambda: injections.FAMILIES["O"].predicates(1),
+    "o5_weight_cap": lambda: injections.o5_weight_cap(1),
+}
+
+# a hooks line and the flag whose choices it reads from one home, or a t-rule site
+SINGLE_SOURCE = [
+    *[
+        pytest.param(line, "format", id=f"format-{line.split()[1]}")
+        for line in (
+            "verify identity --which abc --t 2",
+            "verify injection --map phi --t 2 --n-max 9",
+            "verify theorem --which d",
+        )
+    ],
+    pytest.param("series --name A --t 2 --order 5", "name", id="series-name"),
+    *[pytest.param(None, site, id=f"t-rule-{site}") for site in T_RULE_SITES],
+]
+
+
+@pytest.mark.parametrize("line,site", SINGLE_SOURCE)
+def test_each_decision_is_read_from_its_one_home(line, site):
+    # checks.FORMATS, hookgf.PIECES and series.check_t each state one decision;
+    # the flags and functions below read it there, so none can drift from it
+    if site == "format":
+        assert _choices(line, "format") == tuple(checks.FORMATS) == ("json", "csv", "human")
+        with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+            emit(checks.TheoremCheck("x", {}, True), "yaml", io.StringIO())
+    elif site == "name":
+        assert _choices(line, "name") == ("bt1", "bt2", "bt3", *hookgf.PIECES)
+        assert tuple(hookgf.PIECES) == tuple("ABCDEF")
+    else:
+        series.check_t(2)
+        with pytest.raises(ValueError) as home:
+            series.check_t(1)
+        with pytest.raises(ValueError) as raised:
+            T_RULE_SITES[site]()
+        assert str(raised.value) == str(home.value) == "t must be at least 2"
 
 
 # run the hooks command line in a fresh interpreter that imports hookcounts

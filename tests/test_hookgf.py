@@ -485,6 +485,7 @@ class TestRouteIndependence:
             hookgf._hook_terms,
             hookgf._family_table,
             hookgf._piece_table,
+            *hookgf.PIECES.values(),
         )
         for f in builders:
             assert not _code_names(f.__code__) & bound, f.__name__

@@ -53,7 +53,7 @@ def test_members_match_filtered_walk(name):
     # the part rule prunes the walk; the 1-count rule and extra condition
     # filter what it yields, so together they must keep the filter's order
     family = FAMILIES[name]
-    for t in range(2, 6):
+    for t in (2,) if name in ("D1", "D2") else range(2, 6):
         for n in range(23):
             expected = [p for p in partitions_of(n) if contains(family, p, t)]
             assert list(family.members(n, t)) == expected
@@ -75,7 +75,7 @@ class TestFamilies:
     def test_negative_weight_is_rejected(self, name):
         # R's needed-part shortcut must not turn n = -1 into an empty walk
         with pytest.raises(ValueError, match="n must be nonnegative"):
-            FAMILIES[name].members(-1, 3)
+            FAMILIES[name].members(-1, 2)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_r_members_splice_the_needed_part(self, t):
@@ -106,12 +106,29 @@ class TestFamilies:
     def test_membership_tables_match_the_rules(self, name):
         # tables built at the weight, as the driver builds them, and past it
         family = FAMILIES[name]
-        for t in range(2, 6):
+        for t in (2,) if name in ("D1", "D2") else range(2, 6):
             for n in range(21):
                 at_n, past_n = family.membership(n, t), family.membership(n + 3, t)
                 for p in partitions_of(n):
                     expected = contains_by_rules(family, p, t)
                     assert at_n(p) == past_n(p) == contains(family, p, t) == expected, (t, p)
+
+    @pytest.mark.parametrize("name", ["D1", "D2"])
+    @pytest.mark.parametrize("t", [3, 4, 5, 12])
+    def test_d_families_exist_at_t2_only(self, name, t):
+        # the paper's 2-regular families: their rules raise at any other t, so
+        # no walk, membership test or counting series reads them there
+        family = FAMILIES[name]
+        uses = (
+            lambda: family.predicates(t),
+            lambda: list(family.members(10, t)),
+            lambda: family.membership(12, t),
+            lambda: list(family.projections(12, t)),
+            lambda: hookgf.set_cardinality_series(name, t, 12),
+        )
+        for use in uses:
+            with pytest.raises(ValueError, match="^D1 and D2 are defined for t=2 only$"):
+                use()
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_declared_rules_match_the_reference_predicates(self, name):

@@ -317,12 +317,23 @@ def _regular(t):
     return lambda v: v % t != 0
 
 
+def _family_rules(family, t):
+    """The family's part and 1-count rules at t, as walk filters.
+
+    D1 and D2 exist at t = 2 only; at another t their cases filter the walk
+    by t-regular parts and the 1-count rule that D1 or D2 has at t = 2.
+    """
+    if family.name in ("D1", "D2") and t != 2:
+        return _regular(t), family.predicates(2)[1]
+    return family.predicates(t)[:2]
+
+
 def _family_rule(family, t):
-    return family.predicates(t)[0]
+    return _family_rules(family, t)[0]
 
 
 def _family_ones(family, t):
-    return family.predicates(t)[1]
+    return _family_rules(family, t)[1]
 
 
 WALK_FILTERS = (
