@@ -9,29 +9,27 @@ same flags are byte-identical.  A t or k listed twice is scanned once.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hookgf import (
+    Table,
+    blocks,
     btk_enum_table,
     btk_series,
-    decomposition_series,
-    diff_bt2_bt1,
-    diff_bt2_bt3,
+    hook_difference_table,
+    merge,
+    piece_table,
 )
 from .injections import VerificationReport, o5_weight_bound
-from .series import Series
 
 # thm13 re-derives both hook counts by enumeration up to this n
 ENUM_LIMIT = 40
 
-# each identity: the sign of its first piece, and the hook difference that
-# first piece plus the other two must equal, looked up when called (as the
-# runners of CHECKS are)
-IDENTITIES = {
-    "abc": (-1, lambda t, order: diff_bt2_bt1(t, order)),
-    "def": (1, lambda t, order: diff_bt2_bt3(t, order)),
-}
+# each identity: the sign of its first piece, and the k of the hook difference
+# b(t,2) - b(t,k) that first piece plus the other two must equal
+IDENTITIES = {"abc": (-1, 1), "def": (1, 3)}
 
 # each sign statement: the n it starts at, and the (t, n) cells where the
 # scan is allowed to go negative
@@ -56,11 +54,24 @@ class TheoremCheck(NamedTuple):
         return d
 
 
+def _coefficients(t: int, table: Table, order: int) -> Iterator[int]:
+    """The coefficients 0..order of the series of ``table``, read a block at a time."""
+    return chain.from_iterable(blocks(t, table, order))
+
+
 def _negatives(
-    series: Callable[[int, int], Series], t_values: Iterable[int], order: int
+    table: Callable[[int], Table], t_values: Iterable[int], order: int
 ) -> list[tuple[int, int, int]]:
-    """(t, n, c) for each negative coefficient c of series(t, order), t by t in n order."""
-    return [(t, n, c) for t in t_values for n, c in enumerate(series(t, order).coeffs) if c < 0]
+    """(t, n, c) for each negative coefficient c of the series of table(t), t by t in n order.
+
+    No whole series is held: each is scanned as its blocks are computed.
+    """
+    return [
+        (t, n, c)
+        for t in t_values
+        for n, c in enumerate(_coefficients(t, table(t), order))
+        if c < 0
+    ]
 
 
 def thm12_bound(t: int) -> int:
@@ -86,7 +97,7 @@ def run_thm12(t: int, order: int) -> TheoremCheck:
     negative coefficient anywhere in range is recorded.
     """
     bound = thm12_bound(t)
-    negatives = _negatives(diff_bt2_bt1, (t,), order)
+    negatives = _negatives(lambda t: hook_difference_table(t, 1, order), (t,), order)
     witnesses = [(t, n, c) for t, n, c in negatives if n >= bound]
     return TheoremCheck(
         which="thm12",
@@ -111,7 +122,7 @@ def run_thm13(t_max: int, n_max: int) -> TheoremCheck:
     if t_max < 2 or n_max < 3:
         raise ValueError("need t_max >= 2 and n_max >= 3")
     enum_to = min(ENUM_LIMIT, n_max)
-    failures = _negatives(diff_bt2_bt3, range(2, t_max + 1), n_max)
+    failures = _negatives(lambda t: hook_difference_table(t, 3, n_max), range(2, t_max + 1), n_max)
     mismatches = _oracle_mismatches(tuple(range(2, t_max + 1)), enum_to, (2, 3))
     expected = {(t, 3) for t in range(3, t_max + 1)}
     return TheoremCheck(
@@ -141,7 +152,7 @@ def run_sign_check(name: str, t_values: tuple[int, ...], order: int) -> TheoremC
         raise ValueError("need at least one t to scan")
     t_values = tuple(dict.fromkeys(t_values))
     min_n, declared = SIGN_STATEMENTS[name]
-    negatives = _negatives(partial(decomposition_series, name), t_values, order)
+    negatives = _negatives(partial(piece_table, name), t_values, order)
     witnesses = [(t, n, c) for t, n, c in negatives if n >= min_n]
     below = [(t, n, c) for t, n, c in negatives if n < min_n]
     expected = {(t, n) for t, n in declared if t in t_values and min_n <= n <= order}
@@ -162,19 +173,20 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
 
     'abc' checks -A + B + C against the 2-hook minus 1-hook series, 'def'
     checks D + E + F against the 2-hook minus 3-hook series.  The witnesses
-    are the nonzero coefficients of the difference of the two sides.
+    are the nonzero coefficients of the difference of the two sides, one
+    merged table whose terms cancelling between the sides cost no pass.
     """
     if which not in IDENTITIES:
         raise ValueError(f"identity checks are {' or '.join(map(repr, IDENTITIES))}, not {which!r}")
     if not t_values:
         raise ValueError("need at least one t to scan")
     t_values = tuple(dict.fromkeys(t_values))
-    sign, hook_difference = IDENTITIES[which]
+    sign, k = IDENTITIES[which]
     witnesses = []
     for t in t_values:
-        a, b, c = (decomposition_series(name, t, order) for name in which.upper())
-        diff = (a if sign > 0 else -a) + b + c - hook_difference(t, order)
-        witnesses.extend((t, n, d) for n, d in enumerate(diff.coeffs) if d)
+        a, b, c = (piece_table(name, t) for name in which.upper())
+        diff = merge((sign, a), (1, b), (1, c), (-1, hook_difference_table(t, k, order)))
+        witnesses.extend((t, n, d) for n, d in enumerate(_coefficients(t, diff, order)) if d)
     return TheoremCheck(
         which=f"identity_{which}",
         params={"t_values": list(t_values), "order": order},

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from itertools import chain
 
 from . import checks, hookgf, injections
 from .series import csv_lines
@@ -136,10 +137,11 @@ def _cmd_count(args) -> int:
 
 def _cmd_series(args) -> int:
     if args.name in hookgf.PIECES:
-        s = hookgf.decomposition_series(args.name, args.t, args.order)
+        table = hookgf.piece_table(args.name, args.t)
     else:
-        s = hookgf.btk_series(args.t, int(args.name[-1]), args.order)
-    for line in csv_lines(s):
+        table = hookgf.hook_table(args.t, int(args.name[-1]), args.order)
+    # written as the blocks are computed, so a long order holds T and one block
+    for line in csv_lines(chain.from_iterable(hookgf.blocks(args.t, table, args.order))):
         print(line)
     return 0
 

@@ -15,14 +15,17 @@ Two independent routes to the same numbers:
 
 They deliberately share no code, so agreement of the two routes is a real
 cross-check.  Every series here is a numerator table: T, the t-regular
-series (the one stored build), times a sum of polynomials over 1 - q^m,
-which one pass loop, :func:`_combination`, evaluates in one O(order) pass
-per term.  The k-hook tables are derived on each call, up to the order
-only, the family counts from the rules in :data:`FAMILY_RULES` that
-``injections`` walks; the pieces B and F are typed by hand.  Piece A is
-family O's count, C is R's; D keeps the paper's form of family A's count,
-which differs from the exact one at t = 3.  Differences merge their
-tables first, so cancelling terms cost nothing.
+series (the one stored build), times a sum of polynomials over 1 - q^m.
+One evaluator, :func:`blocks`, yields a table's coefficients a block of
+:data:`BLOCK` at a time, each row carrying its last m coefficients into
+the next block, so a scan holds T and about one block per row; a
+``Series`` is its blocks end to end.  The k-hook tables are derived on
+each call, up to the order only, the family counts from the rules in
+:data:`FAMILY_RULES` that ``injections`` walks; the pieces B and F are
+typed by hand.  Piece A is family O's count, C is R's; D keeps the
+paper's form of family A's count, which differs from the exact one at
+t = 3.  Differences and sums :func:`merge` their tables first, so
+cancelling terms cost nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .partitions import partition_heads
 from .series import Series, check_t, t_regular_gf
@@ -215,52 +218,113 @@ def _hook_terms(t: int, k: int, order: int) -> Table:
     return {m: {e: x for e, x in row.items() if x} for m, row in terms.items()}
 
 
-def _merge(plus: Table, minus: Table) -> Table:
-    """The table of the first series minus the second; cancelled terms read 0."""
-    merged = {m: dict(row) for m, row in plus.items()}
-    for m, row in minus.items():
-        into = merged.setdefault(m, {})
-        for e, x in row.items():
-            into[e] = into.get(e, 0) - x
+def merge(*parts: tuple[int, Table]) -> Table:
+    """The table of the sum of ``w * table`` over the ``(w, table)`` parts; cancelled terms read 0."""
+    merged: Table = {}
+    for w, table in parts:
+        for m, row in table.items():
+            into = merged.setdefault(m, {})
+            for e, x in row.items():
+                into[e] = into.get(e, 0) + w * x
     return merged
 
 
-def _combination(t: int, table: Table, order: int) -> Series:
-    """The series of ``table``, in one O(order) pass per term and row.
+# coefficients per block of :func:`blocks`: a scan holds T and about one block
+# per row, and a block is long enough that its slices and sums run in C
+BLOCK = 4096
 
-    A row starts as its first term times T, adds the others and, unless
-    m = 0, is divided by 1 - q^m; the first row becomes the running total,
-    each later one is added in.  Zero terms and terms past the order are skipped.
+
+def blocks(t: int, table: Table, order: int) -> Iterator[list[int]]:
+    """The coefficients 0..order of the series of ``table``, in lists of :data:`BLOCK`.
+
+    The order is checked and T built on the call, so a bad t or order
+    raises there; each block is computed by :func:`_block` as it is read.
+    Zero terms, terms past the order and rows left empty are dropped, and
+    T is not built for a table with no term left.  A row keeps its terms
+    in exponent order, but for its seed: its first term with x = 1, whose
+    slice of T is copied rather than multiplied, or else its lowest term.
     """
-    T = t_regular_gf(t, order).coeffs
-    total = None
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    rows = []  # m, the lowest exponent, the seed, the other terms, the carried coefficients
     for m, row in table.items():
-        terms = [(e, x) for e, x in row.items() if x and e <= order]
+        terms = sorted([(e, x) for e, x in row.items() if x and e <= order])
         if not terms:
             continue
-        (e, x), *rest = terms
-        acc = [0] * e
-        acc += T[: order + 1 - e] if x == 1 else map(x.__mul__, T[: order + 1 - e])
+        # the seed is copied from T, not multiplied, if some term has x = 1
+        for seed in terms:
+            if seed[1] == 1:
+                break
+        else:
+            seed = terms[0]
+        rows.append((m, terms[0][0], seed, [term for term in terms if term is not seed], [0] * m))
+    T = t_regular_gf(t, order).coeffs if rows else ()
+    return (_block(T, rows, lo, min(lo + BLOCK, order + 1)) for lo in range(0, order + 1, BLOCK))
+
+
+def _block(T: Sequence[int], rows: list, lo: int, hi: int) -> list[int]:
+    """Coefficients lo..hi-1 of the series of ``rows``, the blocks before read.
+
+    A row is 0 below its lowest term.  From there its block starts as its
+    carried last m coefficients (0 before q^0), then zeros up to its seed
+    and the seed's slice of T; each other term below hi adds its own
+    slice.  Unless m = 0 the block is divided by 1 - q^m, each coefficient
+    adding the one m before it, and its last m are carried on.  The first
+    row's block becomes the total, each later one is added in.
+    """
+    total = None
+    for m, start, (e, x), rest, carry in rows:
+        if start >= hi:
+            continue
+        # acc[m + n - lo] is the row's coefficient of q^n
+        acc = carry + [0] * (min(e, hi) - lo) if e > lo else carry[:]
+        if e < hi:
+            shifted = T[max(lo - e, 0) : hi - e]  # q^e T from q^max(e, lo) on
+            acc += shifted if x == 1 else map(x.__mul__, shifted)
         for e, x in rest:  # acc += x q^e T
+            if e >= hi:
+                break
+            at = m + max(e - lo, 0)
+            shifted = T[max(lo - e, 0) : hi - e]
             if x == 1:
-                acc[e:] = map(add, acc[e:], T)
+                acc[at:] = map(add, acc[at:], shifted)
             elif x == -1:
-                acc[e:] = map(sub, acc[e:], T)
+                acc[at:] = map(sub, acc[at:], shifted)
             else:
-                acc[e:] = map(add, acc[e:], map(x.__mul__, T))
+                acc[at:] = map(add, acc[at:], map(x.__mul__, shifted))
         if m:  # acc /= 1 - q^m
-            for i in range(m, order + 1):
+            for i in range(m, len(acc)):
                 acc[i] += acc[i - m]
+            carry[:] = acc[-m:]
+            del acc[:m]
         total = acc if total is None else list(map(add, total, acc))
-    return Series(total or (0,), order)
+    return [0] * (hi - lo) if total is None else total
+
+
+def _combination(t: int, table: Table, order: int) -> Series:
+    """The series of ``table``: its :func:`blocks`, end to end."""
+    coeffs: list[int] = []
+    for block in blocks(t, table, order):
+        coeffs += block
+    return Series(coeffs, order)
+
+
+def hook_table(t: int, k: int, order: int) -> Table:
+    """The table of b(t,k), cut at the order: :func:`_hook_terms`, none when k > order."""
+    _check_tk(t, k)
+    if k > order:  # a partition of n has no hook longer than n
+        return {}
+    return _hook_terms(t, k, order)
+
+
+def hook_difference_table(t: int, k: int, order: int) -> Table:
+    """The table of b(t,2) - b(t,k), cut at the order; terms cancelling cost no pass."""
+    return merge((1, hook_table(t, 2, order)), (-1, hook_table(t, k, order)))
 
 
 def btk_series(t: int, k: int, order: int) -> Series:
     """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
-    _check_tk(t, k)
-    if k > order:  # a partition of n has no hook longer than n
-        return Series((0,), order)
-    return _combination(t, _hook_terms(t, k, order), order)
+    return _combination(t, hook_table(t, k, order), order)
 
 
 def btk_gf(t: int, k: int, n: int) -> int:
@@ -272,11 +336,11 @@ def btk_gf(t: int, k: int, n: int) -> int:
 
 
 def diff_bt2_bt1(t: int, order: int) -> Series:
-    return _combination(t, _merge(_hook_terms(t, 2, order), _hook_terms(t, 1, order)), order)
+    return _combination(t, hook_difference_table(t, 1, order), order)
 
 
 def diff_bt2_bt3(t: int, order: int) -> Series:
-    return _combination(t, _merge(_hook_terms(t, 2, order), _hook_terms(t, 3, order)), order)
+    return _combination(t, hook_difference_table(t, 3, order), order)
 
 
 def _paper_a_table(t: int) -> Table:
@@ -360,15 +424,16 @@ PIECES: dict[str, Callable[[int], Table]] = {
     # (1 - q) q^(2t-1) / (1 - q^2t)
     "B": lambda t: {2 * t: {2 * t - 1: 1, 2 * t: -1}},
     "C": lambda t: _family_table("R", t),
-    "D": lambda t: _merge(_family_table("S", t), _paper_a_table(t)),
-    "E": lambda t: _merge(_family_table("B", t), _family_table("C", t)),
+    "D": lambda t: merge((1, _family_table("S", t)), (-1, _paper_a_table(t))),
+    "E": lambda t: merge((1, _family_table("B", t)), (-1, _family_table("C", t))),
     # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
     "F": lambda t: {3 * t: dict(zip(range(3 * t - 3, 3 * t + 4), (1, -1, -1, 2, -1, -1, 1)))},
 }
 
 
-def _piece_table(name: str, t: int) -> Table:
+def piece_table(name: str, t: int) -> Table:
     """The table of the decomposition piece ``name`` at t, from :data:`PIECES`."""
+    check_t(t)
     if name not in PIECES:
         raise ValueError(f"unknown decomposition series {name!r}")
     return PIECES[name](t)
@@ -386,8 +451,7 @@ def decomposition_series(name: str, t: int, order: int) -> Series:
     minus 3-hook one for t >= 3; at t = 2 it matches the four-term 3-hook
     form, which over-counts 3-hooks (first at n = 6).
     """
-    check_t(t)
-    return _combination(t, _piece_table(name, t), order)
+    return _combination(t, piece_table(name, t), order)
 
 
 def set_cardinality_series(set_id: str, t: int, order: int) -> Series:

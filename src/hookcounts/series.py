@@ -10,14 +10,15 @@ Euler's pentagonal number theorem, in O(order) time.  Only the t-regular
 counting series :func:`t_regular_gf` is kept, one series per t that serves
 every smaller order as a slice: its unit division makes
 O(order * sqrt(order)) big-integer additions, gathered and summed in C a
-group of divisor offsets at a time.  Everything built from it is a few
-O(order) passes and is recomputed on each call.
+group of divisor offsets at a time.  Everything built from it is
+recomputed on each call by ``hookgf.blocks``, a block of coefficients at
+a time, with O(order) additions per term and row of its table.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class Series:
@@ -37,6 +38,9 @@ class Series:
             coeffs = coeffs[: order + 1]
         self.order = order
         self.coeffs = coeffs
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.coeffs)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -216,8 +220,9 @@ def t_regular_gf(t: int, order: int) -> Series:
     return held if held.order == order else Series(held.coeffs, order)
 
 
-def csv_lines(s: Series) -> Iterator[str]:
-    """Rows 'n,coefficient' with exact decimal integers, after a header."""
+def csv_lines(coeffs: Iterable[int]) -> Iterator[str]:
+    """Rows 'n,coefficient' with exact decimal integers, after a header, for a
+    ``Series`` or any stream of coefficients from q^0 on."""
     yield "n,coefficient"
-    for n, c in enumerate(s.coeffs):
+    for n, c in enumerate(coeffs):
         yield f"{n},{c}"

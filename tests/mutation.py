@@ -10,6 +10,10 @@ break those, and two of them change a record's default (``MapSpec.regular_from``
 ``Family.reads``).  The last four break a decision that every other site
 reads from one home: an output format of ``checks.FORMATS``, a piece of
 ``hookgf.PIECES``, the t rule of ``series.check_t`` and D1 and D2 at t = 2 only.
+The ``block-*`` mutants break the block evaluator ``hookgf.blocks`` where
+a whole-series evaluator has no counterpart: the coefficients a row
+carries into the next block, a term that starts in a later block, and
+the last block when it is short.
 This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated tests of SUITE there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
@@ -80,6 +84,13 @@ MUTANTS = {
     "piece-B-sign-flipped": (HOOKGF, "2 * t: -1}}", "2 * t: 1}}"),
     "check-t-refuses-2": (SERIES, "    if t < 2:\n", "    if t < 3:\n"),
     "D1-D2-t2-guard-removed": (HOOKGF, "    if t != 2:\n", "    if False:\n"),
+    "block-carry-off-by-one": (HOOKGF, "carry[:] = acc[-m:]", "carry[:] = acc[-m - 1 : -1]"),
+    "block-skips-later-terms": (
+        HOOKGF, "            if e >= hi:\n                break", "            if e >= BLOCK:\n                break"
+    ),
+    "block-drops-last-partial": (
+        HOOKGF, "for lo in range(0, order + 1, BLOCK)", "for lo in range(0, order + 1 - (order + 1) % BLOCK, BLOCK)"
+    ),
 }
 
 # mutants no test can kill, with the reason

@@ -553,6 +553,35 @@ def bt3_t2_form(order: int) -> Series:
     )
 
 
+def combination_by_whole_lists(t: int, table: dict[int, dict[int, int]], order: int) -> Series:
+    """The series of a numerator table ``{m: {e: x}}``, T times sum_m (sum_e x q^e) / (1 - q^m).
+
+    One whole list per row and pass, the first term seeding it: the
+    differential reference for the block evaluator ``hookgf.blocks``.
+    """
+    T = t_regular_gf(t, order).coeffs
+    total = None
+    for m, row in table.items():
+        terms = [(e, x) for e, x in row.items() if x and e <= order]
+        if not terms:
+            continue
+        (e, x), *rest = terms
+        acc = [0] * e
+        acc += T[: order + 1 - e] if x == 1 else map(x.__mul__, T[: order + 1 - e])
+        for e, x in rest:  # acc += x q^e T
+            if x == 1:
+                acc[e:] = map(add, acc[e:], T)
+            elif x == -1:
+                acc[e:] = map(sub, acc[e:], T)
+            else:
+                acc[e:] = map(add, acc[e:], map(x.__mul__, T))
+        if m:  # acc /= 1 - q^m
+            for i in range(m, order + 1):
+                acc[i] += acc[i - m]
+        total = acc if total is None else list(map(add, total, acc))
+    return Series(total or (0,), order)
+
+
 # The decomposition pieces and family counts as chains of ``Series`` ring
 # operations over the parts-at-least-2 series; the differential reference
 # for the numerator tables of ``hookgf``.

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -50,6 +51,33 @@ class TestThm12:
         assert check.passed and check.witnesses == []
         assert check.info["asserted_range"] == [30692, 30792]
         assert check.info["largest_negative_n"] == 27
+
+
+class TestThm12Memory:
+    """The scan holds T and about a block of each row, never the difference series."""
+
+    @staticmethod
+    def _peak_and_t_size(monkeypatch, order):
+        """The traced peak of run_thm12(3, order) after T is stored at that order, and T's size."""
+        monkeypatch.setattr(series, "_T_STORE", {})
+        monkeypatch.setattr(hookgf, "BLOCK", 256)
+        T = series.t_regular_gf(3, order).coeffs
+        run_thm12(3, 300)  # first calls, off the trace
+        tracemalloc.start()
+        try:
+            check = run_thm12(3, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.passed and check.info["largest_negative_n"] == 27
+        return peak, sys.getsizeof(T) + sum(map(sys.getsizeof, T))
+
+    def test_peak_is_a_small_share_of_t_and_barely_grows(self, monkeypatch):
+        half, _ = self._peak_and_t_size(monkeypatch, 3000)
+        peak, size = self._peak_and_t_size(monkeypatch, 6000)
+        # a whole difference series at 6000 takes more than T does
+        assert peak < size / 4, (peak, size)
+        assert peak < 1.5 * half, (half, peak)
 
 
 class TestThm13:
@@ -193,19 +221,19 @@ class TestIdentityAndOracle:
         assert check.witnesses == [(2, 6, -1), (2, 7, -1), (2, 8, -1), (2, 9, -1), (2, 10, -2)]
         assert check.to_dict() == run_identity_check("def", (2,), 10).to_dict()
 
-    @pytest.mark.parametrize("which,name", [("abc", "diff_bt2_bt1"), ("def", "diff_bt2_bt3")])
-    def test_identity_looks_its_hook_difference_up_when_called(self, monkeypatch, which, name):
+    @pytest.mark.parametrize("which,k", [("abc", 1), ("def", 3)])
+    def test_identity_looks_its_hook_difference_up_when_called(self, monkeypatch, which, k):
         # a rebinding on the module, as a test's monkeypatch or a tracer makes, is the one run
         calls = []
-        difference = getattr(checks, name)
+        difference = checks.hook_difference_table
 
-        def spy(t, order):
-            calls.append((t, order))
-            return difference(t, order)
+        def spy(t, k, order):
+            calls.append((t, k, order))
+            return difference(t, k, order)
 
-        monkeypatch.setattr(checks, name, spy)
+        monkeypatch.setattr(checks, "hook_difference_table", spy)
         assert run_identity_check(which, (3, 4), 20).passed
-        assert calls == [(3, 20), (4, 20)]
+        assert calls == [(3, k, 20), (4, k, 20)]
 
     def test_oracle_repeated_k_is_scanned_once(self):
         check = run_oracle_crosscheck(3, 8, (2, 2))

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import random
 import types
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import given
 
 from hookcounts import hookgf, partitions
 from hookcounts.hookgf import (
+    _family_table,
     _hook_terms,
     btk_enum_table,
     btk_gf,
@@ -22,7 +24,7 @@ from hookcounts.hookgf import (
 )
 from hookcounts.injections import FAMILIES
 from hookcounts.partitions import Partition, hook_multiset
-from hookcounts.series import t_regular_gf
+from hookcounts.series import Series, t_regular_gf
 from oracles import (
     bt1_form,
     bt2_form,
@@ -32,6 +34,7 @@ from oracles import (
     btk_enum_table_by_partitions,
     btk_enum_table_by_walks,
     btk_enum_table_for_one_t,
+    combination_by_whole_lists,
     decomposition_chain,
     hook3_marker_by_runs,
     hook_multiset_by_heights,
@@ -422,8 +425,8 @@ class TestSetSeries:
 class TestTablesMatchSeriesChains:
     """The numerator tables against the ``Series`` operator chains they replace."""
 
-    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
-    def test_every_order(self, t):
+    @staticmethod
+    def _every_order(t):
         # every declared family, so a new declaration needs an independent chain
         sets = [name for name in FAMILIES if t == 2 or name not in ("D1", "D2")]
         for o in range(301):
@@ -433,6 +436,74 @@ class TestTablesMatchSeriesChains:
                 assert set_cardinality_series(set_id, t, o) == set_cardinality_chain(set_id, t, o)
             if t == 2:
                 assert t2_remainder_series(o) == t2_remainder_chain(o)
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
+    def test_every_order(self, t):
+        self._every_order(t)
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
+    def test_every_order_in_blocks_of_7(self, monkeypatch, t):
+        # orders 0..300 end in every position of a block, and cross up to 43 blocks
+        monkeypatch.setattr(hookgf, "BLOCK", 7)
+        self._every_order(t)
+
+
+class TestBlockEvaluator:
+    """``hookgf.blocks`` against the whole-list evaluator it replaced, at small block sizes."""
+
+    @staticmethod
+    def _tables(t):
+        """The tables of the library at t: hook counts and differences, pieces and families."""
+        order = 120
+        yield from (hookgf.hook_table(t, k, order) for k in range(1, 6))
+        yield from (hookgf.hook_difference_table(t, k, order) for k in (1, 3))
+        yield from (hookgf.piece_table(name, t) for name in hookgf.PIECES)
+        yield from (_family_table(set_id, t) for set_id in "ORASBC")
+        # a seed above a lower term, and coefficients other than +-1
+        yield {3 * t: {5: -1, 9: 1, 30: 2}, 0: {0: -3, 17: 1}, 2: {60: 1}}
+
+    @pytest.mark.parametrize("block", [1, 7, "below m"])
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_matches_whole_lists_at_block_edges(self, monkeypatch, t, block):
+        for table in self._tables(t):
+            size = max(max(table) - 1, 2) if block == "below m" else block
+            monkeypatch.setattr(hookgf, "BLOCK", size)
+            for k in (1, 2, 5, 9):
+                for order in (k * size - 1, k * size, k * size + 1):
+                    got = list(hookgf.blocks(t, table, order))
+                    q, r = divmod(order + 1, size)
+                    assert [len(b) for b in got] == [size] * q + [r] * (r > 0)
+                    want = combination_by_whole_lists(t, table, order)
+                    assert Series([c for b in got for c in b], order) == want, (table, order)
+
+    def test_random_tables(self, monkeypatch):
+        # rows m in 0..9, terms at exponents 0..40 with coefficients -3..3 (zeros
+        # included), so that seeds, rows and terms start in any block
+        rng = random.Random(31)
+        for _ in range(400):
+            table = {
+                rng.randrange(10): {rng.randrange(41): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
+                for _ in range(rng.randint(1, 4))
+            }
+            order = rng.randrange(71)
+            monkeypatch.setattr(hookgf, "BLOCK", rng.randint(1, 12))
+            assert hookgf._combination(3, table, order) == combination_by_whole_lists(3, table, order), table
+
+    def test_default_block_matches_whole_lists_past_one_block(self):
+        order = 2 * hookgf.BLOCK + 1
+        table = hookgf.hook_difference_table(3, 1, order)
+        assert diff_bt2_bt1(3, order) == combination_by_whole_lists(3, table, order)
+
+    def test_bad_order_raises_on_the_call(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            hookgf.blocks(3, {0: {0: 1}}, -1)
+        with pytest.raises(ValueError, match="t must be at least 2"):
+            hookgf.blocks(1, {0: {0: 1}}, 5)
+
+    def test_empty_table_is_zero_without_building_t(self, monkeypatch):
+        monkeypatch.setattr(hookgf, "t_regular_gf", None)  # calling it would raise
+        monkeypatch.setattr(hookgf, "BLOCK", 4)
+        assert list(hookgf.blocks(3, {6: {}, 0: {9: 1, 2: 0}}, 8)) == [[0] * 4, [0] * 4, [0]]
 
 
 def _code_names(code: types.CodeType) -> set[str]:
@@ -480,11 +551,15 @@ class TestRouteIndependence:
         assert {"Partition", "partitions_of", "partition_heads", "hook_multiset"} <= bound
         bound.add("partitions")
         builders = (
+            hookgf.blocks,
+            hookgf._block,
             hookgf._combination,
-            hookgf._merge,
+            hookgf.merge,
+            hookgf.hook_table,
+            hookgf.hook_difference_table,
             hookgf._hook_terms,
             hookgf._family_table,
-            hookgf._piece_table,
+            hookgf.piece_table,
             *hookgf.PIECES.values(),
         )
         for f in builders:
@@ -496,11 +571,15 @@ class TestRouteIndependence:
             "divide_unit",
             "pochhammer_inf",
             "Series",
+            "blocks",
+            "_block",
             "_combination",
+            "hook_table",
+            "hook_difference_table",
             "_hook_terms",
-            "_merge",
+            "merge",
             "_family_table",
-            "_piece_table",
+            "piece_table",
         }
         # the scan follows helpers: btk_series names t_regular_gf only through one
         assert "t_regular_gf" not in _code_names(btk_series.__code__)
