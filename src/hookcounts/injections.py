@@ -4,6 +4,8 @@ Every map here transforms a partition of n into another partition of n.  Each
 is a raw formula ``f(p, t)``, written as one part trade per case: a forward
 map is right on its class of a frequency-congruence family of t-regular
 partitions, an inverse on the forward images, and neither checks its input.
+Each returns a :class:`Partition`, which the driver keys and compares by its
+``items()``, so equal partitions built separately are one image.
 
 Each family's part rule, 1-count rule and needed part are declared once,
 in ``hookgf.FAMILY_RULES``, whose counting tables come from the same
@@ -156,14 +158,15 @@ def _o_subsets(p: Partition, t: int) -> list[int]:
     """The one O-subset p falls in: each condition holds only where those before it fail."""
     step, heavy_at = 2 * t, 6 * t + 1
     f1, heavy = 0, False
-    for v, m in p.items():
+    items = p.items()
+    for v, m in items:
         if v == 1:
             f1 = m
         elif v % step == 1:
             return [1]
         elif m >= heavy_at:
             heavy = True
-    if p.largest() >= 8 * t * t + 1:
+    if items and items[0][0] >= 8 * t * t + 1:  # the largest part
         return [2]
     if heavy:
         return [3]
@@ -237,7 +240,9 @@ RawMap = Callable[[Partition, int], Partition]
 def phi1(p: Partition, t: int) -> Partition:
     """Trade the smallest part of shape 2kt+1 for one 2t+1 and (k-1) parts 2t."""
     step = 2 * t
-    v = next(v for v, _ in reversed(p.items()) if v > 1 and v % step == 1)
+    for v, _ in reversed(p.items()):
+        if v > 1 and v % step == 1:
+            break
     return p.trade((v,), [2 * t + 1] + [2 * t] * (v // step - 1))
 
 
@@ -419,10 +424,13 @@ class MapSpec(NamedTuple):
     class absent from ``inverse`` has no declared inverse.  A raw formula
     checks nothing and is right only on its class (the inverse on the
     forward images), so only :func:`verify_injection` calls one, on the
-    domain members it has classified.  The map is verified for
-    ``n >= min_n`` and the t for which ``t_ok(t)`` holds; ``t_error`` says
-    which those are.  The paper proves the images t-regular for
-    ``t >= regular_from`` only; a smaller allowed t runs with a warning.
+    domain members it has classified.  It returns a :class:`Partition`:
+    the driver keys the images and compares the inverse's result by
+    ``items()``, so equal partitions built separately count as one image.
+    The map is verified for ``n >= min_n`` and the t for which ``t_ok(t)``
+    holds; ``t_error`` says which those are.  The paper proves the images
+    t-regular for ``t >= regular_from`` only; a smaller allowed t runs with
+    a warning.
     """
 
     domain: str
@@ -500,7 +508,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
 
     forward, inverses = spec.forward, spec.inverse
     domain_subsets, codomain_subsets = domain.subsets, codomain.subsets
-    images: dict[Partition, Partition] = {}
+    images: dict[tuple, Partition] = {}  # an image's items -> its first preimage
     domain_size = walked = 0
     for lam in domain.members(n, t):
         walked += 1
@@ -522,13 +530,13 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
         elif not in_codomain(mu) or (codomain_subsets(mu, t) or [None])[0] != cls:
             # outside the codomain, or the first subset it falls in is not cls
             violate(lam, "NotInCodomain", f"image {mu} outside target subset")
-        first = images.setdefault(mu, lam)
+        first = images.setdefault(mu.items(), lam)
         if first is not lam:
             violate(lam, "Collision", f"image {mu} already produced by {first}")
         inverse = inverses.get(cls)
         if inverse is not None:
             back = inverse(mu, t)
-            if back != lam:
+            if back.items() != lam.items():
                 violate(lam, "InverseMismatch", f"inverse returned {back}")
 
     counted = hookgf.set_cardinality_series(spec.domain, t, n)[n]

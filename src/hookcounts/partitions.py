@@ -239,6 +239,7 @@ def partitions_of(
     extra = int(needs == low > 0)  # the needed part is low: one more copy in every fill end
 
     def walk() -> Iterator[Partition]:
+        make = Partition._from_sorted_items
         for items, rest in partition_heads(w, values):
             rs = counts[rest % step]
             if not rs or rs[0] > rest:
@@ -257,7 +258,7 @@ def partitions_of(
                     end = head + ((low, m), (1, r)) if r else head + ((low, m),)
                 else:
                     end = head + ((1, r),) if r else head
-                yield Partition._from_sorted_items(end, n)
+                yield make(end, n)
 
     return walk()
 

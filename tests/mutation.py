@@ -13,7 +13,10 @@ reads from one home: an output format of ``checks.FORMATS``, a piece of
 The ``block-*`` mutants break the block evaluator ``hookgf.blocks`` where
 a whole-series evaluator has no counterpart: the coefficients a row
 carries into the next block, a term that starts in a later block, and
-the last block when it is short.
+the last block when it is short.  The ``key-*`` mutants break the item
+tuples verify_injection keys its images by and compares the inverse's
+result with: images keyed by the preimage, so no collision is seen, and
+the inverse's result compared with itself.
 This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated tests of SUITE there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
@@ -91,6 +94,8 @@ MUTANTS = {
     "block-drops-last-partial": (
         HOOKGF, "for lo in range(0, order + 1, BLOCK)", "for lo in range(0, order + 1 - (order + 1) % BLOCK, BLOCK)"
     ),
+    "key-images-by-preimage": (INJECTIONS, "images.setdefault(mu.items(), lam)", "images.setdefault(lam.items(), lam)"),
+    "key-inverse-against-itself": (INJECTIONS, "back.items() != lam.items()", "back.items() != back.items()"),
 }
 
 # mutants no test can kill, with the reason

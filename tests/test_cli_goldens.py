@@ -139,7 +139,7 @@ USAGE_GOLDENS = [
     ("verify -h", 0, "e251f86a1a32679686389463f8c7375a044c9ec4a1b535e537b439dce3f543be"),
     ("verify identity -h", 0, "0c65a4378dfc21c99b6fbe03e424001faba695f6b73dfd3a4bb6a4aac85e16eb"),
     ("verify injection -h", 0, "465a10324da99a7e3b0b1b695d08d70745efd30689889ebe4400a5652ef6b72b"),
-    ("verify theorem -h", 0, "914e1128c2a3d84bb99fbc962691fe488dc6e77dac7da5956ca2f4b80294b277"),
+    ("verify theorem -h", 0, "225f1303ea5938804d717277414b8148d57a7abd71c2bfca5c56c335dbb76c67"),
     ("", 2, "a03d347c9c9c7fcbe349ab2dd4c41fad95c9d537cdcae8eae58189449e7733ed"),
     ("bogus", 2, "78dbdeaa71fbb83e20f4e093879b7ab0b7b5f2474f46a2cfaec0856cdac77562"),
     # a prefix of a command name is no command
