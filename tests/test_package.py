@@ -43,6 +43,7 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
         cwd=tmp_path,
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
