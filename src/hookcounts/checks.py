@@ -9,16 +9,15 @@ same flags are byte-identical.  A t or k listed twice is scanned once.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .hookgf import (
     Table,
-    blocks,
     btk_enum_table,
-    btk_series,
+    coefficients,
     hook_difference_table,
+    hook_table,
     merge,
     piece_table,
 )
@@ -54,11 +53,6 @@ class TheoremCheck(NamedTuple):
         return d
 
 
-def _coefficients(t: int, table: Table, order: int) -> Iterator[int]:
-    """The coefficients 0..order of the series of ``table``, read a block at a time."""
-    return chain.from_iterable(blocks(t, table, order))
-
-
 def _negatives(
     table: Callable[[int], Table], t_values: Iterable[int], order: int
 ) -> list[tuple[int, int, int]]:
@@ -69,7 +63,7 @@ def _negatives(
     return [
         (t, n, c)
         for t in t_values
-        for n, c in enumerate(_coefficients(t, table(t), order))
+        for n, c in enumerate(coefficients(t, table(t), order))
         if c < 0
     ]
 
@@ -186,7 +180,7 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     for t in t_values:
         a, b, c = (piece_table(name, t) for name in which.upper())
         diff = merge((sign, a), (1, b), (1, c), (-1, hook_difference_table(t, k, order)))
-        witnesses.extend((t, n, d) for n, d in enumerate(_coefficients(t, diff, order)) if d)
+        witnesses.extend((t, n, d) for n, d in enumerate(coefficients(t, diff, order)) if d)
     return TheoremCheck(
         which=f"identity_{which}",
         params={"t_values": list(t_values), "order": order},
@@ -204,7 +198,7 @@ def _oracle_mismatches(ts: tuple[int, ...], n_max: int, ks: tuple[int, ...]) -> 
     mismatches = []
     for t, table in btk_enum_table(ts, n_max, ks).items():
         for k in ks:
-            s = btk_series(t, k, n_max)
+            s = list(coefficients(t, hook_table(t, k, n_max), n_max))
             mismatches.extend(
                 (t, k, n, table[(k, n)], s[n]) for n in range(n_max + 1) if table[(k, n)] != s[n]
             )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from itertools import chain
 
 from . import checks, hookgf, injections
 from .series import csv_lines
@@ -124,14 +123,16 @@ def _theorem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_count(args) -> int:
+    # each method's table checks t and k; a negative n is named as n, not as the order
+    order = max(args.n, 0)
     if args.method == "enum":
-        # the table checks t and k; a negative n is named as n, not as its n_max
-        table = hookgf.btk_enum_table((args.t,), max(args.n, 0), (args.k,))[args.t]
-        if args.n < 0:
-            raise ValueError("n must be nonnegative")
-        print(table[args.k, args.n])
+        count = hookgf.btk_enum_table((args.t,), order, (args.k,))[args.t][args.k, order]
     else:
-        print(hookgf.btk_gf(args.t, args.k, args.n))
+        table = hookgf.hook_table(args.t, args.k, order)
+        count = list(hookgf.coefficients(args.t, table, order))[-1]
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
+    print(count)
     return 0
 
 
@@ -141,7 +142,7 @@ def _cmd_series(args) -> int:
     else:
         table = hookgf.hook_table(args.t, int(args.name[-1]), args.order)
     # written as the blocks are computed, so a long order holds T and one block
-    for line in csv_lines(chain.from_iterable(hookgf.blocks(args.t, table, args.order))):
+    for line in csv_lines(hookgf.coefficients(args.t, table, args.order)):
         print(line)
     return 0
 

@@ -10,33 +10,34 @@ Two independent routes to the same numbers:
   of copies of the smallest allowed part and 1s: a head's mask and rim are
   read once, and each partition of its run costs a constant number of
   big-int operations besides its hook reads.
-* :func:`btk_series` expands, in exact truncated arithmetic, a generating
-  function derived for each (t, k) from the arm and leg of a diagram cell.
+* :func:`hook_table` derives for each (t, k), from the arm and leg of a
+  diagram cell, a generating function that :func:`coefficients` expands
+  in exact truncated arithmetic.
 
 They deliberately share no code, so agreement of the two routes is a real
 cross-check.  Every series here is a numerator table: T, the t-regular
-series (the one stored build), times a sum of polynomials over 1 - q^m.
-One evaluator, :func:`blocks`, yields a table's coefficients a block of
-:data:`BLOCK` at a time, each row carrying its last m coefficients into
-the next block, so a scan holds T and about one block per row; a
-``Series`` is its blocks end to end.  The k-hook tables are derived on
-each call, up to the order only, the family counts from the rules in
-:data:`FAMILY_RULES` that ``injections`` walks; the pieces B and F are
-typed by hand.  Piece A is family O's count, C is R's; D keeps the
-paper's form of family A's count, which differs from the exact one at
-t = 3.  Differences and sums :func:`merge` their tables first, so
-cancelling terms cost nothing.
+series (the one stored build), times a sum of polynomials over 1 - q^m;
+callers name a table and read it with one evaluator, :func:`blocks`, which
+yields its coefficients a block of :data:`BLOCK` at a time, each row
+carrying its last m coefficients into the next block, so a scan holds T
+and about one block per row (:func:`coefficients` reads them one by one).
+The k-hook tables are derived on each call, up to the order only, the
+family counts from the rules in :data:`FAMILY_RULES` that ``injections``
+walks; the pieces B and F are typed by hand.  Piece A is family O's
+count, C is R's; D keeps the paper's form of family A's count, which
+differs from the exact one at t = 3.  Differences and sums :func:`merge`
+their tables first, so cancelling terms cost nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .partitions import partition_heads
-from .series import Series, check_t, t_regular_gf
+from .series import check_t, t_regular_gf
 
 
 def _check_tk(t: int, k: int) -> None:
@@ -262,6 +263,11 @@ def blocks(t: int, table: Table, order: int) -> Iterator[list[int]]:
     return (_block(T, rows, lo, min(lo + BLOCK, order + 1)) for lo in range(0, order + 1, BLOCK))
 
 
+def coefficients(t: int, table: Table, order: int) -> Iterator[int]:
+    """The coefficients 0..order of the series of ``table``: its :func:`blocks` end to end."""
+    return chain.from_iterable(blocks(t, table, order))
+
+
 def _block(T: Sequence[int], rows: list, lo: int, hi: int) -> list[int]:
     """Coefficients lo..hi-1 of the series of ``rows``, the blocks before read.
 
@@ -301,14 +307,6 @@ def _block(T: Sequence[int], rows: list, lo: int, hi: int) -> list[int]:
     return [0] * (hi - lo) if total is None else total
 
 
-def _combination(t: int, table: Table, order: int) -> Series:
-    """The series of ``table``: its :func:`blocks`, end to end."""
-    coeffs: list[int] = []
-    for block in blocks(t, table, order):
-        coeffs += block
-    return Series(coeffs, order)
-
-
 def hook_table(t: int, k: int, order: int) -> Table:
     """The table of b(t,k), cut at the order: :func:`_hook_terms`, none when k > order."""
     _check_tk(t, k)
@@ -320,27 +318,6 @@ def hook_table(t: int, k: int, order: int) -> Table:
 def hook_difference_table(t: int, k: int, order: int) -> Table:
     """The table of b(t,2) - b(t,k), cut at the order; terms cancelling cost no pass."""
     return merge((1, hook_table(t, 2, order)), (-1, hook_table(t, k, order)))
-
-
-def btk_series(t: int, k: int, order: int) -> Series:
-    """Series whose q^n coefficient is the total number of k-hooks, for any k >= 1."""
-    return _combination(t, hook_table(t, k, order), order)
-
-
-def btk_gf(t: int, k: int, n: int) -> int:
-    """Hook count read off the generating function."""
-    _check_tk(t, k)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return btk_series(t, k, n)[n]
-
-
-def diff_bt2_bt1(t: int, order: int) -> Series:
-    return _combination(t, hook_difference_table(t, 1, order), order)
-
-
-def diff_bt2_bt3(t: int, order: int) -> Series:
-    return _combination(t, hook_difference_table(t, 3, order), order)
 
 
 def _paper_a_table(t: int) -> Table:
@@ -371,7 +348,7 @@ def _at_t2(t: int, rules: Rules) -> Rules:
 
 
 # every partition family the injections use, declared once: its predicate, its
-# walk (``injections.FAMILIES``) and its counting table (:func:`_family_table`)
+# walk (``injections.FAMILIES``) and its counting table (:func:`family_table`)
 # are all read off these rules
 FAMILY_RULES: dict[str, Callable[[int], Rules]] = {
     "O": lambda t: Rules(ones=(1,), mod=2),
@@ -394,13 +371,15 @@ def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _family_table(set_id: str, t: int) -> Table:
+def family_table(set_id: str, t: int) -> Table:
     """The counting table of a family, derived from its :data:`FAMILY_RULES` at t.
 
     On T: a needed part x gives q^x, a forbidden x with t not dividing x
     (1 - q^x), an allowed multiple x of t the row m = x, and 1-counts r mod
     M > 1 (1 - q) sum q^r in the row m = M.  Rules needing two rows raise.
+    Every table is exact: A's at t = 3 has no factor 1 - q^3 for a part T lacks.
     """
+    check_t(t)
     if set_id not in FAMILY_RULES:
         raise ValueError(f"unknown set id {set_id!r}")
     allow, forbid, ones, mod, needs = FAMILY_RULES[set_id](t)
@@ -420,61 +399,25 @@ def _family_table(set_id: str, t: int) -> Table:
 # each decomposition piece's table at t: A is O's, C is R's, D = S - A and
 # E = B - C, D subtracting the paper's form of family A's count at every t
 PIECES: dict[str, Callable[[int], Table]] = {
-    "A": lambda t: _family_table("O", t),
+    "A": lambda t: family_table("O", t),
     # (1 - q) q^(2t-1) / (1 - q^2t)
     "B": lambda t: {2 * t: {2 * t - 1: 1, 2 * t: -1}},
-    "C": lambda t: _family_table("R", t),
-    "D": lambda t: merge((1, _family_table("S", t)), (-1, _paper_a_table(t))),
-    "E": lambda t: merge((1, _family_table("B", t)), (-1, _family_table("C", t))),
+    "C": lambda t: family_table("R", t),
+    "D": lambda t: merge((1, family_table("S", t)), (-1, _paper_a_table(t))),
+    "E": lambda t: merge((1, family_table("B", t)), (-1, family_table("C", t))),
     # (1 - q)(1 - q^2)(1 + q^3) q^(3t-3) / (1 - q^3t)
     "F": lambda t: {3 * t: dict(zip(range(3 * t - 3, 3 * t + 4), (1, -1, -1, 2, -1, -1, 1)))},
 }
 
 
 def piece_table(name: str, t: int) -> Table:
-    """The table of the decomposition piece ``name`` at t, from :data:`PIECES`."""
+    """The table of the decomposition piece ``name`` at t, from :data:`PIECES`.
+
+    -A + B + C is the 2-hook minus 1-hook difference at every t, and D + E + F
+    the 2-hook minus 3-hook one at t >= 3; at t = 2 it matches the four-term
+    3-hook form, which over-counts 3-hooks (first at n = 6).
+    """
     check_t(t)
     if name not in PIECES:
         raise ValueError(f"unknown decomposition series {name!r}")
     return PIECES[name](t)
-
-
-def decomposition_series(name: str, t: int, order: int) -> Series:
-    """The six named pieces of the 2-hook minus 1-hook and 2-hook minus 3-hook splits.
-
-    A is the family O's count and C is R's; B has no set interpretation.
-    D = S - A and E = B - C are differences of the counts of the families
-    A, B, C (not the pieces), so their signs are those of the injections
-    A -> S and C -> B; D takes the paper's form of A's count, which at t = 3
-    is not A's count (see :func:`set_cardinality_series`).  -A + B + C is
-    the 2-hook minus 1-hook difference for every t, and D + E + F the 2-hook
-    minus 3-hook one for t >= 3; at t = 2 it matches the four-term 3-hook
-    form, which over-counts 3-hooks (first at n = 6).
-    """
-    return _combination(t, piece_table(name, t), order)
-
-
-def set_cardinality_series(set_id: str, t: int, order: int) -> Series:
-    """Counting series of a partition family, read off its :data:`FAMILY_RULES`.
-
-    Every series is exact: A's at t = 3 has no factor 1 - q^3 for a part 3
-    that T lacks.  D1 and D2 exist at t = 2 only (their rules raise elsewhere).
-    """
-    check_t(t)
-    return _combination(t, _family_table(set_id, t), order)
-
-
-def t2_remainder_series(order: int) -> Series:
-    """(q^2 - q^3)(1 - q)(q^2;q^2)_inf / (q;q)_inf.
-
-    Nonnegativity of this series away from n in {3, 6} is the convexity
-    input behind the t=2 sign analysis of E.
-    """
-    return _combination(2, {0: {2: 1, 3: -2, 4: 1}}, order)
-
-
-def distinct_partition_count(n: int) -> int:
-    """Q(n): partitions of n into distinct parts, via the 2-regular series."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return t_regular_gf(2, n)[n]

@@ -539,7 +539,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
             if back.items() != lam.items():
                 violate(lam, "InverseMismatch", f"inverse returned {back}")
 
-    counted = hookgf.set_cardinality_series(spec.domain, t, n)[n]
+    counted = list(hookgf.coefficients(t, hookgf.family_table(spec.domain, t), n))[n]
     if walked != counted:
         detail = f"walked {walked} members, the counting series has {counted}"
         violations.append(Violation(domain.name, "DomainIncomplete", detail))

@@ -16,7 +16,9 @@ carries into the next block, a term that starts in a later block, and
 the last block when it is short.  The ``key-*`` mutants break the item
 tuples verify_injection keys its images by and compares the inverse's
 result with: images keyed by the preimage, so no collision is seen, and
-the inverse's result compared with itself.
+the inverse's result compared with itself.  The ``coefficient-*`` mutants
+break the t rule of ``family_table`` and the two sites that read one
+coefficient of a table's evaluation.
 This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated tests of SUITE there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
@@ -53,6 +55,7 @@ HOOKGF = "src/hookcounts/hookgf.py"
 INJECTIONS = "src/hookcounts/injections.py"
 CHECKS = "src/hookcounts/checks.py"
 SERIES = "src/hookcounts/series.py"
+CLI = "src/hookcounts/cli.py"
 
 # name -> (file, text, replacement); the text occurs exactly once in the file
 MUTANTS = {
@@ -96,6 +99,9 @@ MUTANTS = {
     ),
     "key-images-by-preimage": (INJECTIONS, "images.setdefault(mu.items(), lam)", "images.setdefault(lam.items(), lam)"),
     "key-inverse-against-itself": (INJECTIONS, "back.items() != lam.items()", "back.items() != back.items()"),
+    "coefficient-domain-count-reads-n-minus-1": (INJECTIONS, "n))[n]", "n))[n - 1]"),
+    "coefficient-family-table-drops-check-t": (HOOKGF, "    check_t(t)\n    if set_id", "    if set_id"),
+    "coefficient-count-gf-reads-n-minus-1": (CLI, "order))[-1]", "order))[-2]"),
 }
 
 # mutants no test can kill, with the reason

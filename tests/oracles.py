@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterator
 
-from hookcounts.hookgf import _check_tk
+from hookcounts.hookgf import _check_tk, coefficients
 from hookcounts.injections import Family
 from hookcounts.partitions import (
     HookMultiset,
@@ -499,7 +499,7 @@ def hook3_marker_by_runs(t: int, order: int) -> Series:
 
 
 # The paper's closed forms for the 1-, 2- and 3-hook series, typed in by
-# hand; the statements under test against the derived ``btk_series``.
+# hand; the statements under test against the derived ``hookgf.hook_table``.
 
 
 def bt1_form(t: int, order: int) -> Series:
@@ -551,6 +551,11 @@ def bt3_t2_form(order: int) -> Series:
         + T.shift(6).times_geometric(4)
         + T.shift(3).times_geometric(6)
     )
+
+
+def series_of(t: int, table: dict[int, dict[int, int]], order: int) -> Series:
+    """Not an oracle: the library's ``hookgf.coefficients`` of a table, as a ``Series``."""
+    return Series(list(coefficients(t, table, order)), order)
 
 
 def combination_by_whole_lists(t: int, table: dict[int, dict[int, int]], order: int) -> Series:

@@ -20,11 +20,12 @@ from hookcounts.checks import (
     run_thm12,
     run_thm13,
 )
-from hookcounts.hookgf import distinct_partition_count, t2_remainder_series
+from hookcounts.hookgf import hook_difference_table
 from hookcounts.injections import FAMILIES, phi1, phi2, phi3, phi4, verify_injection_range
 from hookcounts.partitions import Partition, hook_multiset
+from hookcounts.series import t_regular_gf
 
-from oracles import label
+from oracles import label, series_of
 
 P = Partition.parse
 O = FAMILIES["O"]
@@ -60,9 +61,7 @@ def test_criterion_3_exact_characterization():
 
 def test_criterion_4_bound_for_2_vs_1_at_t2():
     check = run_thm12(2, 3100)
-    from hookcounts.hookgf import diff_bt2_bt1
-
-    diff = diff_bt2_bt1(2, 3100)
+    diff = series_of(2, hook_difference_table(2, 1, 3100), 3100)
     tail_ok = all(diff[n] >= 0 for n in range(2990, 3101))
     ok = _verdict(4, "2-hooks >= 1-hooks for 2990 <= n <= 3100", check.passed and tail_ok)
     assert ok, check.witnesses[:5]
@@ -139,9 +138,10 @@ def test_criterion_7_worked_examples():
 
 
 def test_criterion_8_convexity_and_remainder():
-    q = [distinct_partition_count(n) for n in range(202)]
+    q = t_regular_gf(2, 201).coeffs  # Q(n), the partitions of n into distinct parts
     convex = all(2 * q[n] <= q[n - 1] + q[n + 1] for n in range(4, 201))
-    remainder = t2_remainder_series(200)
+    # (q^2 - q^3)(1 - q) T at t = 2
+    remainder = series_of(2, {0: {2: 1, 3: -2, 4: 1}}, 200)
     negatives = [n for n, c in enumerate(remainder.coeffs) if c < 0]
     ok = _verdict(8, "distinct-count convexity and remainder negatives", convex and negatives == [3, 6])
     assert ok, {"convex": convex, "negatives": negatives}

@@ -24,7 +24,6 @@ from hookcounts.checks import (
     run_thm13,
 )
 from hookcounts.injections import verify_injection
-from hookcounts.series import Series
 
 from oracles import btk_enum, btk_enum_table_for_one_t
 
@@ -99,15 +98,15 @@ class TestOracleWalk:
 
     @staticmethod
     def _series_off_by_one(monkeypatch, cells):
-        # the series route reads one more than it should at each (t, k, n) cell
-        real = checks.btk_series
+        # the series route reads one more than it should at each (t, k, n) cell:
+        # evaluating the hook table of (t, k), the evaluator adds 1 at n
+        real = checks.coefficients
 
-        def patched(t, k, order):
-            s = real(t, k, order)
-            wrong = {n for ct, ck, n in cells if (ct, ck) == (t, k) and n <= order}
-            return Series([s[n] + (n in wrong) for n in range(order + 1)], order)
+        def patched(t, table, order):
+            wrong = {n for ct, k, n in cells if ct == t and table == hookgf.hook_table(t, k, order)}
+            return (c + (n in wrong) for n, c in enumerate(real(t, table, order)))
 
-        monkeypatch.setattr(checks, "btk_series", patched)
+        monkeypatch.setattr(checks, "coefficients", patched)
 
     @staticmethod
     def _per_t_mismatches(ts, n_max, ks):
@@ -116,7 +115,7 @@ class TestOracleWalk:
         for t in ts:
             table = btk_enum_table_for_one_t(t, n_max, ks)
             for k in ks:
-                s = checks.btk_series(t, k, n_max)
+                s = list(checks.coefficients(t, checks.hook_table(t, k, n_max), n_max))
                 found += [
                     (t, k, n, table[k, n], s[n]) for n in range(n_max + 1) if table[k, n] != s[n]
                 ]
@@ -710,10 +709,10 @@ def _choices(line, dest):
 # each function that refuses t = 1 through series.check_t
 T_RULE_SITES = {
     "t_regular_gf": lambda: series.t_regular_gf(1, 10),
-    "btk_series": lambda: hookgf.btk_series(1, 1, 10),
+    "hook_table": lambda: hookgf.hook_table(1, 1, 10),
     "btk_enum_table": lambda: hookgf.btk_enum_table((1,), 10, (1,)),
-    "decomposition_series": lambda: hookgf.decomposition_series("A", 1, 10),
-    "set_cardinality_series": lambda: hookgf.set_cardinality_series("O", 1, 10),
+    "piece_table": lambda: hookgf.piece_table("A", 1),
+    "family_table": lambda: hookgf.family_table("O", 1),
     "Family.predicates": lambda: injections.FAMILIES["O"].predicates(1),
     "o5_weight_cap": lambda: injections.o5_weight_cap(1),
 }

@@ -10,17 +10,13 @@ from hypothesis import given
 
 from hookcounts import hookgf, partitions
 from hookcounts.hookgf import (
-    _family_table,
     _hook_terms,
     btk_enum_table,
-    btk_gf,
-    btk_series,
-    decomposition_series,
-    diff_bt2_bt1,
-    diff_bt2_bt3,
-    distinct_partition_count,
-    set_cardinality_series,
-    t2_remainder_series,
+    coefficients,
+    family_table,
+    hook_difference_table,
+    hook_table,
+    piece_table,
 )
 from hookcounts.injections import FAMILIES
 from hookcounts.partitions import Partition, hook_multiset
@@ -40,6 +36,7 @@ from oracles import (
     hook_multiset_by_heights,
     partitions_by_recursion,
     parts_ge2_gf,
+    series_of,
     set_cardinality_chain,
     t2_remainder_chain,
     t_regular_partitions,
@@ -47,6 +44,9 @@ from oracles import (
 
 # above every exponent of the k <= 8 tables, so that nothing is pruned
 UNPRUNED = 10**6
+
+# (q^2 - q^3)(1 - q) T at t = 2, the convexity input of E's sign at t = 2
+T2_REMAINDER = {0: {2: 1, 3: -2, 4: 1}}
 
 
 class TestEnumOracle:
@@ -181,39 +181,37 @@ class TestFirstColumnLemma:
 
 class TestSeriesBuilders:
     def test_one_hook_values(self):
-        s = btk_series(2, 1, 5)
+        s = series_of(2, hook_table(2, 1, 5), 5)
         assert [s[n] for n in (0, 1, 2, 3)] == [0, 1, 1, 2]
-        assert btk_series(4, 1, 3)[3] == btk_enum(4, 1, 3) == 4
+        assert series_of(4, hook_table(4, 1, 3), 3)[3] == btk_enum(4, 1, 3) == 4
 
     def test_two_hook_values(self):
-        assert btk_series(2, 2, 4)[2] == 1
-        assert btk_series(4, 2, 4)[3] == 2
-        assert btk_series(3, 2, 4)[0] == 0
+        assert series_of(2, hook_table(2, 2, 4), 4)[2] == 1
+        assert series_of(4, hook_table(4, 2, 4), 4)[3] == 2
+        assert series_of(3, hook_table(3, 2, 4), 4)[0] == 0
 
     def test_three_hook_values(self):
-        assert btk_series(4, 3, 4)[3] == 3
-        assert btk_series(2, 3, 4)[3] == 2
-        assert btk_series(5, 3, 4)[1] == 0
+        assert series_of(4, hook_table(4, 3, 4), 4)[3] == 3
+        assert series_of(2, hook_table(2, 3, 4), 4)[3] == 2
+        assert series_of(5, hook_table(5, 3, 4), 4)[1] == 0
 
     def test_gf_matches_enum(self):
-        assert btk_gf(2, 2, 6) == btk_enum(2, 2, 6)
-        assert btk_gf(2, 4, 10) == btk_enum(2, 4, 10) == 13
+        assert series_of(2, hook_table(2, 2, 6), 6)[6] == btk_enum(2, 2, 6)
+        assert series_of(2, hook_table(2, 4, 10), 10)[10] == btk_enum(2, 4, 10) == 13
         # no hook is longer than n: answered without deriving the k = 100 table
-        assert btk_gf(2, 100, 5) == btk_enum(2, 100, 5) == 0
+        assert hook_table(2, 100, 5) == {} and btk_enum(2, 100, 5) == 0
         # long hooks at a short order: the pruned table stays small
-        assert btk_gf(2, 40, 50) == btk_enum(2, 40, 50) == 150
+        assert series_of(2, hook_table(2, 40, 50), 50)[50] == btk_enum(2, 40, 50) == 150
         with pytest.raises(ValueError, match="k must be at least 1"):
-            btk_series(2, 0, 10)
+            hook_table(2, 0, 10)
         with pytest.raises(ValueError, match="order must be nonnegative"):
-            btk_series(2, 2, -1)
-        with pytest.raises(ValueError, match="n must be nonnegative"):
-            btk_gf(2, 2, -1)
+            coefficients(2, hook_table(2, 2, -1), -1)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_oracle_equivalence_small_grid(self, t):
         table = btk_enum_table((t,), 25, (1, 2, 3))[t]
         for k in (1, 2, 3):
-            s = btk_series(t, k, 25)
+            s = series_of(t, hook_table(t, k, 25), 25)
             for n in range(26):
                 assert table[(k, n)] == s[n]
 
@@ -226,14 +224,15 @@ class TestDerivedSeries:
         ks = tuple(range(1, 9))
         table = btk_enum_table((t,), 30, ks)[t]
         for k in ks:
-            assert btk_series(t, k, 30).coeffs == tuple(table[(k, n)] for n in range(31))
+            s = series_of(t, hook_table(t, k, 30), 30).coeffs
+            assert s == tuple(table[(k, n)] for n in range(31))
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_hand_typed_forms(self, t):
-        assert btk_series(t, 1, 300) == bt1_form(t, 300)
-        assert btk_series(t, 2, 300) == bt2_form(t, 300)
+        assert series_of(t, hook_table(t, 1, 300), 300) == bt1_form(t, 300)
+        assert series_of(t, hook_table(t, 2, 300), 300) == bt2_form(t, 300)
         three = bt3_t2_form(300) if t == 2 else bt3_four_term_form(t, 300)
-        assert btk_series(t, 3, 300) == three
+        assert series_of(t, hook_table(t, 3, 300), 300) == three
 
     def test_term_counts(self):
         def count(t, k):
@@ -255,9 +254,10 @@ class TestDerivedSeries:
     def test_merged_differences_match_difference_of_series(self, t):
         # o = 0, 1, 2 are the orders at which some of the hook tables are empty
         for o in range(301):
-            two = btk_series(t, 2, o)
-            assert diff_bt2_bt1(t, o) == two - btk_series(t, 1, o)
-            assert diff_bt2_bt3(t, o) == two - btk_series(t, 3, o)
+            two = series_of(t, hook_table(t, 2, o), o)
+            for k in (1, 3):
+                diff = series_of(t, hook_difference_table(t, k, o), o)
+                assert diff == two - series_of(t, hook_table(t, k, o), o)
 
 
 class TestThreeHookClosedForms:
@@ -266,16 +266,16 @@ class TestThreeHookClosedForms:
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
     def test_run_analysis_matches_production_builder(self, t):
         runs = t_regular_gf(t, 120) * hook3_marker_by_runs(t, 120)
-        assert runs.coeffs == btk_series(t, 3, 120).coeffs
+        assert runs.coeffs == series_of(t, hook_table(t, 3, 120), 120).coeffs
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_four_term_form_agrees_for_t_at_least_3(self, t):
-        assert bt3_four_term_form(t, 120).coeffs == btk_series(t, 3, 120).coeffs
+        assert bt3_four_term_form(t, 120) == series_of(t, hook_table(t, 3, 120), 120)
 
     def test_four_term_form_over_counts_at_t2(self):
         # first discrepancy is at n = 6: five actual 3-hooks, six claimed
         legacy = bt3_four_term_form(2, 40)
-        true = btk_series(2, 3, 40)
+        true = series_of(2, hook_table(2, 3, 40), 40)
         assert legacy[6] == 6 and true[6] == 5
         assert btk_enum(2, 3, 6) == 5
         assert all(legacy[n] >= true[n] for n in range(41))
@@ -286,56 +286,57 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_alternating_identity(self, t):
         lhs = (
-            -decomposition_series("A", t, 120)
-            + decomposition_series("B", t, 120)
-            + decomposition_series("C", t, 120)
+            -series_of(t, piece_table("A", t), 120)
+            + series_of(t, piece_table("B", t), 120)
+            + series_of(t, piece_table("C", t), 120)
         )
-        assert lhs.coeffs == diff_bt2_bt1(t, 120).coeffs
+        assert lhs.coeffs == series_of(t, hook_difference_table(t, 1, 120), 120).coeffs
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_three_part_identity_t_at_least_3(self, t):
         lhs = (
-            decomposition_series("D", t, 120)
-            + decomposition_series("E", t, 120)
-            + decomposition_series("F", t, 120)
+            series_of(t, piece_table("D", t), 120)
+            + series_of(t, piece_table("E", t), 120)
+            + series_of(t, piece_table("F", t), 120)
         )
-        assert lhs.coeffs == diff_bt2_bt3(t, 120).coeffs
+        assert lhs.coeffs == series_of(t, hook_difference_table(t, 3, 120), 120).coeffs
 
     def test_three_part_identity_t2_matches_legacy_form_only(self):
         # D+E+F reproduces the four-term form's difference, which over-counts
         # 3-hooks at t=2; against the true series the identity fails from n=6.
         lhs = (
-            decomposition_series("D", 2, 120)
-            + decomposition_series("E", 2, 120)
-            + decomposition_series("F", 2, 120)
+            series_of(2, piece_table("D", 2), 120)
+            + series_of(2, piece_table("E", 2), 120)
+            + series_of(2, piece_table("F", 2), 120)
         )
-        legacy_diff = btk_series(2, 2, 120) - bt3_four_term_form(2, 120)
+        legacy_diff = series_of(2, hook_table(2, 2, 120), 120) - bt3_four_term_form(2, 120)
         assert lhs.coeffs == legacy_diff.coeffs
-        assert lhs.coeffs != diff_bt2_bt3(2, 120).coeffs
-        assert lhs[6] - diff_bt2_bt3(2, 120)[6] == -1
+        true_diff = series_of(2, hook_difference_table(2, 3, 120), 120)
+        assert lhs.coeffs != true_diff.coeffs
+        assert lhs[6] - true_diff[6] == -1
 
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError):
-            decomposition_series("G", 2, 10)
+            piece_table("G", 2)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_a_counts_odd_ones_family(self, t):
-        s = decomposition_series("A", t, 40)
+        s = series_of(t, piece_table("A", t), 40)
         for n in range(41):
             assert s[n] == sum(1 for _ in FAMILIES["O"].members(n, t))
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_c_counts_r_family(self, t):
-        s = decomposition_series("C", t, 40)
+        s = series_of(t, piece_table("C", t), 40)
         for n in range(41):
             assert s[n] == sum(1 for _ in FAMILIES["R"].members(n, t))
 
     def test_c_vanishes_below_prefix(self):
-        s = decomposition_series("C", 2, 10)
+        s = series_of(2, piece_table("C", 2), 10)
         assert all(s[n] == 0 for n in range(5))
 
     def test_a_first_coefficient(self):
-        assert decomposition_series("A", 2, 4)[1] == 1
+        assert series_of(2, piece_table("A", 2), 4)[1] == 1
 
 
 class TestDSeries:
@@ -343,16 +344,16 @@ class TestDSeries:
         negatives = [
             (t, n)
             for t in range(2, 7)
-            for n, c in enumerate(decomposition_series("D", t, 200).coeffs)
+            for n, c in enumerate(series_of(t, piece_table("D", t), 200).coeffs)
             if c < 0
         ]
         assert negatives == [(2, 6)]
-        assert decomposition_series("D", 2, 10)[6] == -1
+        assert series_of(2, piece_table("D", 2), 10)[6] == -1
 
     def test_t3_collapses_to_two_term_form(self):
         u = parts_ge2_gf(3, 200)
         closed = (u.shift(2) + u.shift(7)).times_geometric(6)
-        assert closed.coeffs == decomposition_series("D", 3, 200).coeffs
+        assert closed.coeffs == series_of(3, piece_table("D", 3), 200).coeffs
 
     def test_t2_period_twelve_split(self):
         u = parts_ge2_gf(2, 200)
@@ -360,11 +361,11 @@ class TestDSeries:
             u.shift(5) + u.shift(8) + u.shift(9) + u.shift(13)
         ).times_geometric(12)
         split = (
-            set_cardinality_series("D1", 2, 200)
-            - set_cardinality_series("D2", 2, 200)
+            series_of(2, family_table("D1", 2), 200)
+            - series_of(2, family_table("D2", 2), 200)
             + nonneg_part
         )
-        assert split.coeffs == decomposition_series("D", 2, 200).coeffs
+        assert split.coeffs == series_of(2, piece_table("D", 2), 200).coeffs
 
 
 SET_CASES = [(t, k) for t in range(2, 7) for k in FAMILIES if t == 2 or k not in ("D1", "D2")]
@@ -378,13 +379,13 @@ class TestSetSeries:
     )
     def test_counting_series_match_predicates(self, t, set_id):
         n_max = 40 if (t, set_id) in WIDE_SET_CASES else 24
-        s = set_cardinality_series(set_id, t, n_max)
+        s = series_of(t, family_table(set_id, t), n_max)
         counts = tuple(sum(1 for _ in FAMILIES[set_id].members(n, t)) for n in range(n_max + 1))
         assert counts == s.coeffs
 
     def test_t2_residue_families(self):
-        d1 = set_cardinality_series("D1", 2, 40)
-        d2 = set_cardinality_series("D2", 2, 40)
+        d1 = series_of(2, family_table("D1", 2), 40)
+        d2 = series_of(2, family_table("D2", 2), 40)
         for n in range(41):
             members = list(t_regular_partitions(n, 2))
             assert d1[n] == sum(1 for p in members if p.frequency(1) % 12 == 4)
@@ -392,34 +393,34 @@ class TestSetSeries:
         assert d2[6] == 1  # the all-ones column
 
     def test_s_empty_at_zero(self):
-        assert set_cardinality_series("S", 3, 5)[0] == 0
+        assert series_of(3, family_table("S", 3), 5)[0] == 0
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_a_family_no_larger_than_s_family(self, t):
         # cardinality consequence of the injective rewrite into S
-        a = set_cardinality_series("A", t, 40)
-        s = set_cardinality_series("S", t, 40)
+        a = series_of(t, family_table("A", t), 40)
+        s = series_of(t, family_table("S", t), 40)
         for n in range(41):
             assert a[n] <= s[n]
 
     def test_d2_no_larger_than_d1_from_seven(self):
-        d1 = set_cardinality_series("D1", 2, 60)
-        d2 = set_cardinality_series("D2", 2, 60)
+        d1 = series_of(2, family_table("D1", 2), 60)
+        d2 = series_of(2, family_table("D2", 2), 60)
         for n in range(7, 61):
             assert d2[n] <= d1[n]
 
     def test_d_families_need_t2(self):
         with pytest.raises(ValueError):
-            set_cardinality_series("D1", 3, 10)
+            family_table("D1", 3)
         with pytest.raises(ValueError):
-            set_cardinality_series("X", 2, 10)
+            family_table("X", 2)
 
     def test_rules_needing_two_rows_are_refused(self, monkeypatch):
         # an allowed 2t and a 1-count residue would divide by 1 - q^2t and 1 - q^2
         rules = lambda t: hookgf.Rules(allow=(2 * t,), ones=(1,), mod=2)  # noqa: E731
         monkeypatch.setitem(hookgf.FAMILY_RULES, "X", rules)
         with pytest.raises(ValueError, match=r"need the rows \[6, 2\]"):
-            set_cardinality_series("X", 3, 10)
+            family_table("X", 3)
 
 
 class TestTablesMatchSeriesChains:
@@ -431,11 +432,12 @@ class TestTablesMatchSeriesChains:
         sets = [name for name in FAMILIES if t == 2 or name not in ("D1", "D2")]
         for o in range(301):
             for name in "ABCDEF":
-                assert decomposition_series(name, t, o) == decomposition_chain(name, t, o)
+                assert series_of(t, piece_table(name, t), o) == decomposition_chain(name, t, o)
             for set_id in sets:
-                assert set_cardinality_series(set_id, t, o) == set_cardinality_chain(set_id, t, o)
+                s = series_of(t, family_table(set_id, t), o)
+                assert s == set_cardinality_chain(set_id, t, o)
             if t == 2:
-                assert t2_remainder_series(o) == t2_remainder_chain(o)
+                assert series_of(2, T2_REMAINDER, o) == t2_remainder_chain(o)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
     def test_every_order(self, t):
@@ -458,7 +460,7 @@ class TestBlockEvaluator:
         yield from (hookgf.hook_table(t, k, order) for k in range(1, 6))
         yield from (hookgf.hook_difference_table(t, k, order) for k in (1, 3))
         yield from (hookgf.piece_table(name, t) for name in hookgf.PIECES)
-        yield from (_family_table(set_id, t) for set_id in "ORASBC")
+        yield from (family_table(set_id, t) for set_id in "ORASBC")
         # a seed above a lower term, and coefficients other than +-1
         yield {3 * t: {5: -1, 9: 1, 30: 2}, 0: {0: -3, 17: 1}, 2: {60: 1}}
 
@@ -487,12 +489,12 @@ class TestBlockEvaluator:
             }
             order = rng.randrange(71)
             monkeypatch.setattr(hookgf, "BLOCK", rng.randint(1, 12))
-            assert hookgf._combination(3, table, order) == combination_by_whole_lists(3, table, order), table
+            assert series_of(3, table, order) == combination_by_whole_lists(3, table, order), table
 
     def test_default_block_matches_whole_lists_past_one_block(self):
         order = 2 * hookgf.BLOCK + 1
         table = hookgf.hook_difference_table(3, 1, order)
-        assert diff_bt2_bt1(3, order) == combination_by_whole_lists(3, table, order)
+        assert series_of(3, table, order) == combination_by_whole_lists(3, table, order)
 
     def test_bad_order_raises_on_the_call(self):
         with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -553,12 +555,12 @@ class TestRouteIndependence:
         builders = (
             hookgf.blocks,
             hookgf._block,
-            hookgf._combination,
+            hookgf.coefficients,
             hookgf.merge,
             hookgf.hook_table,
             hookgf.hook_difference_table,
             hookgf._hook_terms,
-            hookgf._family_table,
+            hookgf.family_table,
             hookgf.piece_table,
             *hookgf.PIECES.values(),
         )
@@ -573,17 +575,17 @@ class TestRouteIndependence:
             "Series",
             "blocks",
             "_block",
-            "_combination",
+            "coefficients",
             "hook_table",
             "hook_difference_table",
             "_hook_terms",
             "merge",
-            "_family_table",
+            "family_table",
             "piece_table",
         }
-        # the scan follows helpers: btk_series names t_regular_gf only through one
-        assert "t_regular_gf" not in _code_names(btk_series.__code__)
-        assert "t_regular_gf" in _names_with_helpers(btk_series)
+        # the scan follows helpers: coefficients names t_regular_gf only through one
+        assert "t_regular_gf" not in _code_names(coefficients.__code__)
+        assert "t_regular_gf" in _names_with_helpers(coefficients)
         names = _names_with_helpers(btk_enum_table)
         assert "partition_heads" in names  # the scan sees the walk
         assert not names & series_names
@@ -606,15 +608,17 @@ class TestRouteIndependence:
 
 class TestRemainderSeries:
     def test_negatives_exactly_three_and_six(self):
-        s = t2_remainder_series(200)
+        s = series_of(2, T2_REMAINDER, 200)
         assert [n for n, c in enumerate(s.coeffs) if c < 0] == [3, 6]
         assert s[24] >= 1 and s[27] >= 1
 
 
 class TestDistinctCounts:
+    """Q(n), the partitions of n into distinct parts: the 2-regular series."""
+
     def test_small_values(self):
-        assert distinct_partition_count(0) == 1
-        assert distinct_partition_count(5) == 3
+        q = t_regular_gf(2, 5)
+        assert q[0] == 1 and q[5] == 3
 
     def test_matches_subset_sum_oracle(self):
         # independent 0/1 DP over part sizes
@@ -623,14 +627,13 @@ class TestDistinctCounts:
         for part in range(1, n + 1):
             for s in range(n, part - 1, -1):
                 dp[s] += dp[s - part]
-        for m in range(n + 1):
-            assert distinct_partition_count(m) == dp[m]
+        assert t_regular_gf(2, n).coeffs == tuple(dp)
 
     def test_midpoint_convexity(self):
-        q = [distinct_partition_count(n) for n in range(202)]
+        q = t_regular_gf(2, 201).coeffs
         for n in range(4, 201):
             assert 2 * q[n] <= q[n - 1] + q[n + 1]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            distinct_partition_count(-1)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            t_regular_gf(2, -1)

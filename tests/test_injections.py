@@ -29,7 +29,6 @@ from hookcounts.injections import (
     verify_injection_range,
 )
 from hookcounts.partitions import Partition, partitions_of
-from hookcounts.series import t_regular_gf
 
 from oracles import (
     FAMILY_PREDICATES,
@@ -124,7 +123,7 @@ class TestFamilies:
             lambda: list(family.members(10, t)),
             lambda: family.membership(12, t),
             lambda: list(family.projections(12, t)),
-            lambda: hookgf.set_cardinality_series(name, t, 12),
+            lambda: hookgf.family_table(name, t),
         )
         for use in uses:
             with pytest.raises(ValueError, match="^D1 and D2 are defined for t=2 only$"):
@@ -853,10 +852,8 @@ class TestDriverFailures:
         )
         keep = lambda p, t: p  # noqa: E731
         spec = injections.MapSpec("X", "X", {1: keep, 2: keep}, {})
-        # X is the t-regular partitions, so its counting series is T
-        monkeypatch.setattr(
-            hookgf, "set_cardinality_series", lambda name, t, order: t_regular_gf(t, order)
-        )
+        # X is the t-regular partitions, so its counting table is T itself
+        monkeypatch.setattr(hookgf, "family_table", lambda name, t: {0: {0: 1}})
         kinds, report = self._kinds(monkeypatch, spec, 3, 7, families=(family,))
         members = list(family.members(7, 3))
         odd = sum(1 for p in members if p.frequency(1) % 2)
