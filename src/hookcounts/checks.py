@@ -21,14 +21,14 @@ from .hookgf import (
     merge,
     piece_table,
 )
-from .injections import VerificationReport, o5_weight_bound
+from .injections import o5_weight_bound
 
 # thm13 re-derives both hook counts by enumeration up to this n
 ENUM_LIMIT = 40
 
-# each identity: the sign of its first piece, and the k of the hook difference
-# b(t,2) - b(t,k) that first piece plus the other two must equal
-IDENTITIES = {"abc": (-1, 1), "def": (1, 3)}
+# each identity: its pieces with their signs, and the k of the hook difference
+# b(t,2) - b(t,k) that their signed sum must equal
+IDENTITIES = {"abc": ({"A": -1, "B": 1, "C": 1}, 1), "def": ({"D": 1, "E": 1, "F": 1}, 3)}
 
 # each sign statement: the n it starts at, and the (t, n) cells where the
 # scan is allowed to go negative
@@ -175,11 +175,11 @@ def run_identity_check(which: str, t_values: tuple[int, ...], order: int) -> The
     if not t_values:
         raise ValueError("need at least one t to scan")
     t_values = tuple(dict.fromkeys(t_values))
-    sign, k = IDENTITIES[which]
+    pieces, k = IDENTITIES[which]
     witnesses = []
     for t in t_values:
-        a, b, c = (piece_table(name, t) for name in which.upper())
-        diff = merge((sign, a), (1, b), (1, c), (-1, hook_difference_table(t, k, order)))
+        lhs = [(sign, piece_table(name, t)) for name, sign in pieces.items()]
+        diff = merge(*lhs, (-1, hook_difference_table(t, k, order)))
         witnesses.extend((t, n, d) for n, d in enumerate(coefficients(t, diff, order)) if d)
     return TheoremCheck(
         which=f"identity_{which}",
@@ -237,16 +237,18 @@ class CheckSpec(NamedTuple):
 
 
 # every check of ``hooks verify theorem --which``, in the order its help lists
-# them: the runner is called with the check's flags as keywords, and giving a
-# check a theorem flag it does not read is a usage error.  Each runner looks
-# its run_* function up when called (hence thm13's lambda), so one rebound on
-# this module, by a test's monkeypatch or the benchmark's tracer, is the one run
+# them, one sign check per entry of SIGN_STATEMENTS: the runner is called with
+# the check's flags as keywords, and giving a check a theorem flag it does not
+# read is a usage error.  Each runner looks its run_* function up when called
+# (hence thm13's lambda), so one rebound on this module, by a test's
+# monkeypatch or the benchmark's tracer, is the one run
 CHECKS = {
     "thm12": CheckSpec({"t": 2, "order": None, "full": False}, _thm12_from_flags),
     "thm13": CheckSpec({"t_max": 10, "n_max": 60}, lambda t_max, n_max: run_thm13(t_max, n_max)),
-    "d": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "D")),
-    "e": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "E")),
-    "f": CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, "F")),
+    **{
+        name.lower(): CheckSpec({"t_max": 4, "order": 200}, partial(_sign_from_flags, name))
+        for name in SIGN_STATEMENTS
+    },
     "oracle": CheckSpec({"t_max": 6, "n_max": 40, "k_max": 3}, _oracle_from_flags),
 }
 
@@ -256,14 +258,8 @@ CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def _payload(obj) -> dict | list:
-    if isinstance(obj, (TheoremCheck, VerificationReport)):
-        return obj.to_dict()
-    return [_payload(o) for o in obj]
-
-
 def emit(obj, fmt: str, stream: IO[str]) -> None:
-    """Serialize a check, a report, or a list of them in a format of :data:`FORMATS`."""
+    """Serialize a check, or a list of injection reports, in a format of :data:`FORMATS`."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     FORMATS[fmt](obj, stream)
@@ -272,13 +268,9 @@ def emit(obj, fmt: str, stream: IO[str]) -> None:
 def _emit_json(obj, stream: IO[str]) -> None:
     import json  # here, so the other formats and every import of cli skip loading it
 
-    json.dump(_payload(obj), stream, indent=2, sort_keys=True)
+    payload = obj.to_dict() if isinstance(obj, TheoremCheck) else [r.to_dict() for r in obj]
+    json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
-
-
-def _reports(obj) -> list:
-    """A lone report as a one-element list; a list of reports as it is."""
-    return [obj] if isinstance(obj, VerificationReport) else obj
 
 
 def _emit_csv(obj, stream: IO[str]) -> None:
@@ -291,7 +283,7 @@ def _emit_csv(obj, stream: IO[str]) -> None:
             stream.write(f"{obj.which},{obj.passed},{cell}\n")
         return
     stream.write("map,t,n,domain_size,image_size,passed\n")
-    for r in _reports(obj):
+    for r in obj:
         stream.write(f"{r.map_id},{r.t},{r.n},{r.domain_size},{r.image_size},{r.passed}\n")
 
 
@@ -304,7 +296,7 @@ def _emit_human(obj, stream: IO[str]) -> None:
         for key, value in sorted(obj.info.items()):
             stream.write(f"  {key}: {value}\n")
         return
-    for r in _reports(obj):
+    for r in obj:
         verdict = "PASS" if r.passed else "FAIL"
         stream.write(
             f"{r.map_id} t={r.t} n={r.n}: {verdict}  "

@@ -17,10 +17,10 @@ Two independent routes to the same numbers:
 They deliberately share no code, so agreement of the two routes is a real
 cross-check.  Every series here is a numerator table: T, the t-regular
 series (the one stored build), times a sum of polynomials over 1 - q^m;
-callers name a table and read it with one evaluator, :func:`blocks`, which
-yields its coefficients a block of :data:`BLOCK` at a time, each row
-carrying its last m coefficients into the next block, so a scan holds T
-and about one block per row (:func:`coefficients` reads them one by one).
+callers name a table and read it with one evaluator, :func:`coefficients`,
+which computes its coefficients a block of :data:`BLOCK` at a time, each
+row carrying its last m coefficients into the next block, so a scan holds
+T and about one block per row.
 The k-hook tables are derived on each call, up to the order only, the
 family counts from the rules in :data:`FAMILY_RULES` that ``injections``
 walks; the pieces B and F are typed by hand.  Piece A is family O's
@@ -230,13 +230,13 @@ def merge(*parts: tuple[int, Table]) -> Table:
     return merged
 
 
-# coefficients per block of :func:`blocks`: a scan holds T and about one block
-# per row, and a block is long enough that its slices and sums run in C
+# coefficients per block of :func:`coefficients`: a scan holds T and about one
+# block per row, and a block is long enough that its slices and sums run in C
 BLOCK = 4096
 
 
-def blocks(t: int, table: Table, order: int) -> Iterator[list[int]]:
-    """The coefficients 0..order of the series of ``table``, in lists of :data:`BLOCK`.
+def coefficients(t: int, table: Table, order: int) -> Iterator[int]:
+    """The coefficients 0..order of the series of ``table``, computed :data:`BLOCK` at a time.
 
     The order is checked and T built on the call, so a bad t or order
     raises there; each block is computed by :func:`_block` as it is read.
@@ -260,12 +260,9 @@ def blocks(t: int, table: Table, order: int) -> Iterator[list[int]]:
             seed = terms[0]
         rows.append((m, terms[0][0], seed, [term for term in terms if term is not seed], [0] * m))
     T = t_regular_gf(t, order).coeffs if rows else ()
-    return (_block(T, rows, lo, min(lo + BLOCK, order + 1)) for lo in range(0, order + 1, BLOCK))
-
-
-def coefficients(t: int, table: Table, order: int) -> Iterator[int]:
-    """The coefficients 0..order of the series of ``table``: its :func:`blocks` end to end."""
-    return chain.from_iterable(blocks(t, table, order))
+    return chain.from_iterable(
+        _block(T, rows, lo, min(lo + BLOCK, order + 1)) for lo in range(0, order + 1, BLOCK)
+    )
 
 
 def _block(T: Sequence[int], rows: list, lo: int, hi: int) -> list[int]:

@@ -21,12 +21,14 @@ and of the table's derivation, not of the declaration they share).  The
 codomain subsets are checked disjoint on one partition per multiset of the
 parts their classifier reads (R: the parts 1 mod 2t, S: the 1s); the
 codomain members are walked, to list them, only when one of those lies in
-two.  Failures become report entries, never exceptions.
+two.  Failures become report entries, never exceptions.  The paper proves
+some maps' images t-regular only from a t on (``MapSpec.regular_from``):
+the driver certifies each cell it is given, and the CLI prints that caveat.
 """
 
 from __future__ import annotations
 
-import warnings
+from collections import deque
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import hookgf
@@ -429,8 +431,8 @@ class MapSpec(NamedTuple):
     ``items()``, so equal partitions built separately count as one image.
     The map is verified for ``n >= min_n`` and the t for which ``t_ok(t)``
     holds; ``t_error`` says which those are.  The paper proves the images
-    t-regular for ``t >= regular_from`` only; a smaller allowed t runs with
-    a warning.
+    t-regular for ``t >= regular_from`` only; a smaller allowed t runs, and
+    the CLI prints that caveat after the reports.
     """
 
     domain: str
@@ -467,8 +469,8 @@ MAPS: dict[str, MapSpec] = {
 MAP_MIN_N = {map_id: spec.min_n for map_id, spec in MAPS.items()}
 
 
-def _spec(map_id: str, t: int, n: int, warn: bool, suffix: str = "") -> MapSpec:
-    """Check (map, t, n), then warn below ``regular_from``; ``suffix`` ends the n error."""
+def _spec(map_id: str, t: int, n: int, suffix: str = "") -> MapSpec:
+    """The entry of a valid (map, t, n); ``suffix`` ends the n error."""
     spec = MAPS.get(map_id)
     if spec is None:
         raise ValueError(f"unknown map {map_id!r}")
@@ -476,13 +478,10 @@ def _spec(map_id: str, t: int, n: int, warn: bool, suffix: str = "") -> MapSpec:
         raise ValueError(spec.t_error)
     if n < spec.min_n:
         raise ValueError(f"{map_id} is verified for n >= {spec.min_n}{suffix}")
-    if warn and t < spec.regular_from:
-        message = f"{map_id} images need not stay {t}-regular for t < {spec.regular_from}"
-        warnings.warn(message, RuntimeWarning)
     return spec
 
 
-def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> VerificationReport:
+def verify_injection(map_id: str, t: int, n: int) -> VerificationReport:
     """Certify one (map, t, n) cell exhaustively; see the module docstring.
 
     A map with several classes also reports domain members in no class or
@@ -493,11 +492,9 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
     The number of domain members walked is checked against the family's
     counting series, an independent route (DomainIncomplete).
     Single-threaded; violations are sorted by canonical input text, so
-    reports are deterministic.  ``warn=False`` leaves out the warning of
-    a t below the entry's ``regular_from``, which belongs to the (map, t)
-    pair: a caller running many cells of one pair warns once itself.
+    reports are deterministic.
     """
-    spec = _spec(map_id, t, n, warn)
+    spec = _spec(map_id, t, n)
     domain, codomain = FAMILIES[spec.domain], FAMILIES[spec.codomain]
     in_codomain = codomain.membership(n, t)
     several = len(spec.forward) > 1
@@ -539,7 +536,7 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
             if back.items() != lam.items():
                 violate(lam, "InverseMismatch", f"inverse returned {back}")
 
-    counted = list(hookgf.coefficients(t, hookgf.family_table(spec.domain, t), n))[n]
+    counted = deque(hookgf.coefficients(t, hookgf.family_table(spec.domain, t), n), maxlen=1)[0]
     if walked != counted:
         detail = f"walked {walked} members, the counting series has {counted}"
         violations.append(Violation(domain.name, "DomainIncomplete", detail))
@@ -565,10 +562,6 @@ def verify_injection(map_id: str, t: int, n: int, *, warn: bool = True) -> Verif
 
 
 def verify_injection_range(map_id: str, t: int, n_max: int) -> list[VerificationReport]:
-    """Reports for every n from the map's smallest verified n up to n_max.
-
-    A t below the entry's ``regular_from`` warns once for the range, not
-    once per cell.
-    """
-    start = _spec(map_id, t, n_max, True, f"; n_max={n_max} scans nothing").min_n
-    return [verify_injection(map_id, t, n, warn=False) for n in range(start, n_max + 1)]
+    """Reports for every n from the map's smallest verified n up to n_max."""
+    start = _spec(map_id, t, n_max, f"; n_max={n_max} scans nothing").min_n
+    return [verify_injection(map_id, t, n) for n in range(start, n_max + 1)]

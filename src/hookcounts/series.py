@@ -11,8 +11,8 @@ counting series :func:`t_regular_gf` is kept, one series per t that serves
 every smaller order as a slice: its unit division makes
 O(order * sqrt(order)) big-integer additions, gathered and summed in C a
 group of divisor offsets at a time.  Everything built from it is
-recomputed on each call by ``hookgf.blocks``, a block of coefficients at
-a time, with O(order) additions per term and row of its table.
+recomputed on each call by ``hookgf.coefficients``, a block at a
+time, with O(order) additions per term and row of its table.
 """
 
 from __future__ import annotations

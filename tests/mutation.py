@@ -10,15 +10,19 @@ break those, and two of them change a record's default (``MapSpec.regular_from``
 ``Family.reads``).  The last four break a decision that every other site
 reads from one home: an output format of ``checks.FORMATS``, a piece of
 ``hookgf.PIECES``, the t rule of ``series.check_t`` and D1 and D2 at t = 2 only.
-The ``block-*`` mutants break the block evaluator ``hookgf.blocks`` where
+The ``block-*`` mutants break the block evaluator ``hookgf.coefficients`` where
 a whole-series evaluator has no counterpart: the coefficients a row
 carries into the next block, a term that starts in a later block, and
 the last block when it is short.  The ``key-*`` mutants break the item
 tuples verify_injection keys its images by and compares the inverse's
 result with: images keyed by the preimage, so no collision is seen, and
 the inverse's result compared with itself.  The ``coefficient-*`` mutants
-break the t rule of ``family_table`` and the two sites that read one
-coefficient of a table's evaluation.
+break the t rule of ``family_table`` and the two sites that keep only the
+last coefficient of a table's evaluation.  The ``caveat-*`` mutants break
+the CLI's caveat below a map's ``regular_from``: printed at that t too, or
+printed with gamma's ``regular_from`` for every map.  The ``statement-*``
+mutants break the tables the checks are generated from: a sign check left
+out of ``CHECKS``, and one piece of an identity with its sign flipped.
 This script makes each mutant below in a copy of ``src/`` and ``tests/``,
 runs the mutated tests of SUITE there, one process at a time, and calls the
 mutant killed when a test fails that passes on the unmutated copy (the
@@ -99,9 +103,17 @@ MUTANTS = {
     ),
     "key-images-by-preimage": (INJECTIONS, "images.setdefault(mu.items(), lam)", "images.setdefault(lam.items(), lam)"),
     "key-inverse-against-itself": (INJECTIONS, "back.items() != lam.items()", "back.items() != back.items()"),
-    "coefficient-domain-count-reads-n-minus-1": (INJECTIONS, "n))[n]", "n))[n - 1]"),
+    "coefficient-domain-count-reads-n-minus-1": (INJECTIONS, "maxlen=1)[0]", "maxlen=2)[0]"),
     "coefficient-family-table-drops-check-t": (HOOKGF, "    check_t(t)\n    if set_id", "    if set_id"),
-    "coefficient-count-gf-reads-n-minus-1": (CLI, "order))[-1]", "order))[-2]"),
+    "coefficient-count-gf-reads-n-minus-1": (CLI, "maxlen=1)[0]", "maxlen=2)[0]"),
+    "caveat-at-regular-from": (CLI, "if args.t < regular_from:", "if args.t <= regular_from:"),
+    "caveat-printed-for-every-map": (
+        CLI, "injections.MAPS[args.map].regular_from", 'injections.MAPS["gamma"].regular_from'
+    ),
+    "statement-sign-checks-drop-F": (
+        CHECKS, "for name in SIGN_STATEMENTS\n", 'for name in SIGN_STATEMENTS if name != "F"\n'
+    ),
+    "statement-identity-piece-sign-flipped": (CHECKS, '"B": 1, "C": 1}', '"B": -1, "C": 1}'),
 }
 
 # mutants no test can kill, with the reason

@@ -562,7 +562,7 @@ def combination_by_whole_lists(t: int, table: dict[int, dict[int, int]], order: 
     """The series of a numerator table ``{m: {e: x}}``, T times sum_m (sum_e x q^e) / (1 - q^m).
 
     One whole list per row and pass, the first term seeding it: the
-    differential reference for the block evaluator ``hookgf.blocks``.
+    differential reference for the block evaluator ``hookgf.coefficients``.
     """
     T = t_regular_gf(t, order).coeffs
     total = None

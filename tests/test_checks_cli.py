@@ -268,7 +268,7 @@ class TestEmit:
         report = verify_injection("epsilon", 2, 18)
         for fmt in ("csv", "human"):
             out = io.StringIO()
-            emit(report, fmt, out)
+            emit([report], fmt, out)
             assert "epsilon" in out.getvalue()
 
     def test_list_payload(self):
@@ -483,6 +483,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_count_gf_keeps_only_the_last_coefficient(self, capsys, monkeypatch):
+        # with T stored, the traced peak is the one block the evaluation holds,
+        # not the list of the n + 1 coefficients it reads the last one from
+        monkeypatch.setattr(series, "_T_STORE", {})
+        series.t_regular_gf(2, 30000)
+        tracemalloc.start()
+        try:
+            code = cli.main("count --t 2 --k 1 --n 30000 --method gf".split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out.strip().isdigit() and err == ""
+        assert peak < 1 << 20, peak
+
     def test_count_enum_matches_the_per_partition_count(self, capsys):
         for t in (2, 3, 5):
             for k in (1, 2, 3, 7, 20):
@@ -560,6 +576,46 @@ class TestCli:
             assert done.returncode == code
             assert done.stdout.startswith("map,t,n,domain_size,image_size,passed\n")
             assert done.stderr == f"warning: gamma images need not stay {t}-regular for t < 4\n"
+
+    def test_caveat_comes_from_the_entry(self, capsys, monkeypatch):
+        spec = injections.MAPS["tau"]._replace(regular_from=5)
+        monkeypatch.setitem(injections.MAPS, "broken", spec)
+        assert cli.main("verify injection --map broken --t 3 --n-max 9 --format csv".split()) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("map,t,n,domain_size,image_size,passed\nbroken,3,4,")
+        assert captured.err == "warning: broken images need not stay 3-regular for t < 5\n"
+
+    def test_only_gamma_warns(self, capsys, monkeypatch):
+        # every map at each t in 2..5 its rule allows, on one stub report each,
+        # since phi2's domain starts at n = 8t^2 + 2
+        def one_report(map_id, t, n_max):
+            return [injections.VerificationReport(map_id, t, n_max, 1, 1, passed=True)]
+
+        monkeypatch.setattr(injections, "verify_injection_range", one_report)
+        runs = 0
+        for map_id, spec in injections.MAPS.items():
+            for t in range(2, 6):
+                if not spec.t_ok(t):
+                    continue
+                argv = f"verify injection --map {map_id} --t {t} --n-max 9"
+                assert cli.main(argv.split()) == 0
+                captured = capsys.readouterr()
+                assert captured.out == f"{map_id} t={t} n=9: PASS  domain=1 image=1\n"
+                want = ""
+                if map_id == "gamma" and t < 4:
+                    want = f"warning: gamma images need not stay {t}-regular for t < 4\n"
+                assert captured.err == want, (map_id, t)
+                runs += 1
+        assert runs == 28
+
+    def test_empty_domain_error_prints_no_warning(self, capsys):
+        # gamma at t = 3 has no domain member at n = 0: the usage error comes alone
+        assert cli.main("verify injection --map gamma --t 3 --n-max 0".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gamma at t=3 has an empty domain for every n in 0..0; the check scans nothing\n"
+        )
 
     def test_rejected_range_prints_no_warning(self, capsys):
         # gamma at t = 3 warns only for a range it runs

@@ -451,7 +451,7 @@ class TestTablesMatchSeriesChains:
 
 
 class TestBlockEvaluator:
-    """``hookgf.blocks`` against the whole-list evaluator it replaced, at small block sizes."""
+    """``hookgf.coefficients`` against the whole-list evaluator it replaced, at small block sizes."""
 
     @staticmethod
     def _tables(t):
@@ -467,16 +467,25 @@ class TestBlockEvaluator:
     @pytest.mark.parametrize("block", [1, 7, "below m"])
     @pytest.mark.parametrize("t", [2, 3, 5])
     def test_matches_whole_lists_at_block_edges(self, monkeypatch, t, block):
+        sizes = []  # the length of each block computed, in order
+
+        def block_of(T, rows, lo, hi):
+            sizes.append(hi - lo)
+            return evaluate(T, rows, lo, hi)
+
+        evaluate = hookgf._block
+        monkeypatch.setattr(hookgf, "_block", block_of)
         for table in self._tables(t):
             size = max(max(table) - 1, 2) if block == "below m" else block
             monkeypatch.setattr(hookgf, "BLOCK", size)
             for k in (1, 2, 5, 9):
                 for order in (k * size - 1, k * size, k * size + 1):
-                    got = list(hookgf.blocks(t, table, order))
+                    sizes.clear()
+                    got = list(coefficients(t, table, order))
                     q, r = divmod(order + 1, size)
-                    assert [len(b) for b in got] == [size] * q + [r] * (r > 0)
+                    assert sizes == [size] * q + [r] * (r > 0)
                     want = combination_by_whole_lists(t, table, order)
-                    assert Series([c for b in got for c in b], order) == want, (table, order)
+                    assert Series(got, order) == want, (table, order)
 
     def test_random_tables(self, monkeypatch):
         # rows m in 0..9, terms at exponents 0..40 with coefficients -3..3 (zeros
@@ -498,14 +507,14 @@ class TestBlockEvaluator:
 
     def test_bad_order_raises_on_the_call(self):
         with pytest.raises(ValueError, match="order must be nonnegative"):
-            hookgf.blocks(3, {0: {0: 1}}, -1)
+            coefficients(3, {0: {0: 1}}, -1)
         with pytest.raises(ValueError, match="t must be at least 2"):
-            hookgf.blocks(1, {0: {0: 1}}, 5)
+            coefficients(1, {0: {0: 1}}, 5)
 
     def test_empty_table_is_zero_without_building_t(self, monkeypatch):
         monkeypatch.setattr(hookgf, "t_regular_gf", None)  # calling it would raise
         monkeypatch.setattr(hookgf, "BLOCK", 4)
-        assert list(hookgf.blocks(3, {6: {}, 0: {9: 1, 2: 0}}, 8)) == [[0] * 4, [0] * 4, [0]]
+        assert list(coefficients(3, {6: {}, 0: {9: 1, 2: 0}}, 8)) == [0] * 9
 
 
 def _code_names(code: types.CodeType) -> set[str]:
@@ -553,7 +562,6 @@ class TestRouteIndependence:
         assert {"Partition", "partitions_of", "partition_heads", "hook_multiset"} <= bound
         bound.add("partitions")
         builders = (
-            hookgf.blocks,
             hookgf._block,
             hookgf.coefficients,
             hookgf.merge,
@@ -573,7 +581,6 @@ class TestRouteIndependence:
             "divide_unit",
             "pochhammer_inf",
             "Series",
-            "blocks",
             "_block",
             "coefficients",
             "hook_table",
@@ -583,9 +590,9 @@ class TestRouteIndependence:
             "family_table",
             "piece_table",
         }
-        # the scan follows helpers: coefficients names t_regular_gf only through one
-        assert "t_regular_gf" not in _code_names(coefficients.__code__)
-        assert "t_regular_gf" in _names_with_helpers(coefficients)
+        # the scan follows helpers: hook_difference_table names _hook_terms only through one
+        assert "_hook_terms" not in _code_names(hook_difference_table.__code__)
+        assert "_hook_terms" in _names_with_helpers(hook_difference_table)
         names = _names_with_helpers(btk_enum_table)
         assert "partition_heads" in names  # the scan sees the walk
         assert not names & series_names

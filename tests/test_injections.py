@@ -466,14 +466,6 @@ class TestGamma:
         assert label(S, P("1^4"), 4).index == 3
         assert P("1^4").frequency(2) == 0
 
-    def test_warns_below_t4(self):
-        # the warning belongs to the t, not to a cell: t = 3 warns, t = 4 does not
-        with pytest.warns(RuntimeWarning, match="3-regular"):
-            verify_injection("gamma", 3, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert verify_injection("gamma", 4, 8).passed
-
 
 class TestEpsilon:
     def test_growth_case(self):
@@ -633,59 +625,17 @@ class TestDriver:
         report = verify_injection("phi", 2, 45)
         assert report.passed and report.domain_size == report.image_size > 0
 
-    def test_gamma_warns_once_below_t4(self):
-        with pytest.warns(RuntimeWarning):
-            report = verify_injection("gamma", 2, 12)
-        assert report.domain_size >= 0
-
-    @pytest.mark.parametrize("run", [
-        lambda: verify_injection_range("gamma", 3, 20),  # 21 cells
-        lambda: verify_injection("gamma", 3, 9),
-    ], ids=["range", "lone-cell"])
-    def test_gamma_warns_once_per_map_and_t(self, run):
-        # the warning belongs to the (map, t) pair, not to a cell
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run()
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, "gamma images need not stay 3-regular for t < 4")
-        ]
-
     @pytest.mark.parametrize("run", [
         lambda: verify_injection("gamma", 3, -1),
         lambda: verify_injection_range("gamma", 3, -1),
     ], ids=["lone-cell", "range"])
     def test_rejected_cell_emits_no_warning(self, run):
-        # n is checked before the caveat, so an error comes alone
+        # the library never warns: a rejected cell raises, and nothing else
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="is verified for n >= 0"):
                 run()
         assert caught == []
-
-    @pytest.mark.parametrize("run", [
-        lambda: verify_injection_range("broken", 3, 12),
-        lambda: verify_injection("broken", 3, 9),
-    ], ids=["range", "lone-cell"])
-    def test_warning_comes_from_the_entry(self, monkeypatch, run):
-        spec = MAPS["tau"]._replace(regular_from=5)
-        monkeypatch.setitem(injections.MAPS, "broken", spec)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run()
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, "broken images need not stay 3-regular for t < 5")
-        ]
-
-    def test_only_gamma_warns(self):
-        for map_id, spec in MAPS.items():
-            if map_id == "gamma":
-                continue
-            for t in range(2, 6):
-                if spec.t_ok(t):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        verify_injection_range(map_id, t, spec.min_n + 2)
 
     def test_report_serialization_shape(self):
         report = verify_injection("epsilon", 2, 18)
@@ -718,28 +668,21 @@ class TestDriver:
             verify_injection_range("phi", 2, -1)
 
     def test_all_map_ids_run(self):
-        import warnings as w
-
         for map_id in MAPS:
             t = {"tau": 3, "gamma": 4}.get(map_id, 2)
             n = {"epsilon": 12, "tau": 9}.get(map_id, 10)
-            with w.catch_warnings():
-                w.simplefilter("ignore")
-                report = verify_injection(map_id, t, n)
-            assert report.passed
+            assert verify_injection(map_id, t, n).passed
 
     def test_every_map_and_t_on_its_range(self):
         # every MAPS entry at each t in 2..5 its rule allows, n up to 20: all
         # cells pass but the gamma t = 2 ones whose images leave S
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reports = [
-                r
-                for map_id, spec in MAPS.items()
-                for t in range(2, 6)
-                if spec.t_ok(t)
-                for r in verify_injection_range(map_id, t, 20)
-            ]
+        reports = [
+            r
+            for map_id, spec in MAPS.items()
+            for t in range(2, 6)
+            if spec.t_ok(t)
+            for r in verify_injection_range(map_id, t, 20)
+        ]
         assert len(reports) == 569
         failed = [(r.map_id, r.t, r.n) for r in reports if not r.passed]
         assert failed == [("gamma", 2, n) for n in (6, 11, 13, 15, 16, 17, 18, 19, 20)]
