@@ -23,7 +23,7 @@ parts their classifier reads (R: the parts 1 mod 2t, S: the 1s); the
 codomain members are walked, to list them, only when one of those lies in
 two.  Failures become report entries, never exceptions.  The paper proves
 some maps' images t-regular only from a t on (``MapSpec.regular_from``):
-the driver certifies each cell it is given, and the CLI prints that caveat.
+:func:`verify_injection` certifies any cell, and the CLI prints that caveat.
 """
 
 from __future__ import annotations

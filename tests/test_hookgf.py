@@ -467,13 +467,12 @@ class TestBlockEvaluator:
     @pytest.mark.parametrize("block", [1, 7, "below m"])
     @pytest.mark.parametrize("t", [2, 3, 5])
     def test_matches_whole_lists_at_block_edges(self, monkeypatch, t, block):
-        sizes = []  # the length of each block computed, in order
+        sizes, evaluate = [], hookgf._block  # sizes: the length of each block computed
 
         def block_of(T, rows, lo, hi):
             sizes.append(hi - lo)
             return evaluate(T, rows, lo, hi)
 
-        evaluate = hookgf._block
         monkeypatch.setattr(hookgf, "_block", block_of)
         for table in self._tables(t):
             size = max(max(table) - 1, 2) if block == "below m" else block
